@@ -4,7 +4,6 @@ Contract: every run prints exactly one JSON summary line to stdout;
 diagnostics go to stderr. Exit codes: 0 success, 2 configuration error,
 3 I/O error, 4 numerical failure. A JSON config file passed via --config
 supplies defaults that explicit flags override; unknown keys are rejected.
-The ROMFORGE_THREADS environment variable caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -21,6 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dataset import (
+    ParameterPoint,
     generate_synthetic_dataset,
     load_snapshot_tensor,
     save_snapshot_tensor,
@@ -91,17 +90,6 @@ def parse_dwell_times(raw) -> list[float]:
         raise ConfigurationError(f"non-numeric dwell-time list {text!r}")
 
 
-def _n_jobs() -> int:
-    raw = os.environ.get("ROMFORGE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"ROMFORGE_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigurationError("ROMFORGE_THREADS must be >= 1")
-    return n
-
-
 def _require(ns: SimpleNamespace, *names: str) -> None:
     missing = [n for n in names if getattr(ns, n) is None]
     if missing:
@@ -162,7 +150,7 @@ def cmd_train(ns: SimpleNamespace) -> dict:
         rom = train_pod_gpr(
             train_t, energy_threshold=float(ns.energy_threshold),
             jitter=None if ns.jitter is None else float(ns.jitter),
-            restarts=int(ns.restarts), seed=int(ns.seed), n_jobs=_n_jobs(),
+            restarts=int(ns.restarts), seed=int(ns.seed),
         )
         train_seconds = time.perf_counter() - started
         save_rom(rom, out)
@@ -212,9 +200,9 @@ def _load_any_model(model_dir: Path):
 
 def cmd_predict(ns: SimpleNamespace) -> dict:
     _require(ns, "model_dir", "dt", "out")
+    dt = ParameterPoint(float(ns.dt)).dwell_time
     model_dir = _resolve(ns.model_dir)
     out = _resolve(ns.out)
-    dt = float(ns.dt)
     kind, loaded = _load_any_model(model_dir)
     if kind == "pod-gpr":
         pred = predict_distortion(loaded, dt)

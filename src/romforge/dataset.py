@@ -35,9 +35,6 @@ _SNAP_HEADER = struct.Struct("<4sBII")  # magic, version, n_nodes, n_steps
 CYLINDER_RADIUS_MM = 5.0
 LAYER_THICKNESS_MM = 0.5
 
-#: Dwell-time range (seconds) covered by the modeled process window.
-DWELL_TIME_RANGE_S = (20.0, 80.0)
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -330,6 +327,24 @@ def read_snapshot_bin(path) -> np.ndarray:
     return values.astype(np.float64)
 
 
+def _mesh_to_dict(mesh: MeshGeometry) -> dict:
+    """JSON-ready form of a mesh, shared by dataset and checkpoint manifests."""
+    return {
+        "node_coords": mesh.node_coords.tolist(),
+        "layer_index": mesh.layer_index.tolist(),
+        "edges": mesh.edges.tolist(),
+    }
+
+
+def _mesh_from_dict(raw: dict) -> MeshGeometry:
+    """Inverse of :func:`_mesh_to_dict`."""
+    return MeshGeometry(
+        np.array(raw["node_coords"], dtype=np.float64),
+        np.array(raw["layer_index"], dtype=np.int64),
+        np.array(raw["edges"], dtype=np.int64).reshape(-1, 2),
+    )
+
+
 def save_snapshot_tensor(tensor: SnapshotTensor, path) -> None:
     """Write ``meta.json`` plus one ``snap_<i>.bin`` per parameter."""
     path = Path(path)
@@ -340,11 +355,7 @@ def save_snapshot_tensor(tensor: SnapshotTensor, path) -> None:
         "n_h": tensor.n_nodes,
         "n_t": tensor.n_steps,
         "dwell_times": tensor.dwell_times,
-        "mesh": {
-            "node_coords": tensor.mesh.node_coords.tolist(),
-            "layer_index": tensor.mesh.layer_index.tolist(),
-            "edges": tensor.mesh.edges.tolist(),
-        },
+        "mesh": _mesh_to_dict(tensor.mesh),
     }
     (path / "meta.json").write_bytes(
         json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
@@ -362,11 +373,7 @@ def load_snapshot_tensor(path) -> SnapshotTensor:
     meta = json.loads(meta_path.read_text())
     if meta.get("version") != SNAP_VERSION:
         raise FormatError(f"unsupported meta.json version {meta.get('version')}")
-    mesh = MeshGeometry(
-        np.array(meta["mesh"]["node_coords"], dtype=np.float64),
-        np.array(meta["mesh"]["layer_index"], dtype=np.int64),
-        np.array(meta["mesh"]["edges"], dtype=np.int64).reshape(-1, 2),
-    )
+    mesh = _mesh_from_dict(meta["mesh"])
     matrices = []
     for i, dt in enumerate(meta["dwell_times"]):
         values = read_snapshot_bin(path / f"snap_{i}.bin")

@@ -1,13 +1,17 @@
 """Parameterized graph convolutional autoencoder over the part mesh.
 
 Encoder: two graph-convolution layers, mean pool, dense head to a latent
-vector. A parallel fully connected branch maps the dwell time into the same
-latent space; the decoder expands a latent vector back to a per-node field
-through a dense head, node broadcast, and two graph convolutions. All
-forward/backward passes are hand-written numpy; no autograd.
+vector. A parallel fully connected branch (``_param_branch``) maps the dwell
+time into the same latent space; the decoder (``_decode``) expands a latent
+vector back to a per-node field through a dense head, node broadcast, and two
+graph convolutions. Training, validation and :func:`predict_gca` all run
+through these two functions; prediction decodes the parameter branch's latent
+and skips the encoder. All forward/backward passes are hand-written numpy; no
+autograd.
 
 Graph convolutions use the symmetric normalization with self-loops,
-``D^{-1/2} (A + I) D^{-1/2}``.
+``D^{-1/2} (A + I) D^{-1/2}``, applied by ``_aggregate`` and followed by a
+weight product.
 """
 
 from __future__ import annotations
@@ -19,21 +23,16 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse
 
-from .dataset import MeshGeometry
-from .errors import ConfigurationError, CorruptionError, FormatError, ShapeError
+from .dataset import MeshGeometry, _mesh_from_dict, _mesh_to_dict
+from .errors import CorruptionError, FormatError
 
 __all__ = [
     "Graph",
     "GcaArchitecture",
     "GcaModel",
-    "GcaForwardResult",
     "build_graph",
     "elu",
-    "gc_layer_forward",
     "init_gca",
-    "gca_forward",
-    "gca_loss",
-    "gca_backward",
     "predict_gca",
     "save_gca",
     "load_gca",
@@ -48,7 +47,6 @@ class Graph:
 
     n_nodes: int
     adjacency_norm: scipy.sparse.csr_matrix
-    node_feature_dim: int = 1
 
 
 def build_graph(mesh: MeshGeometry) -> Graph:
@@ -70,24 +68,6 @@ def elu(x: np.ndarray) -> np.ndarray:
 
 def _elu_grad(pre: np.ndarray) -> np.ndarray:
     return np.where(pre > 0.0, 1.0, np.exp(np.minimum(pre, 0.0)))
-
-
-def gc_layer_forward(graph: Graph, features: np.ndarray, weights: np.ndarray,
-                     bias: np.ndarray, activation: str = "elu") -> np.ndarray:
-    """One graph convolution: ``act(A_hat @ features @ W + b)``."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != graph.n_nodes:
-        raise ShapeError(
-            f"features must be ({graph.n_nodes}, d_in), got {features.shape}"
-        )
-    if weights.shape[0] != features.shape[1] or bias.shape != (weights.shape[1],):
-        raise ShapeError("layer weights/bias inconsistent with features")
-    pre = graph.adjacency_norm @ features @ weights + bias
-    if activation == "elu":
-        return elu(pre)
-    if activation == "identity":
-        return pre
-    raise ConfigurationError(f"unknown activation {activation!r}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +112,6 @@ class GcaModel:
         return (dwell_time - self.dt_offset) / self.dt_scale
 
 
-@dataclass(frozen=True)
-class GcaForwardResult:
-    x_hat: np.ndarray   # (n, 1) reconstructed field
-    z: np.ndarray       # (latent,) encoder latent
-    z_p: np.ndarray     # (latent,) parameter-branch latent
-
-
 def init_params(arch: GcaArchitecture, seed: int) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases, drawn in fixed layer order."""
     rng = np.random.default_rng(seed)
@@ -166,6 +139,38 @@ def _aggregate(adj, feats: np.ndarray) -> np.ndarray:
     return out.reshape(n, b, d).transpose(1, 0, 2)
 
 
+def _keep(cache: dict | None, key: str, value: np.ndarray) -> np.ndarray:
+    """Store ``value`` for the backward pass if there is a cache. Prediction
+    passes none, so each intermediate is freed once the next layer has read
+    it; holding them all costs predict_gca ~15% at 1,080 nodes."""
+    if cache is not None:
+        cache[key] = value
+    return value
+
+
+def _param_branch(p: dict, t: np.ndarray, cache: dict | None = None
+                  ) -> np.ndarray:
+    """Map (B, 1) normalized dwell times to (B, latent) through fc1-fc3."""
+    f1 = _keep(cache, "f1", t @ p["fc1_w"] + p["fc1_b"])
+    a1 = _keep(cache, "a1", elu(f1))
+    f2 = _keep(cache, "f2", a1 @ p["fc2_w"] + p["fc2_b"])
+    a2 = _keep(cache, "a2", elu(f2))
+    return a2 @ p["fc3_w"] + p["fc3_b"]
+
+
+def _decode(p: dict, graph: Graph, z: np.ndarray, cache: dict | None = None
+            ) -> np.ndarray:
+    """Expand (B, latent) codes to (B, n, 1) fields: dense head, node
+    broadcast, then two graph convolutions."""
+    adj = graph.adjacency_norm
+    h = elu(_keep(cache, "s4", z @ p["dec_head_w"] + p["dec_head_b"]))
+    h = _keep(cache, "ahb",
+              _aggregate(adj, h.reshape(z.shape[0], graph.n_nodes, -1)))
+    h = elu(_keep(cache, "s5", h @ p["dec_gc1_w"] + p["dec_gc1_b"]))
+    h = _keep(cache, "ah5", _aggregate(adj, h))
+    return h @ p["dec_gc2_w"] + p["dec_gc2_b"]
+
+
 def _forward_batch(params: dict, graph: Graph, x: np.ndarray, t: np.ndarray):
     """Batched forward pass. x: (B, n, 1) fields, t: (B, 1) normalized dts."""
     p = params
@@ -174,30 +179,13 @@ def _forward_batch(params: dict, graph: Graph, x: np.ndarray, t: np.ndarray):
 
     cache["ax"] = _aggregate(adj, x)
     cache["s1"] = cache["ax"] @ p["enc_gc1_w"] + p["enc_gc1_b"]
-    h1 = elu(cache["s1"])
-    cache["ah1"] = _aggregate(adj, h1)
+    cache["ah1"] = _aggregate(adj, elu(cache["s1"]))
     cache["s2"] = cache["ah1"] @ p["enc_gc2_w"] + p["enc_gc2_b"]
-    h2 = elu(cache["s2"])
-    cache["pool"] = h2.mean(axis=1)                       # (B, h2)
+    cache["pool"] = elu(cache["s2"]).mean(axis=1)           # (B, h2)
     z = cache["pool"] @ p["enc_head_w"] + p["enc_head_b"]  # (B, latent)
 
-    cache["s4"] = z @ p["dec_head_w"] + p["dec_head_b"]   # (B, n*h2)
-    h4 = elu(cache["s4"])
-    hb = h4.reshape(x.shape[0], graph.n_nodes, -1)         # (B, n, h2)
-    cache["ahb"] = _aggregate(adj, hb)
-    cache["s5"] = cache["ahb"] @ p["dec_gc1_w"] + p["dec_gc1_b"]
-    h5 = elu(cache["s5"])
-    cache["ah5"] = _aggregate(adj, h5)
-    x_hat = cache["ah5"] @ p["dec_gc2_w"] + p["dec_gc2_b"]  # (B, n, 1)
-
-    cache["f1"] = t @ p["fc1_w"] + p["fc1_b"]
-    a1 = elu(cache["f1"])
-    cache["a1"] = a1
-    cache["f2"] = a1 @ p["fc2_w"] + p["fc2_b"]
-    a2 = elu(cache["f2"])
-    cache["a2"] = a2
-    z_p = a2 @ p["fc3_w"] + p["fc3_b"]
-
+    x_hat = _decode(p, graph, z, cache)
+    z_p = _param_branch(p, t, cache)
     cache["z"], cache["z_p"] = z, z_p
     return x_hat, z, z_p, cache
 
@@ -255,6 +243,17 @@ def _backward_batch(params: dict, graph: Graph, cache: dict, x_hat: np.ndarray,
     return g
 
 
+def _loss_terms(params: dict, graph: Graph, inputs: np.ndarray,
+                targets: np.ndarray, t: np.ndarray):
+    """Forward pass plus the reconstruction and latent-gap mean squares."""
+    target = targets[:, :, None]
+    x_hat, z, z_p, cache = _forward_batch(params, graph, inputs[:, :, None],
+                                          t[:, None])
+    l_rec = float(np.mean((target - x_hat) ** 2))
+    l_param = float(np.mean((z - z_p) ** 2))
+    return l_rec, l_param, x_hat, target, cache
+
+
 def batch_loss_and_grads(params: dict, graph: Graph, inputs: np.ndarray,
                          targets: np.ndarray, t: np.ndarray, lam: float):
     """Full-batch loss (and components) plus parameter gradients.
@@ -262,11 +261,8 @@ def batch_loss_and_grads(params: dict, graph: Graph, inputs: np.ndarray,
     inputs/targets: (B, n) fields; inputs may be corrupted, targets are clean.
     t: (B,) normalized dwell times.
     """
-    x = inputs[:, :, None]
-    target = targets[:, :, None]
-    x_hat, z, z_p, cache = _forward_batch(params, graph, x, t[:, None])
-    l_rec = float(np.mean((target - x_hat) ** 2))
-    l_param = float(np.mean((z - z_p) ** 2))
+    l_rec, l_param, x_hat, target, cache = _loss_terms(params, graph, inputs,
+                                                       targets, t)
     grads = _backward_batch(params, graph, cache, x_hat, target, lam)
     return l_rec + lam * l_param, l_rec, l_param, grads
 
@@ -274,62 +270,15 @@ def batch_loss_and_grads(params: dict, graph: Graph, inputs: np.ndarray,
 def batch_loss(params: dict, graph: Graph, inputs: np.ndarray,
                targets: np.ndarray, t: np.ndarray, lam: float) -> float:
     """Forward-only counterpart of :func:`batch_loss_and_grads`."""
-    x_hat, z, z_p, _ = _forward_batch(params, graph, inputs[:, :, None],
-                                      t[:, None])
-    l_rec = float(np.mean((targets[:, :, None] - x_hat) ** 2))
-    l_param = float(np.mean((z - z_p) ** 2))
+    l_rec, l_param, *_ = _loss_terms(params, graph, inputs, targets, t)
     return l_rec + lam * l_param
-
-
-def gca_forward(model: GcaModel, graph: Graph, x: np.ndarray,
-                dwell_time: float) -> GcaForwardResult:
-    """Run encoder, parameter branch, and decoder for one sample."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != graph.n_nodes:
-        raise ShapeError(f"field has {x.shape[0]} nodes, graph {graph.n_nodes}")
-    t = np.array([[model.normalize_dt(dwell_time)]])
-    x_hat, z, z_p, _ = _forward_batch(model.params, graph, x[None, :, None], t)
-    return GcaForwardResult(x_hat=x_hat[0], z=z[0], z_p=z_p[0])
-
-
-def gca_loss(x: np.ndarray, x_hat: np.ndarray, z: np.ndarray, z_p: np.ndarray,
-             lam: float) -> float:
-    """Mean-squared reconstruction error plus lam x mean-squared latent gap."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    x_hat = np.asarray(x_hat, dtype=np.float64).reshape(-1)
-    if x.shape != x_hat.shape:
-        raise ShapeError("x and x_hat lengths differ")
-    return float(np.mean((x - x_hat) ** 2) + lam * np.mean((z - z_p) ** 2))
-
-
-def gca_backward(model: GcaModel, graph: Graph, x: np.ndarray,
-                 dwell_time: float, lam: float,
-                 target: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Analytic gradients of the single-sample loss for every parameter."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    target = x if target is None else np.asarray(target, dtype=np.float64).reshape(-1)
-    t = np.array([model.normalize_dt(dwell_time)])
-    _, _, _, grads = batch_loss_and_grads(
-        model.params, graph, x[None, :], target[None, :], t, lam
-    )
-    return grads
 
 
 def predict_gca(model: GcaModel, graph: Graph, dwell_time: float) -> np.ndarray:
     """Decode the parameter branch's latent vector; the encoder is not used."""
-    p = model.params
     t = np.array([[model.normalize_dt(dwell_time)]])
-    a1 = elu(t @ p["fc1_w"] + p["fc1_b"])
-    a2 = elu(a1 @ p["fc2_w"] + p["fc2_b"])
-    z_p = a2 @ p["fc3_w"] + p["fc3_b"]
-
-    h4 = elu(z_p @ p["dec_head_w"] + p["dec_head_b"])
-    hb = h4.reshape(1, graph.n_nodes, -1)
-    s5 = _aggregate(graph.adjacency_norm, hb) @ p["dec_gc1_w"] + p["dec_gc1_b"]
-    h5 = elu(s5)
-    x_hat = (_aggregate(graph.adjacency_norm, h5) @ p["dec_gc2_w"]
-             + p["dec_gc2_b"])
-    return x_hat[0, :, 0]
+    z_p = _param_branch(model.params, t)
+    return _decode(model.params, graph, z_p)[0, :, 0]
 
 
 # Checkpoint I/O ==============================================================
@@ -350,11 +299,7 @@ def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
         "dt_scale": model.dt_scale,
         "param_order": [[name, list(shape)]
                         for name, shape in model.arch.param_shapes()],
-        "mesh": {
-            "node_coords": mesh.node_coords.tolist(),
-            "layer_index": mesh.layer_index.tolist(),
-            "edges": mesh.edges.tolist(),
-        },
+        "mesh": _mesh_to_dict(mesh),
     }
     (path / "gca.json").write_bytes(
         json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
@@ -395,11 +340,7 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
             raw, "<f8", count=count, offset=offset
         ).reshape(shape).copy()
         offset += 8 * count
-    mesh = MeshGeometry(
-        np.array(manifest["mesh"]["node_coords"], dtype=np.float64),
-        np.array(manifest["mesh"]["layer_index"], dtype=np.int64),
-        np.array(manifest["mesh"]["edges"], dtype=np.int64).reshape(-1, 2),
-    )
+    mesh = _mesh_from_dict(manifest["mesh"])
     if mesh.n_nodes != arch.n_nodes:
         raise CorruptionError(
             f"manifest mesh has {mesh.n_nodes} nodes but the architecture "

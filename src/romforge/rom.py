@@ -10,7 +10,6 @@ posterior variances linearly to per-node 95% bands.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,12 +94,12 @@ class PodGprRom:
 
 def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
                   jitter: float | None = None, restarts: int = 8,
-                  seed: int = 0, n_jobs: int = 1) -> PodGprRom:
+                  seed: int = 0) -> PodGprRom:
     """Train the POD-GPR surrogate on a snapshot tensor.
 
     The basis spans all deposition steps of all training parameters; the GPs
-    see only each parameter's final-step coefficients. Mode fits are
-    independent, each seeded separately, so ``n_jobs`` only changes wall time.
+    see only each parameter's final-step coefficients. Each mode's fit is
+    seeded separately (``seed + mode index``).
     """
     if train.n_mu < 2:
         raise ConfigurationError("training needs at least two parameters")
@@ -115,18 +114,13 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
         [project(basis, m.final_field) for m in train.matrices]
     )  # (rank, n_mu)
 
-    def fit_mode(j: int) -> GprModel:
+    gprs = []
+    for j in range(basis.rank):
         try:
-            return fit_gpr(inputs, coeffs[j], jitter=jitter,
-                           restarts=restarts, seed=seed + j)
+            gprs.append(fit_gpr(inputs, coeffs[j], jitter=jitter,
+                                restarts=restarts, seed=seed + j))
         except ConditioningError as exc:
             raise ConditioningError(f"mode {j}: {exc}") from exc
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            gprs = tuple(pool.map(fit_mode, range(basis.rank)))
-    else:
-        gprs = tuple(fit_mode(j) for j in range(basis.rank))
     return PodGprRom(
         basis=basis,
         gprs=gprs,

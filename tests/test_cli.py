@@ -58,6 +58,15 @@ def rom_dir(tmp_path_factory, dataset_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def gca_dir(tmp_path_factory, dataset_dir):
+    out = tmp_path_factory.mktemp("cli") / "gca"
+    assert main(["train", "--model", "gca", "--data", str(dataset_dir),
+                 "--out", str(out), "--max-epochs", "2", "--latent", "2",
+                 "--seed", "0"]) == 0
+    return out
+
+
 # ----------------------------------------------------------- dwell parsing ---
 
 
@@ -208,6 +217,21 @@ def test_predict_flags_extrapolation(rom_dir, tmp_path, capsys):
     assert summary_of(stdout)["extrapolation"] is True
 
 
+@pytest.mark.parametrize("archive", ["rom_dir", "gca_dir"])
+@pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "-5", "0"])
+def test_predict_rejects_bad_dwell_time(archive, dt, request, tmp_path,
+                                        capsys):
+    model_dir = request.getfixturevalue(archive)
+    capsys.readouterr()  # drop the fixture's own training summary
+    # the `=` form keeps argparse from reading "-inf" as an option
+    code, stdout, stderr = run(capsys, "predict", "--model-dir", model_dir,
+                               f"--dt={dt}", "--out", tmp_path / "f.bin")
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_predict_corrupt_archive_is_io_failure(rom_dir, tmp_path, capsys):
     broken = tmp_path / "broken"
     broken.mkdir()
@@ -323,21 +347,6 @@ def test_config_missing_file_is_io_failure(tmp_path, capsys):
                      "--dwell-times", "40,60",
                      "--config", tmp_path / "absent.json")
     assert code == 3
-
-
-# ------------------------------------------------------------- environment ---
-
-
-def test_thread_env_validation(dataset_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ROMFORGE_THREADS", "abc")
-    assert run(capsys, "train", "--model", "pod-gpr", "--data", dataset_dir,
-               "--out", tmp_path / "r1")[0] == 2
-    monkeypatch.setenv("ROMFORGE_THREADS", "0")
-    assert run(capsys, "train", "--model", "pod-gpr", "--data", dataset_dir,
-               "--out", tmp_path / "r2")[0] == 2
-    monkeypatch.setenv("ROMFORGE_THREADS", "2")
-    assert run(capsys, "train", "--model", "pod-gpr", "--data", dataset_dir,
-               "--out", tmp_path / "r3")[0] == 0
 
 
 # -------------------------------------------------------------- subprocess ---

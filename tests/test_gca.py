@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 
 from romforge.dataset import MeshGeometry, generate_synthetic_dataset
-from romforge.errors import ConfigurationError, CorruptionError, FormatError, ShapeError
+from romforge.errors import CorruptionError, FormatError
 from romforge.gca import (
     GcaArchitecture,
     GcaModel,
+    _decode,
+    _forward_batch,
     batch_loss,
     batch_loss_and_grads,
     build_graph,
     elu,
-    gc_layer_forward,
-    gca_backward,
-    gca_forward,
-    gca_loss,
     init_gca,
     init_params,
     load_gca,
@@ -43,6 +41,17 @@ def pair_mesh():
         np.zeros(2, dtype=np.int64),
         np.array([[0, 1]], dtype=np.int64),
     )
+
+
+def dense_elu(v):
+    return np.where(v > 0, v, np.expm1(np.minimum(v, 0.0)))
+
+
+def forward_one(params, graph, x, t):
+    """Run one field through the batched pass; returns (x_hat, z, z_p)."""
+    x_hat, z, z_p, _ = _forward_batch(params, graph, x[None, :, None],
+                                      np.array([[t]]))
+    return x_hat[0, :, 0], z[0], z_p[0]
 
 
 @pytest.fixture(scope="module")
@@ -98,48 +107,59 @@ def test_cylinder_graph_normalization():
 
 
 def test_gc_layer_single_node_identity_weights():
+    # on one node A_hat = [[1]], so with identity weights and zero biases
+    # each decoder convolution is its activation applied to its input
     graph = build_graph(single_node_mesh())
-    feats = np.array([[-1.3, 0.7]])
-    out = gc_layer_forward(graph, feats, np.eye(2), np.zeros(2))
-    np.testing.assert_allclose(out, elu(feats), atol=1e-15)
+    arch = GcaArchitecture(n_nodes=1, enc_widths=(2, 2), latent_dim=1,
+                           fc_width=1)
+    params = {name: np.zeros(shape) for name, shape in arch.param_shapes()}
+    feats = np.array([-1.3, 0.7])
+    params["dec_head_b"] = feats          # the seed features of the node
+    params["dec_gc1_w"] = np.eye(2)
+    params["dec_gc2_w"] = np.array([[1.0], [0.0]])
+    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
+                     seed=0)
+    np.testing.assert_allclose(predict_gca(model, graph, 0.5),
+                               elu(elu(feats))[:1], atol=1e-15)
 
 
 def test_gc_layer_zero_everything_is_zero():
     graph = build_graph(pair_mesh())
-    out = gc_layer_forward(graph, np.zeros((2, 3)), np.zeros((3, 4)),
-                           np.zeros(4))
-    np.testing.assert_array_equal(out, np.zeros((2, 4)))
+    arch = GcaArchitecture(n_nodes=2, enc_widths=(3, 4), latent_dim=2,
+                           fc_width=2)
+    zeros = {name: np.zeros(shape) for name, shape in arch.param_shapes()}
+    x_hat, _, _, cache = _forward_batch(zeros, graph, np.zeros((1, 2, 1)),
+                                        np.zeros((1, 1)))
+    for key in ("ax", "s1", "ah1", "s2", "ahb", "s5", "ah5"):
+        np.testing.assert_array_equal(cache[key], np.zeros_like(cache[key]),
+                                      err_msg=key)
+    np.testing.assert_array_equal(x_hat, np.zeros((1, 2, 1)))
 
 
 def test_gc_layer_matches_dense_oracle(irregular):
-    _, graph, _, _ = irregular
+    # every graph convolution of the batched pass, per sample, against a
+    # dense A_hat @ H @ W + b with nonzero biases
+    _, graph, _, params = irregular
     rng = np.random.default_rng(5)
-    feats = rng.normal(size=(graph.n_nodes, 3))
-    w = rng.normal(size=(3, 4))
-    b = rng.normal(size=4)
-    dense = graph.adjacency_norm.toarray() @ feats @ w + b
-    np.testing.assert_allclose(
-        gc_layer_forward(graph, feats, w, b, activation="identity"),
-        dense, atol=1e-12,
-    )
-    np.testing.assert_allclose(
-        gc_layer_forward(graph, feats, w, b),
-        np.where(dense > 0, dense, np.expm1(np.minimum(dense, 0.0))),
-        atol=1e-12,
-    )
+    params = {k: v + rng.normal(size=v.shape) if k.endswith("_b") else v
+              for k, v in params.items()}
+    x = rng.normal(size=(2, graph.n_nodes, 1))
+    x_hat, _, _, cache = _forward_batch(params, graph, x,
+                                        rng.uniform(size=(2, 1)))
+    a_hat = graph.adjacency_norm.toarray()
 
+    def conv(h, layer):
+        return a_hat @ h @ params[layer + "_w"] + params[layer + "_b"]
 
-def test_gc_layer_rejects_bad_shapes_and_activation(irregular):
-    _, graph, _, _ = irregular
-    with pytest.raises(ShapeError):
-        gc_layer_forward(graph, np.zeros((graph.n_nodes + 1, 2)),
-                         np.zeros((2, 2)), np.zeros(2))
-    with pytest.raises(ShapeError):
-        gc_layer_forward(graph, np.zeros((graph.n_nodes, 2)),
-                         np.zeros((3, 2)), np.zeros(2))
-    with pytest.raises(ConfigurationError):
-        gc_layer_forward(graph, np.zeros((graph.n_nodes, 2)),
-                         np.zeros((2, 2)), np.zeros(2), activation="relu")
+    for i in range(2):
+        seed = dense_elu(cache["s4"][i]).reshape(graph.n_nodes, -1)
+        for got, want in (
+            (cache["s1"][i], conv(x[i], "enc_gc1")),
+            (cache["s2"][i], conv(dense_elu(cache["s1"][i]), "enc_gc2")),
+            (cache["s5"][i], conv(seed, "dec_gc1")),
+            (x_hat[i], conv(dense_elu(cache["s5"][i]), "dec_gc2")),
+        ):
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_elu_values():
@@ -159,33 +179,22 @@ def test_zero_weights_give_zero_outputs(irregular):
     model = GcaModel(arch=arch, params=zeros, dt_offset=0.0, dt_scale=1.0,
                      seed=0)
     rng = np.random.default_rng(0)
-    result = gca_forward(model, graph, rng.normal(size=graph.n_nodes), 0.4)
-    np.testing.assert_array_equal(result.x_hat, np.zeros((graph.n_nodes, 1)))
-    np.testing.assert_array_equal(result.z, np.zeros(arch.latent_dim))
-    np.testing.assert_array_equal(result.z_p, np.zeros(arch.latent_dim))
+    x_hat, z, z_p = forward_one(zeros, graph, rng.normal(size=graph.n_nodes),
+                                0.4)
+    np.testing.assert_array_equal(x_hat, np.zeros(graph.n_nodes))
+    np.testing.assert_array_equal(z, np.zeros(arch.latent_dim))
+    np.testing.assert_array_equal(z_p, np.zeros(arch.latent_dim))
     np.testing.assert_array_equal(
         predict_gca(model, graph, 0.4), np.zeros(graph.n_nodes)
     )
 
 
 def test_forward_is_deterministic(irregular):
-    _, graph, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
-                     seed=2)
+    _, graph, _, params = irregular
     x = np.random.default_rng(1).normal(size=graph.n_nodes)
-    a = gca_forward(model, graph, x, 0.3)
-    b = gca_forward(model, graph, x, 0.3)
-    np.testing.assert_array_equal(a.x_hat, b.x_hat)
-    np.testing.assert_array_equal(a.z, b.z)
-    np.testing.assert_array_equal(a.z_p, b.z_p)
-
-
-def test_forward_rejects_wrong_field_length(irregular):
-    _, graph, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
-                     seed=2)
-    with pytest.raises(ShapeError):
-        gca_forward(model, graph, np.zeros(graph.n_nodes + 3), 0.3)
+    for a, b in zip(forward_one(params, graph, x, 0.3),
+                    forward_one(params, graph, x, 0.3)):
+        np.testing.assert_array_equal(a, b)
 
 
 def permute_mesh(mesh: MeshGeometry, perm: np.ndarray):
@@ -201,29 +210,35 @@ def permute_mesh(mesh: MeshGeometry, perm: np.ndarray):
 def test_encoder_is_permutation_invariant(irregular):
     # relabeling nodes (and the adjacency with them) cannot change the
     # pooled latent code; only node-resolved tensors reorder
-    mesh, graph, arch, params = irregular
+    mesh, graph, _, params = irregular
     rng = np.random.default_rng(3)
     perm = rng.permutation(graph.n_nodes)
     graph_p = build_graph(permute_mesh(mesh, perm))
-    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
-                     seed=2)
     x = rng.normal(size=graph.n_nodes)
-    base = gca_forward(model, graph, x, 0.6)
-    moved = gca_forward(model, graph_p, x[perm], 0.6)
-    np.testing.assert_allclose(moved.z, base.z, atol=1e-12)
-    np.testing.assert_allclose(moved.z_p, base.z_p, atol=1e-12)
+    _, z, z_p = forward_one(params, graph, x, 0.6)
+    _, z_moved, z_p_moved = forward_one(params, graph_p, x[perm], 0.6)
+    np.testing.assert_allclose(z_moved, z, atol=1e-12)
+    np.testing.assert_allclose(z_p_moved, z_p, atol=1e-12)
 
 
 # ------------------------------------------------------------------ loss ---
 
 
-def test_loss_trivial_cases():
-    z = np.arange(12.0)
-    x = np.ones(4)
-    assert gca_loss(x, x, z, z, 0.5) == 0.0
-    assert gca_loss(x, x + 1.0, z, z + 5.0, 0.0) == pytest.approx(1.0)
+def test_loss_trivial_cases(irregular):
+    _, graph, arch, _ = irregular
+    params = {name: np.zeros(shape) for name, shape in arch.param_shapes()}
+    x = np.zeros((2, graph.n_nodes))
+    t = np.array([0.1, 0.9])
+    assert batch_loss(params, graph, x, x, t, 0.5) == 0.0
+    # zero weights leave only biases: x_hat = dec_gc2_b, z = enc_head_b and
+    # z_p = fc3_b
+    params["dec_gc2_b"] = np.ones(1)
+    params["enc_head_b"] = np.arange(float(arch.latent_dim))
+    params["fc3_b"] = params["enc_head_b"] + 5.0
+    assert batch_loss(params, graph, x, x, t, 0.0) == pytest.approx(1.0)
     # ones everywhere: mean-square 1 on both terms
-    assert gca_loss(x, x + 1.0, z, z + 1.0, 0.5) == pytest.approx(1.5)
+    params["fc3_b"] = params["enc_head_b"] + 1.0
+    assert batch_loss(params, graph, x, x, t, 0.5) == pytest.approx(1.5)
 
 
 def test_loss_decomposition_is_exact(irregular):
@@ -296,10 +311,9 @@ def test_decoder_gradients_ignore_the_latent_term(irregular):
 
 def test_single_sample_backward_wrapper(irregular):
     _, graph, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
-                     seed=2)
-    x = np.random.default_rng(19).normal(size=graph.n_nodes)
-    grads = gca_backward(model, graph, x, 0.5, 0.5)
+    x = np.random.default_rng(19).normal(size=(1, graph.n_nodes))
+    *_, grads = batch_loss_and_grads(params, graph, x, x, np.array([0.5]),
+                                     0.5)
     assert set(grads) == {name for name, _ in arch.param_shapes()}
     for name, shape in arch.param_shapes():
         assert grads[name].shape == shape
@@ -348,18 +362,18 @@ def test_predict_matches_dense_reimplementation(irregular):
 
 
 def test_predict_agrees_with_forward_decoder(irregular):
-    # decoding the parameter-branch latent by hand through gca_forward's
-    # machinery must agree with predict_gca
+    # prediction is the training pass's decoder applied to the training
+    # pass's parameter-branch latent, bit for bit
     _, graph, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
+    model = GcaModel(arch=arch, params=params, dt_offset=20.0, dt_scale=60.0,
                      seed=2)
-    x = np.random.default_rng(23).normal(size=graph.n_nodes)
-    res = gca_forward(model, graph, x, 0.35)
-    field = predict_gca(model, graph, 0.35)
-    assert field.shape == (graph.n_nodes,)
-    assert np.all(np.isfinite(field))
-    # the two latents differ at init, so the decoded fields must differ too
-    assert not np.allclose(res.x_hat[:, 0], field)
+    rng = np.random.default_rng(23)
+    for dt in (35.0, 47.0, 95.0):
+        x = rng.normal(size=(1, graph.n_nodes, 1))
+        _, _, z_p, _ = _forward_batch(params, graph, x,
+                                      np.array([[model.normalize_dt(dt)]]))
+        np.testing.assert_array_equal(predict_gca(model, graph, dt),
+                                      _decode(params, graph, z_p)[0, :, 0])
 
 
 # ------------------------------------------------------------ checkpoint ---

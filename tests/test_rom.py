@@ -141,14 +141,6 @@ def test_pipeline_is_homogeneous_in_the_field(dataset):
         assert rel <= 1e-6
 
 
-def test_parallel_training_matches_serial(dataset, rom):
-    train, _ = dataset
-    parallel = train_pod_gpr(train, seed=0, n_jobs=4)
-    for a, b in zip(rom.gprs, parallel.gprs):
-        assert a.kernel == b.kernel
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-
-
 def test_training_needs_two_parameters(dataset):
     train, _ = dataset
     single = SnapshotTensor(mesh=train.mesh, matrices=train.matrices[:1])
