@@ -9,6 +9,7 @@ supplies defaults that explicit flags override; unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,6 +42,7 @@ from .errors import (
     UnknownParameterError,
 )
 from .gca import build_graph, load_gca, predict_gca, save_gca
+from .gpr import fit_decision
 from .metrics import (
     EvalReport,
     emit_coefficient_plot,
@@ -49,7 +51,13 @@ from .metrics import (
     report_to_dict,
     time_predict,
 )
-from .rom import load_rom, predict_distortion, save_rom, train_pod_gpr
+from .rom import (
+    load_rom,
+    predict_distortion,
+    predict_distortion_many,
+    save_rom,
+    train_pod_gpr,
+)
 from .training import GcaTrainConfig, train_gca, write_history_csv
 
 __all__ = ["main", "parse_dwell_times"]
@@ -64,7 +72,10 @@ _IO_ERRORS = (FormatError, CorruptionError, DataError, OSError)
 def parse_dwell_times(raw) -> list[float]:
     """Parse `start:stop:step` (stop inclusive when aligned) or a comma list."""
     if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
+        try:
+            return [float(v) for v in raw]
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"non-numeric dwell-time list {raw!r}")
     text = str(raw).strip()
     if not text:
         raise ConfigurationError("empty dwell-time list")
@@ -99,6 +110,14 @@ def _require(ns: SimpleNamespace, *names: str) -> None:
 
 def _resolve(value) -> Path:
     return Path(value).expanduser().resolve()
+
+
+def _dumps(payload, **kwargs) -> str:
+    """Strict JSON text (sorted keys); NaN or infinity is a numerical failure."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise DegenerateMetricError(f"non-finite value in output: {exc}") from None
 
 
 # Subcommand handlers =========================================================
@@ -146,17 +165,22 @@ def cmd_train(ns: SimpleNamespace) -> dict:
 
     if ns.model == "pod-gpr":
         train_t, _ = split_dataset(tensor, train_dts, [])
+        jitter = None if ns.jitter is None else float(ns.jitter)
         started = time.perf_counter()
         rom = train_pod_gpr(
             train_t, energy_threshold=float(ns.energy_threshold),
-            jitter=None if ns.jitter is None else float(ns.jitter),
-            restarts=int(ns.restarts), seed=int(ns.seed),
+            jitter=jitter, restarts=int(ns.restarts), seed=int(ns.seed),
         )
         train_seconds = time.perf_counter() - started
         save_rom(rom, out)
+        # what the fitter decided, per mode: reported here only, never in
+        # the archive
+        gpr_fit = [{"mode": j, **fit_decision(g, jitter)}
+                   for j, g in enumerate(rom.gprs)]
         return {"model": "pod-gpr", "out": str(out), "rank": rom.rank,
                 "energy_captured": rom.basis.energy_captured,
-                "n_train": train_t.n_mu, "train_seconds": train_seconds}
+                "n_train": train_t.n_mu, "train_seconds": train_seconds,
+                "gpr_fit": gpr_fit}
 
     val_dts = parse_dwell_times(ns.val) if ns.val is not None else []
     train_t, val_t = split_dataset(tensor, train_dts, val_dts)
@@ -219,7 +243,7 @@ def cmd_predict(ns: SimpleNamespace) -> dict:
     sidecar = {"dt": dt, "max_displacement": float(field.max()),
                "extrapolation": extrapolation, "model": kind}
     sidecar_path = Path(str(out) + ".json")
-    sidecar_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    sidecar_path.write_text(_dumps(sidecar) + "\n")
     return {**sidecar, "out": str(out), "sidecar": str(sidecar_path)}
 
 
@@ -239,22 +263,22 @@ def cmd_eval(ns: SimpleNamespace) -> dict:
         raise ConfigurationError("empty test list")
     tensor = load_snapshot_tensor(data)
     kind, loaded = _load_any_model(model_dir)
-    if kind == "gca":
+    if kind == "pod-gpr":
+        fields = [p.mean_field for p in predict_distortion_many(loaded, test_dts)]
+        predict = functools.partial(predict_distortion, loaded)
+    else:
         gca_model, gca_mesh = loaded
         gca_graph = build_graph(gca_mesh)
 
-    rows = []
-    for dt in test_dts:
-        truth = tensor.matrix_for(dt).final_field
-        if kind == "pod-gpr":
-            pred_field = predict_distortion(loaded, dt).mean_field
-        else:
-            pred_field = predict_gca(gca_model, gca_graph, dt)
-        rows.append(evaluation_row(dt, pred_field, truth))
+        def predict(dt):
+            return predict_gca(gca_model, gca_graph, dt)
+        fields = [predict(dt) for dt in test_dts]
+    rows = [evaluation_row(dt, field, tensor.matrix_for(dt).final_field)
+            for dt, field in zip(test_dts, fields)]
 
     predict_seconds = None
-    if ns.timing and kind == "pod-gpr":
-        predict_seconds = time_predict(loaded, test_dts,
+    if ns.timing:
+        predict_seconds = time_predict(predict, test_dts,
                                        int(ns.repeats)).mean_seconds
     report = EvalReport(rows=tuple(rows), predict_seconds_mean=predict_seconds)
 
@@ -268,9 +292,7 @@ def cmd_eval(ns: SimpleNamespace) -> dict:
     report_path = (_resolve(ns.report) if ns.report is not None
                    else plots / "report.json")
     payload = report_to_dict(report)
-    report_path.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    report_path.write_text(_dumps(payload, separators=(",", ":")) + "\n")
     return {"model": kind, "report": str(report_path), "plots": str(plots),
             **payload}
 
@@ -283,7 +305,8 @@ def _add_command(sub, name: str, help_text: str, defaults: dict, handler,
     configure(cmd)
     cmd.add_argument("--config", default=None,
                      help="JSON file with defaults for this subcommand")
-    cmd.set_defaults(_handler=handler, _defaults=defaults)
+    cmd.set_defaults(_handler=handler, _defaults=defaults,
+                     _options={a.dest: a for a in cmd._actions})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                        type=float, help="POD energy fraction to retain")
         p.add_argument("--jitter", type=float, help="GPR diagonal jitter")
         p.add_argument("--restarts", type=int,
-                       help="GPR hyperparameter restarts")
+                       help="seeded GPR length scales added to the "
+                            "hyperparameter scan (>= 1)")
         p.add_argument("--val", help="validation dwell times (gca)")
         p.add_argument("--lam", type=float, help="latent-loss weight (gca)")
         p.add_argument("--lr-max", dest="lr_max", type=float)
@@ -355,6 +379,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options that take a dwell-time list, which a config file may give as a
+# JSON array
+_DWELL_LIST_OPTIONS = ("dwell_times", "train", "val", "test")
+
+
+def _config_value(option: argparse.Action, key: str, value):
+    """A config-file value, checked and converted as argparse does its flag."""
+    if value is None:
+        return None
+    if option.type is not None:
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            try:
+                return option.type(str(value))
+            except ValueError:
+                pass
+        raise ConfigurationError(
+            f"config key {key!r}: expected {option.type.__name__}, "
+            f"got {value!r}")
+    if option.nargs == 0:  # an on/off flag such as --time
+        if isinstance(value, bool):
+            return value
+        raise ConfigurationError(
+            f"config key {key!r}: expected true or false, got {value!r}")
+    if isinstance(value, str) or (key in _DWELL_LIST_OPTIONS
+                                  and isinstance(value, list)):
+        return value
+    raise ConfigurationError(
+        f"config key {key!r}: expected a string, got {value!r}")
+
+
 def _merge_config(args: argparse.Namespace) -> SimpleNamespace:
     defaults = args._defaults
     merged = dict(defaults)
@@ -373,7 +427,8 @@ def _merge_config(args: argparse.Namespace) -> SimpleNamespace:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise ConfigurationError(f"unknown config keys: {unknown}")
-        merged.update(loaded)
+        merged.update({key: _config_value(args._options[key], key, value)
+                       for key, value in loaded.items()})
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -386,7 +441,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         ns = _merge_config(args)
-        summary = args._handler(ns)
+        line = _dumps(args._handler(ns))
     except _CONFIG_ERRORS as exc:
         print(f"romforge: {exc}", file=sys.stderr)
         return 2
@@ -396,7 +451,7 @@ def main(argv=None) -> int:
     except _IO_ERRORS as exc:
         print(f"romforge: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(summary, sort_keys=True))
+    print(line)
     return 0
 
 

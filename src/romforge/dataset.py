@@ -25,6 +25,8 @@ from .errors import (
     ShapeError,
     SplitError,
     UnknownParameterError,
+    archive_values,
+    read_json,
 )
 
 SNAP_MAGIC = b"SNPT"
@@ -187,12 +189,22 @@ def synthetic_distortion(z, r, theta, layer, step, dwell_time, height,
     grows linearly in height and radius with a mild angular ripple, and each
     layer's contribution saturates exponentially once deposited.
     """
-    amp = 0.08 + 0.12 * np.exp(-np.asarray(dwell_time) / 30.0)
-    shape = (np.asarray(z) / height) * (np.asarray(r) / radius) \
+    return (_amplitude(dwell_time) * _shape(z, r, theta, height, radius)
+            * _growth(layer, step))
+
+
+def _amplitude(dwell_time):
+    return 0.08 + 0.12 * np.exp(-np.asarray(dwell_time) / 30.0)
+
+
+def _shape(z, r, theta, height, radius):
+    return (np.asarray(z) / height) * (np.asarray(r) / radius) \
         * (1.0 + 0.3 * np.cos(theta))
+
+
+def _growth(layer, step):
     lag = np.asarray(step) - np.asarray(layer)
-    growth = np.where(lag < 0, 0.0, -np.expm1(-(lag + 1.0) / 8.0))
-    return amp * shape * growth
+    return np.where(lag < 0, 0.0, -np.expm1(-(lag + 1.0) / 8.0))
 
 
 def _cylinder_mesh(n_radial: int, n_theta: int, n_layers: int) -> MeshGeometry:
@@ -274,13 +286,14 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
     theta = np.arctan2(y, x)
 
     rng = np.random.default_rng(seed)
-    steps = np.arange(n_layers)
+    # only the amplitude depends on the dwell time; the (nodes, steps) growth
+    # factor is computed once
+    shape = _shape(z[:, None], r[:, None], theta[:, None], height,
+                   CYLINDER_RADIUS_MM)
+    growth = _growth(mesh.layer_index[:, None], np.arange(n_layers)[None, :])
     matrices = []
     for dt in dwell_times:
-        values = synthetic_distortion(
-            z[:, None], r[:, None], theta[:, None],
-            mesh.layer_index[:, None], steps[None, :], dt, height,
-        )
+        values = _amplitude(dt) * shape * growth
         if noise_sigma > 0.0:
             values = values + rng.normal(0.0, noise_sigma, values.shape)
         matrices.append(SnapshotMatrix(values, ParameterPoint(dt)))
@@ -365,27 +378,32 @@ def save_snapshot_tensor(tensor: SnapshotTensor, path) -> None:
 
 
 def load_snapshot_tensor(path) -> SnapshotTensor:
-    """Load a tensor saved by :func:`save_snapshot_tensor`, validating headers."""
+    """Load a tensor saved by :func:`save_snapshot_tensor`, validating headers.
+
+    A missing file, malformed JSON or an unknown version is a
+    :class:`FormatError`; a missing key or an unusable value a
+    :class:`CorruptionError`.
+    """
     path = Path(path)
-    meta_path = path / "meta.json"
-    if not meta_path.is_file():
-        raise FormatError(f"{meta_path} is missing")
-    meta = json.loads(meta_path.read_text())
-    if meta.get("version") != SNAP_VERSION:
-        raise FormatError(f"unsupported meta.json version {meta.get('version')}")
-    mesh = _mesh_from_dict(meta["mesh"])
-    matrices = []
-    for i, dt in enumerate(meta["dwell_times"]):
-        values = read_snapshot_bin(path / f"snap_{i}.bin")
-        if values.shape != (meta["n_h"], meta["n_t"]):
+    with archive_values(path):
+        meta = read_json(path / "meta.json")
+        if meta.get("version") != SNAP_VERSION:
+            raise FormatError(
+                f"unsupported meta.json version {meta.get('version')}")
+        mesh = _mesh_from_dict(meta["mesh"])
+        matrices = []
+        for i, dt in enumerate(meta["dwell_times"]):
+            values = read_snapshot_bin(path / f"snap_{i}.bin")
+            if values.shape != (meta["n_h"], meta["n_t"]):
+                raise CorruptionError(
+                    f"snap_{i}.bin holds shape {values.shape}, meta.json "
+                    f"declares ({meta['n_h']}, {meta['n_t']})"
+                )
+            matrices.append(SnapshotMatrix(values, ParameterPoint(dt)))
+        if len(matrices) != meta["n_mu"]:
             raise CorruptionError(
-                f"snap_{i}.bin holds shape {values.shape}, meta.json declares "
-                f"({meta['n_h']}, {meta['n_t']})"
-            )
-        matrices.append(SnapshotMatrix(values, ParameterPoint(dt)))
-    if len(matrices) != meta["n_mu"]:
-        raise CorruptionError("meta.json n_mu disagrees with dwell_times length")
-    return SnapshotTensor(tuple(matrices), mesh)
+                "meta.json n_mu disagrees with dwell_times length")
+        return SnapshotTensor(tuple(matrices), mesh)
 
 
 def split_dataset(tensor: SnapshotTensor, train, test):

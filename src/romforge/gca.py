@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .dataset import MeshGeometry, _mesh_from_dict, _mesh_to_dict
-from .errors import CorruptionError, FormatError
+from .errors import CorruptionError, FormatError, archive_values, read_json
 
 __all__ = [
     "Graph",
@@ -312,41 +312,53 @@ def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
 
 
 def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
-    """Load a checkpoint written by :func:`save_gca`."""
+    """Load a checkpoint written by :func:`save_gca`.
+
+    A missing file, malformed JSON or an unknown version is a
+    :class:`FormatError`; a missing key or an unusable value a
+    :class:`CorruptionError`.
+    """
     path = Path(path)
-    manifest_path = path / "gca.json"
-    if not manifest_path.is_file():
-        raise FormatError(f"{manifest_path} is missing")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("version") != GCA_VERSION:
-        raise FormatError(f"unsupported GCA version {manifest.get('version')}")
-    arch = GcaArchitecture(
-        n_nodes=manifest["n_nodes"],
-        enc_widths=tuple(manifest["enc_widths"]),
-        latent_dim=manifest["latent_dim"],
-        fc_width=manifest["fc_width"],
-    )
-    raw = (path / "gca_weights.bin").read_bytes()
-    expected = 8 * sum(int(np.prod(shape)) for _, shape in arch.param_shapes())
-    if len(raw) != expected:
-        raise CorruptionError(
-            f"gca_weights.bin holds {len(raw)} bytes, manifest implies {expected}"
+    with archive_values(path):
+        manifest = read_json(path / "gca.json")
+        if manifest.get("version") != GCA_VERSION:
+            raise FormatError(
+                f"unsupported GCA version {manifest.get('version')}")
+        arch = GcaArchitecture(
+            n_nodes=manifest["n_nodes"],
+            enc_widths=tuple(manifest["enc_widths"]),
+            latent_dim=manifest["latent_dim"],
+            fc_width=manifest["fc_width"],
         )
-    params = {}
-    offset = 0
-    for name, shape in arch.param_shapes():
-        count = int(np.prod(shape))
-        params[name] = np.frombuffer(
-            raw, "<f8", count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += 8 * count
-    mesh = _mesh_from_dict(manifest["mesh"])
-    if mesh.n_nodes != arch.n_nodes:
-        raise CorruptionError(
-            f"manifest mesh has {mesh.n_nodes} nodes but the architecture "
-            f"expects {arch.n_nodes}"
-        )
-    model = GcaModel(arch=arch, params=params,
-                     dt_offset=manifest["dt_offset"],
-                     dt_scale=manifest["dt_scale"], seed=manifest["seed"])
+        raw = (path / "gca_weights.bin").read_bytes()
+        expected = 8 * sum(int(np.prod(shape))
+                           for _, shape in arch.param_shapes())
+        if len(raw) != expected:
+            raise CorruptionError(
+                f"gca_weights.bin holds {len(raw)} bytes, manifest implies "
+                f"{expected}"
+            )
+        params = {}
+        offset = 0
+        for name, shape in arch.param_shapes():
+            count = int(np.prod(shape))
+            params[name] = np.frombuffer(
+                raw, "<f8", count=count, offset=offset
+            ).reshape(shape).copy()
+            offset += 8 * count
+        mesh = _mesh_from_dict(manifest["mesh"])
+        if mesh.n_nodes != arch.n_nodes:
+            raise CorruptionError(
+                f"manifest mesh has {mesh.n_nodes} nodes but the architecture "
+                f"expects {arch.n_nodes}"
+            )
+        dt_offset = float(manifest["dt_offset"])
+        dt_scale = float(manifest["dt_scale"])
+        if not (np.isfinite(dt_offset) and np.isfinite(dt_scale)
+                and dt_scale > 0.0):
+            raise CorruptionError(
+                f"{path}: dwell-time normalization must be finite with "
+                "scale > 0")
+        model = GcaModel(arch=arch, params=params, dt_offset=dt_offset,
+                         dt_scale=dt_scale, seed=manifest["seed"])
     return model, mesh

@@ -8,6 +8,7 @@ Every CSV value is written with full repr precision so files round-trip.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import time
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, ShapeError
-from .rom import PodGprRom, predict_distortion
+from .rom import PodGprRom, predict_distortion, predict_distortion_many
 
 __all__ = [
     "EvalRow",
@@ -276,7 +277,7 @@ def emit_coefficient_plot(rom: PodGprRom, dts, first_k: int, path
             f"first_k must be in [1, {rom.rank}], got {first_k}"
         )
     dts = [float(dt) for dt in dts]
-    preds = [predict_distortion(rom, dt) for dt in dts]
+    preds = predict_distortion_many(rom, dts)
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_suffix(".csv")
@@ -350,24 +351,28 @@ class TimingResult:
     min_seconds: float
 
 
-def time_predict(rom: PodGprRom, dts, repeats: int) -> TimingResult:
+def time_predict(predict, dts, repeats: int) -> TimingResult:
     """Per-call prediction latency over `repeats` sweeps of `dts`.
 
-    One untimed warm-up sweep runs first. Each sweep is timed as a whole
-    and divided by the number of dwell times; statistics are over sweeps.
+    ``predict`` is any one-dwell-time predictor, ``dt -> prediction``; a
+    :class:`PodGprRom` stands for ``predict_distortion`` on it. One untimed
+    warm-up sweep runs first. Each sweep is timed as a whole and divided by
+    the number of dwell times; statistics are over sweeps.
     """
+    if isinstance(predict, PodGprRom):
+        predict = functools.partial(predict_distortion, predict)
     if repeats < 1:
         raise ConfigurationError("repeats must be at least 1")
     dts = [float(dt) for dt in dts]
     if not dts:
         raise ConfigurationError("need at least one dwell time to benchmark")
     for dt in dts:  # warm-up, excluded from stats
-        predict_distortion(rom, dt)
+        predict(dt)
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
         for dt in dts:
-            predict_distortion(rom, dt)
+            predict(dt)
         samples.append((time.perf_counter() - start) / len(dts))
     return TimingResult(mean_seconds=float(np.mean(samples)),
                         min_seconds=float(min(samples)))

@@ -12,10 +12,10 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigurationError,
@@ -105,6 +105,16 @@ class PodBasis:
     def n_nodes(self) -> int:
         return self.modes.shape[0]
 
+    @cached_property
+    def squared_modes(self) -> np.ndarray:
+        """``modes**2``, which maps mode variances to node variances.
+
+        Built on first use and kept in memory only; archives never hold it.
+        """
+        squared = self.modes**2
+        squared.setflags(write=False)
+        return squared
+
 
 def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry positive (deterministic)."""
@@ -159,7 +169,10 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float,
     centered = snapshots - reference[:, None]
 
     gram = centered.T @ centered
-    eigvals, eigvecs = scipy.linalg.eigh(gram)
+    # NumPy's LAPACK, like the Gram product: calling SciPy's as well would
+    # wake a second OpenBLAS thread pool whose workers keep spinning after
+    # the call, competing with the caller on a small host
+    eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
     sigma = np.sqrt(np.maximum(eigvals, 0.0))

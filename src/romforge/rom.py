@@ -2,23 +2,43 @@
 
 Training computes one POD basis over every snapshot of every training
 parameter, projects each parameter's final-step field onto it, and fits one
-independent GP per retained mode over the normalized dwell time. Prediction
-evaluates the r GPs, reconstructs the mean field, and propagates the per-mode
-posterior variances linearly to per-node 95% bands.
+independent GP per retained mode over the normalized dwell time; every mode
+shares those inputs, so one batched hyperparameter search fits them all.
+Prediction evaluates the r GPs at once through their stacked Cholesky
+factors, reconstructs the mean fields, and propagates the per-mode posterior
+variances linearly to per-node 95% bands.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import SnapshotTensor
-from .errors import ConditioningError, ConfigurationError, FormatError
-from .gpr import GprModel, RbfKernel, fit_gpr, make_gpr, predict_gpr
-from .pod import PodBasis, compute_pod, load_basis, project, reconstruct, save_basis
+from .errors import (
+    ConfigurationError,
+    CorruptionError,
+    FormatError,
+    archive_values,
+    read_json,
+)
+from .gpr import (
+    GprModel,
+    GprStack,
+    RbfKernel,
+    fit_gprs,
+    make_gpr,
+    predict_stack,
+    stack_gprs,
+)
+# perfbench's tracer wraps romforge.rom.fit_gpr, so the name stays bound
+from .gpr import fit_gpr  # noqa: F401
+from .pod import PodBasis, compute_pod, load_basis, project, save_basis
 
 __all__ = [
     "InputNormalization",
@@ -26,6 +46,7 @@ __all__ = [
     "PodGprRom",
     "train_pod_gpr",
     "predict_distortion",
+    "predict_distortion_many",
     "save_rom",
     "load_rom",
 ]
@@ -91,6 +112,11 @@ class PodGprRom:
     def rank(self) -> int:
         return self.basis.rank
 
+    @cached_property
+    def gpr_stack(self) -> GprStack:
+        """The mode GPs stacked for batched posteriors (built on first use)."""
+        return stack_gprs(self.gprs)
+
 
 def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
                   jitter: float | None = None, restarts: int = 8,
@@ -98,8 +124,9 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
     """Train the POD-GPR surrogate on a snapshot tensor.
 
     The basis spans all deposition steps of all training parameters; the GPs
-    see only each parameter's final-step coefficients. Each mode's fit is
-    seeded separately (``seed + mode index``).
+    see only each parameter's final-step coefficients. One :func:`fit_gprs`
+    call fits every mode; ``restarts`` and ``seed`` set the seeded length
+    scales its scan adds, shared by all modes.
     """
     if train.n_mu < 2:
         raise ConfigurationError("training needs at least two parameters")
@@ -113,14 +140,8 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
     coeffs = np.column_stack(
         [project(basis, m.final_field) for m in train.matrices]
     )  # (rank, n_mu)
-
-    gprs = []
-    for j in range(basis.rank):
-        try:
-            gprs.append(fit_gpr(inputs, coeffs[j], jitter=jitter,
-                                restarts=restarts, seed=seed + j))
-        except ConditioningError as exc:
-            raise ConditioningError(f"mode {j}: {exc}") from exc
+    gprs = fit_gprs(inputs, coeffs, jitter=jitter, restarts=restarts,
+                    seed=seed)
     return PodGprRom(
         basis=basis,
         gprs=gprs,
@@ -129,29 +150,37 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
     )
 
 
-def predict_distortion(rom: PodGprRom, dwell_time: float) -> FieldPrediction:
-    """Predict the final-layer field at a dwell time, with 95% bands.
+def predict_distortion_many(rom: PodGprRom, dwell_times
+                            ) -> list[FieldPrediction]:
+    """Predict the final-layer fields at several dwell times, with 95% bands.
 
-    Per-node variance sums the independent mode posteriors through the linear
-    reconstruction: ``var_i = sum_j modes[i, j]^2 var_j``.
+    One stacked posterior evaluates every mode at every dwell time. The
+    per-node variance sums the independent mode posteriors through the
+    linear reconstruction, ``var_i = sum_j modes[i, j]^2 var_j``.
     """
-    mu = rom.input_norm.apply(float(dwell_time))
-    preds = [predict_gpr(g, mu) for g in rom.gprs]
-    coeff_means = np.array([p.mean for p in preds])
-    coeff_vars = np.array([p.variance for p in preds])
-
-    mean_field = reconstruct(rom.basis, coeff_means)
-    node_std = np.sqrt((rom.basis.modes**2) @ coeff_vars)
-    half = CI95_FACTOR * node_std
+    dts = [float(dt) for dt in dwell_times]
+    mu = rom.input_norm.apply(np.array(dts))
+    means, variances = predict_stack(rom.gpr_stack, mu)      # (rank, q)
+    basis = rom.basis
+    fields = means.T @ basis.modes.T + basis.reference         # (q, n_nodes)
+    halves = CI95_FACTOR * np.sqrt(variances.T @ basis.squared_modes.T)
     lo, hi = min(rom.training_dwell_times), max(rom.training_dwell_times)
-    return FieldPrediction(
-        mean_field=mean_field,
-        lower_95=mean_field - half,
-        upper_95=mean_field + half,
-        coeff_means=coeff_means,
-        coeff_variances=coeff_vars,
-        extrapolation=not lo <= dwell_time <= hi,
-    )
+    return [
+        FieldPrediction(
+            mean_field=field,
+            lower_95=field - half,
+            upper_95=field + half,
+            coeff_means=means[:, i].copy(),
+            coeff_variances=variances[:, i].copy(),
+            extrapolation=not lo <= dt <= hi,
+        )
+        for i, (dt, field, half) in enumerate(zip(dts, fields, halves))
+    ]
+
+
+def predict_distortion(rom: PodGprRom, dwell_time: float) -> FieldPrediction:
+    """Predict the final-layer field at one dwell time, with 95% bands."""
+    return predict_distortion_many(rom, [dwell_time])[0]
 
 
 # Archive I/O =================================================================
@@ -205,39 +234,58 @@ def save_rom(rom: PodGprRom, path) -> None:
     )
 
 
+def _read_json(path: Path):
+    if not path.is_file():
+        raise FormatError(f"{path} is missing")
+    try:
+        return json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_rom(path) -> PodGprRom:
-    """Load an archive written by :func:`save_rom`; validates versions."""
+    """Load an archive written by :func:`save_rom`.
+
+    A missing file, malformed JSON or an unknown version is a
+    :class:`FormatError`; a missing key or an unusable value is a
+    :class:`CorruptionError`.
+    """
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.is_file():
-        raise FormatError(f"{manifest_path} is missing")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("version") != ROM_VERSION:
-        raise FormatError(
-            f"unsupported ROM archive version {manifest.get('version')}"
-        )
-    basis = load_basis(path / "basis.bin")
+    with archive_values(path):
+        manifest = read_json(path / "manifest.json")
+        if manifest.get("version") != ROM_VERSION:
+            raise FormatError(
+                f"unsupported ROM archive version {manifest.get('version')}"
+            )
+        basis = load_basis(path / "basis.bin")
 
-    gprs_doc = json.loads((path / "gprs.json").read_text())
-    if gprs_doc.get("version") != ROM_VERSION:
-        raise FormatError(f"unsupported gprs.json version {gprs_doc.get('version')}")
-    by_mode = {entry.get("mode"): entry for entry in gprs_doc["modes"]}
-    gprs = []
-    for j in range(manifest["rank"]):
-        entry = by_mode.get(j)
-        if entry is None:
-            raise FormatError(f"gprs.json is missing mode {j}")
-        kernel = RbfKernel(entry["signal_variance"], entry["length_scale"])
-        gprs.append(
-            make_gpr(_unhex(entry["train_inputs_hex"]),
-                     _unhex(entry["train_targets_hex"]),
-                     kernel, entry["jitter"])
-        )
+        gprs_doc = read_json(path / "gprs.json")
+        if gprs_doc.get("version") != ROM_VERSION:
+            raise FormatError(
+                f"unsupported gprs.json version {gprs_doc.get('version')}")
+        by_mode = {entry.get("mode"): entry for entry in gprs_doc["modes"]}
+        gprs = []
+        for j in range(manifest["rank"]):
+            entry = by_mode.get(j)
+            if entry is None:
+                raise FormatError(f"gprs.json is missing mode {j}")
+            kernel = RbfKernel(entry["signal_variance"], entry["length_scale"])
+            gprs.append(
+                make_gpr(_unhex(entry["train_inputs_hex"]),
+                         _unhex(entry["train_targets_hex"]),
+                         kernel, entry["jitter"])
+            )
 
-    norm_doc = json.loads((path / "norm.json").read_text())
-    return PodGprRom(
-        basis=basis,
-        gprs=tuple(gprs),
-        input_norm=InputNormalization(norm_doc["offset"], norm_doc["scale"]),
-        training_dwell_times=tuple(manifest["training_dwell_times"]),
-    )
+        norm_doc = read_json(path / "norm.json")
+        offset, scale = float(norm_doc["offset"]), float(norm_doc["scale"])
+        dwell_times = tuple(float(dt) for dt in manifest["training_dwell_times"])
+        if not all(math.isfinite(v) for v in (offset, scale, *dwell_times)):
+            raise CorruptionError(f"{path}: non-finite dwell-time values")
+        if scale <= 0.0:
+            raise CorruptionError(f"{path}: dwell-time scale must be > 0")
+        return PodGprRom(
+            basis=basis,
+            gprs=tuple(gprs),
+            input_norm=InputNormalization(offset, scale),
+            training_dwell_times=dwell_times,
+        )

@@ -32,6 +32,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def summary_of(out):
     lines = out.splitlines()
     assert len(lines) == 1, f"expected one stdout line, got {lines!r}"
@@ -143,6 +147,29 @@ def test_train_pod_gpr_summary(dataset_dir, rom_dir, capsys):
     assert (out / "manifest.json").is_file()
 
 
+def test_train_summary_records_the_fit_decision(rom_dir, dataset_dir,
+                                                capsys):
+    code, stdout, _ = run(capsys, "train", "--model", "pod-gpr",
+                          "--data", dataset_dir,
+                          "--out", rom_dir.parent / "rom_fit", "--seed", "0")
+    assert code == 0
+    summary = json.loads(stdout, parse_constant=reject_constant)
+    records = summary["gpr_fit"]
+    assert [r["mode"] for r in records] == list(range(summary["rank"]))
+    for record in records:
+        assert set(record) == {"mode", "signal_variance", "length_scale",
+                               "jitter", "jitter_escalated", "lml",
+                               "at_bound"}
+        assert record["signal_variance"] > 0.0
+        assert record["length_scale"] > 0.0
+        assert record["jitter"] >= 0.0
+        assert isinstance(record["jitter_escalated"], bool)
+        assert isinstance(record["at_bound"], bool)
+    # the decision record stays out of the archive
+    gprs_doc = (rom_dir.parent / "rom_fit" / "gprs.json").read_text()
+    assert "lml" not in gprs_doc and "at_bound" not in gprs_doc
+
+
 def test_train_subset_of_dwell_times(dataset_dir, tmp_path, capsys):
     code, stdout, _ = run(capsys, "train", "--model", "pod-gpr",
                           "--data", dataset_dir, "--out", tmp_path / "rom",
@@ -246,6 +273,52 @@ def test_predict_corrupt_archive_is_io_failure(rom_dir, tmp_path, capsys):
     assert "basis.bin" in stderr
 
 
+def copy_archive(source, target):
+    target.mkdir()
+    for p in source.iterdir():
+        (target / p.name).write_bytes(p.read_bytes())
+    return target
+
+
+def truncate(text):
+    return text[: len(text) // 2]
+
+
+def edited(edit):
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+@pytest.mark.parametrize("archive, name, change", [
+    ("rom_dir", "manifest.json", truncate),
+    ("rom_dir", "manifest.json", edited(lambda d: d.pop("rank"))),
+    ("rom_dir", "gprs.json",
+     edited(lambda d: d["modes"][0].update(length_scale=-1.0))),
+    ("rom_dir", "norm.json", edited(lambda d: d.update(scale="wide"))),
+    # a singular kernel with no jitter to escalate cannot be factorized
+    ("rom_dir", "gprs.json", edited(lambda d: [
+        e.update(jitter=0.0, length_scale=50.0) for e in d["modes"]])),
+    ("gca_dir", "gca.json", truncate),
+    ("gca_dir", "gca.json", edited(lambda d: d.pop("dt_scale"))),
+    ("gca_dir", "gca.json", edited(lambda d: d.update(enc_widths=None))),
+])
+def test_hand_edited_archive_is_io_failure(archive, name, change, request,
+                                           tmp_path, capsys):
+    broken = copy_archive(request.getfixturevalue(archive), tmp_path / "m")
+    capsys.readouterr()
+    (broken / name).write_text(change((broken / name).read_text()))
+    code, stdout, stderr = run(capsys, "predict", "--model-dir", broken,
+                               "--dt", "45", "--out", tmp_path / "f.bin")
+    assert code == 3
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "f.bin").exists()
+
+
 def test_predict_missing_archive_is_io_failure(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -295,6 +368,19 @@ def test_eval_with_timing(rom_dir, dataset_dir, tmp_path, capsys):
     assert summary_of(stdout)["predict_seconds_mean"] > 0.0
 
 
+def test_eval_with_timing_on_a_gca_archive(gca_dir, dataset_dir, tmp_path,
+                                           capsys):
+    capsys.readouterr()
+    code, stdout, _ = run(capsys, "eval", "--model-dir", gca_dir,
+                          "--data", dataset_dir, "--test", "30,50",
+                          "--plots", tmp_path / "p", "--time",
+                          "--repeats", "2")
+    assert code == 0
+    summary = summary_of(stdout)
+    assert summary["model"] == "gca"
+    assert summary["predict_seconds_mean"] > 0.0
+
+
 def test_eval_requires_plots_directory(rom_dir, dataset_dir, capsys):
     code, _, stderr = run(capsys, "eval", "--model-dir", rom_dir,
                           "--data", dataset_dir, "--test", "30,50")
@@ -342,6 +428,50 @@ def test_config_must_hold_an_object(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, config", [
+    ("predict", {"dt": "abc"}),
+    ("predict", {"dt": [45]}),
+    ("train", {"restarts": "x"}),
+    ("train", {"restarts": 2.5}),
+    ("train", {"jitter": True}),
+    ("train", {"out": 5}),
+    ("eval", {"timing": "yes"}),
+    ("gen", {"dwell_times": ["a"]}),
+])
+def test_config_values_are_type_checked(command, config, rom_dir,
+                                        dataset_dir, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = {
+        "predict": ["--model-dir", rom_dir, "--out", tmp_path / "f.bin"],
+        "train": ["--model", "pod-gpr", "--data", dataset_dir],
+        "eval": ["--model-dir", rom_dir, "--data", dataset_dir,
+                 "--test", "30", "--plots", tmp_path / "p"],
+        "gen": ["--out", tmp_path / "d"],
+    }[command]
+    if command == "train" and "out" not in config:
+        argv += ["--out", tmp_path / "r"]
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, command, *argv, "--config", path)
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "Traceback" not in stderr
+
+
+def test_config_values_convert_like_flags(dataset_dir, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"restarts": "3", "jitter": 1e-9,
+                                "train": [20, 40, 60, 80]}))
+    code, stdout, _ = run(capsys, "train", "--model", "pod-gpr",
+                          "--data", dataset_dir, "--out", tmp_path / "r",
+                          "--config", path)
+    assert code == 0
+    summary = summary_of(stdout)
+    assert summary["n_train"] == 4
+    assert {r["jitter"] for r in summary["gpr_fit"]} == {1e-9}
+
+
 def test_config_missing_file_is_io_failure(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "--out", tmp_path / "d",
                      "--dwell-times", "40,60",
@@ -362,3 +492,14 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert summary_of(proc.stdout)["n_mu"] == 7
     assert (out / "meta.json").is_file()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, romforge.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

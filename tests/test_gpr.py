@@ -9,15 +9,21 @@ import math
 import numpy as np
 import pytest
 
+from lbfgs_oracle import lbfgs_fit
 from romforge.errors import ConditioningError, ConfigurationError, ShapeError
 from romforge.gpr import (
+    SEARCH_MARGIN,
     GprModel,
     RbfKernel,
+    fit_decision,
     fit_gpr,
+    fit_gprs,
     log_marginal_likelihood,
     make_gpr,
     predict_gpr,
+    predict_stack,
     rbf_kernel,
+    stack_gprs,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -267,3 +273,134 @@ def test_model_arrays_are_frozen(wiggly):
     assert isinstance(model, GprModel)
     with pytest.raises(ValueError):
         model.train_inputs[0] = 99.0
+
+
+# ------------------------------------------------ batched fit vs oracle ---
+
+
+def assert_matches_oracle(model, oracle):
+    """The fit's LML is at least the L-BFGS-B oracle's, to 1e-6 relative."""
+    best, reference = (log_marginal_likelihood(model),
+                       log_marginal_likelihood(oracle))
+    assert best >= reference - 1e-6 * max(1.0, abs(reference))
+
+
+def test_fit_matches_lbfgs_oracle_on_random_walks():
+    # the ten data sets of acceptance criterion 4
+    rng = np.random.default_rng(42)
+    for ds in range(10):
+        x = np.sort(rng.uniform(0.0, 1.0, size=9))
+        y = np.cumsum(rng.normal(size=9)) * 0.1
+        assert_matches_oracle(fit_gpr(x, y, restarts=8, seed=ds),
+                              lbfgs_fit(x, y, restarts=8, seed=ds))
+
+
+def test_fit_matches_lbfgs_oracle_at_other_jitters(wiggly):
+    x, y = wiggly
+    for jitter in (1e-10, 1e-6, 1e-4, 1e-2):
+        assert_matches_oracle(fit_gpr(x, y, jitter=jitter, seed=0),
+                              lbfgs_fit(x, y, jitter=jitter, seed=0))
+
+
+def test_fit_gprs_rows_equal_single_fits(wiggly):
+    x, y = wiggly
+    targets = np.vstack([y, 3.0 * y**2, np.cos(4.0 * x), 1e-3 * y])
+    together = fit_gprs(x, targets, seed=5)
+    for row, model in zip(targets, together):
+        alone = fit_gpr(x, row, seed=5)
+        assert model.kernel == alone.kernel
+        np.testing.assert_array_equal(model.alpha, alone.alpha)
+
+
+def test_fit_gprs_validates_inputs(wiggly):
+    x, y = wiggly
+    with pytest.raises(ShapeError):
+        fit_gprs(x, y)
+    with pytest.raises(ShapeError):
+        fit_gprs(x, np.vstack([y, y])[:, :-1])
+    with pytest.raises(ConfigurationError):
+        fit_gprs(x, y[None, :], restarts=0)
+    with pytest.raises(ConfigurationError):
+        fit_gprs(np.zeros(9), y[None, :])
+
+
+def test_seeded_length_scales_join_the_scan(wiggly, monkeypatch):
+    # the restarts draw log length scales from the start box with the seed;
+    # they are evaluated alongside the fixed grid
+    import romforge.gpr as gpr
+
+    scanned = []
+    spectrum = gpr._spectrum
+
+    def recording(log_ls, sqd):
+        scanned.append(np.array(log_ls))
+        return spectrum(log_ls, sqd)
+
+    monkeypatch.setattr(gpr, "_spectrum", recording)
+    x, y = wiggly
+    fit_gpr(x, y, restarts=3, seed=11)
+    box = np.log(np.multiply(gpr.LENGTH_SCALE_BOX, 1.0))
+    drawn = np.random.default_rng(11).uniform(box[0], box[1], 3)
+    assert np.isin(drawn, scanned[0]).all()
+
+
+def test_fit_decision_reports_the_fit(wiggly):
+    x, y = wiggly
+    model = fit_gpr(x, y, jitter=1e-4, seed=0)
+    record = fit_decision(model, 1e-4)
+    assert record == {
+        "signal_variance": model.kernel.signal_variance,
+        "length_scale": model.kernel.length_scale,
+        "jitter": 1e-4,
+        "jitter_escalated": False,
+        "lml": log_marginal_likelihood(model),
+        "at_bound": False,
+    }
+
+
+def test_fit_decision_flags_bounds_and_escalation():
+    # constant targets: the LML only falls with the signal variance, so the
+    # fit stops on its lower bound
+    x = np.linspace(0.0, 1.0, 5)
+    flat = fit_gpr(x, np.full(5, 2.0), seed=0)
+    lower = math.log(0.1) - SEARCH_MARGIN
+    assert math.log(flat.kernel.signal_variance) == pytest.approx(lower)
+    assert fit_decision(flat)["at_bound"]
+
+    escalated = make_gpr([0.5, 0.5, 0.5], [1.0, 2.0, 3.0],
+                         RbfKernel(1.0, 0.5), 1e-16)
+    assert fit_decision(escalated, 1e-16)["jitter_escalated"]
+
+
+# ------------------------------------------------- stacked posterior ---
+
+
+def test_stacked_posterior_matches_per_model_posterior(wiggly):
+    x, y = wiggly
+    models = fit_gprs(x, np.vstack([y, np.cos(3.0 * x), 0.01 * x**3]),
+                      seed=0)
+    queries = np.linspace(-0.5, 1.5, 41)
+    means, variances = predict_stack(stack_gprs(models), queries)
+    assert means.shape == variances.shape == (3, 41)
+    for j, model in enumerate(models):
+        scale = np.max(np.abs(model.train_targets - model.mean_constant))
+        for i, q in enumerate(queries):
+            single = predict_gpr(model, q)
+            assert means[j, i] == pytest.approx(single.mean, abs=1e-9 * scale)
+            assert variances[j, i] == pytest.approx(
+                single.variance, abs=1e-12 * model.kernel.signal_variance)
+    # each query's answer does not depend on the others
+    for i in (0, 17, 40):
+        alone = predict_stack(stack_gprs(models), queries[i:i + 1])
+        np.testing.assert_array_equal(alone[0][:, 0], means[:, i])
+        np.testing.assert_array_equal(alone[1][:, 0], variances[:, i])
+
+
+def test_stacking_needs_shared_inputs(wiggly):
+    x, y = wiggly
+    a = make_gpr(x, y, RbfKernel(1.0, 0.5), 1e-8)
+    b = make_gpr(x + 0.01, y, RbfKernel(1.0, 0.5), 1e-8)
+    with pytest.raises(ConfigurationError):
+        stack_gprs([a, b])
+    with pytest.raises(ConfigurationError):
+        stack_gprs([])

@@ -226,6 +226,14 @@ def test_time_predict_mean_dominates_min(rom):
     assert result.mean_seconds >= result.min_seconds > 0.0
 
 
+def test_time_predict_times_any_predictor():
+    calls = []
+    result = time_predict(calls.append, [30.0, 55.0], repeats=2)
+    # one warm-up sweep plus two timed sweeps
+    assert calls == [30.0, 55.0] * 3
+    assert result.mean_seconds >= result.min_seconds > 0.0
+
+
 def test_time_predict_validates_inputs(rom):
     with pytest.raises(ConfigurationError):
         time_predict(rom, [30.0], repeats=0)

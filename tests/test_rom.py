@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lbfgs_oracle import lbfgs_fit
+
 from romforge.dataset import (
     SnapshotMatrix,
     SnapshotTensor,
@@ -18,12 +20,14 @@ from romforge.dataset import (
     split_dataset,
 )
 from romforge.errors import ConfigurationError, CorruptionError, FormatError
+from romforge.gpr import log_marginal_likelihood
 from romforge.pod import project, reconstruct
 from romforge.rom import (
     InputNormalization,
     PodGprRom,
     load_rom,
     predict_distortion,
+    predict_distortion_many,
     save_rom,
     train_pod_gpr,
 )
@@ -123,6 +127,48 @@ def test_mean_field_lies_in_the_affine_span(rom):
     np.testing.assert_allclose(again, p.mean_field, atol=1e-12)
 
 
+def test_every_protocol_mode_matches_lbfgs_oracle():
+    # the 1,080-node acceptance protocol; the oracle fits mode j with seed j,
+    # as the per-mode search did
+    grid = [20.0 + 5.0 * i for i in range(13)]
+    train_dts = [20.0, 25.0, 35.0, 40.0, 50.0, 55.0, 65.0, 70.0, 80.0]
+    data = generate_synthetic_dataset(5, 24, 8, grid, seed=0)
+    train, _ = split_dataset(data, train_dts, [30.0, 45.0, 60.0, 75.0])
+    rom = train_pod_gpr(train, seed=0)
+    assert rom.rank >= 5
+    for j, g in enumerate(rom.gprs):
+        oracle = log_marginal_likelihood(
+            lbfgs_fit(g.train_inputs, g.train_targets, seed=j))
+        assert log_marginal_likelihood(g) >= (
+            oracle - 1e-6 * max(1.0, abs(oracle)))
+
+
+def test_batch_prediction_matches_single_predictions(rom):
+    dts = [10.0, 20.0, 33.3, 47.5, 61.0, 80.0, 100.0]
+    many = predict_distortion_many(rom, dts)
+    assert len(many) == len(dts)
+    for dt, batch in zip(dts, many):
+        single = predict_distortion(rom, dt)
+        np.testing.assert_array_equal(batch.coeff_means, single.coeff_means)
+        np.testing.assert_array_equal(batch.coeff_variances,
+                                      single.coeff_variances)
+        for name in ("mean_field", "lower_95", "upper_95"):
+            np.testing.assert_allclose(getattr(batch, name),
+                                       getattr(single, name),
+                                       rtol=0.0, atol=1e-12)
+        assert batch.extrapolation is single.extrapolation
+    assert predict_distortion_many(rom, []) == []
+
+
+def test_band_uses_squared_modes(rom):
+    np.testing.assert_array_equal(rom.basis.squared_modes,
+                                  rom.basis.modes**2)
+    p = predict_distortion(rom, 52.3)
+    node_std = np.sqrt((rom.basis.modes**2) @ p.coeff_variances)
+    np.testing.assert_allclose(p.upper_95 - p.mean_field, 1.96 * node_std,
+                               rtol=1e-12, atol=1e-15)
+
+
 def test_pipeline_is_homogeneous_in_the_field(dataset):
     train, _ = dataset
     scaled = SnapshotTensor(
@@ -198,6 +244,49 @@ def test_missing_mode_entry_is_named(rom, tmp_path):
     doc["modes"] = [e for e in doc["modes"] if e["mode"] != 1]
     (tmp_path / "rom" / "gprs.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError, match="mode 1"):
+        load_rom(tmp_path / "rom")
+
+
+def test_prediction_caches_stay_out_of_the_archive(dataset, tmp_path):
+    train, _ = dataset
+    fresh = train_pod_gpr(train, seed=0)
+    save_rom(fresh, tmp_path / "before")
+    predict_distortion_many(fresh, [30.0, 60.0])
+    save_rom(fresh, tmp_path / "after")
+    for name in ("basis.bin", "gprs.json", "manifest.json", "norm.json"):
+        assert ((tmp_path / "before" / name).read_bytes()
+                == (tmp_path / "after" / name).read_bytes())
+
+
+def edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("manifest.json", lambda d: d.pop("rank")),
+    ("manifest.json", lambda d: d.update(training_dwell_times=None)),
+    ("gprs.json", lambda d: d["modes"][0].update(length_scale=-0.5)),
+    ("gprs.json", lambda d: d["modes"][1].pop("jitter")),
+    ("gprs.json", lambda d: d["modes"][0].update(train_inputs_hex="zz")),
+    ("gprs.json", lambda d: d.update(modes=7)),
+    ("norm.json", lambda d: d.update(scale=0.0)),
+    ("norm.json", lambda d: d.pop("offset")),
+])
+def test_bad_archive_values_are_corruption(rom, tmp_path, name, edit):
+    save_rom(rom, tmp_path / "rom")
+    edit_json(tmp_path / "rom" / name, edit)
+    with pytest.raises(CorruptionError):
+        load_rom(tmp_path / "rom")
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "gprs.json", "norm.json"])
+def test_malformed_archive_json_is_a_format_error(rom, tmp_path, name):
+    save_rom(rom, tmp_path / "rom")
+    text = (tmp_path / "rom" / name).read_text()
+    (tmp_path / "rom" / name).write_text(text[: len(text) // 2])
+    with pytest.raises(FormatError, match=name):
         load_rom(tmp_path / "rom")
 
 
