@@ -9,7 +9,6 @@ supplies defaults that explicit flags override; unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -21,6 +20,7 @@ import numpy as np
 
 from .dataset import (
     ParameterPoint,
+    extrapolates,
     generate_synthetic_dataset,
     load_snapshot_tensor,
     save_snapshot_tensor,
@@ -51,13 +51,7 @@ from .metrics import (
     report_to_dict,
     time_predict,
 )
-from .rom import (
-    load_rom,
-    predict_distortion,
-    predict_distortion_many,
-    save_rom,
-    train_pod_gpr,
-)
+from .rom import load_rom, predict_distortion_many, save_rom, train_pod_gpr
 from .training import GcaTrainConfig, train_gca, write_history_csv
 
 __all__ = ["main", "parse_dwell_times"]
@@ -212,10 +206,28 @@ _PREDICT_DEFAULTS = {"model_dir": None, "dt": None, "out": None}
 
 
 def _load_any_model(model_dir: Path):
+    """Load either archive layout as ``(kind, model, predict)``.
+
+    ``predict(dts)`` returns one mean field per dwell time and a matching
+    list of extrapolation flags. ``model`` is the loaded :class:`PodGprRom`
+    or :class:`GcaModel`.
+    """
     if (model_dir / "manifest.json").is_file():
-        return "pod-gpr", load_rom(model_dir)
+        rom = load_rom(model_dir)
+
+        def predict(dts):
+            preds = predict_distortion_many(rom, dts)
+            return ([p.mean_field for p in preds],
+                    [p.extrapolation for p in preds])
+        return "pod-gpr", rom, predict
     if (model_dir / "gca.json").is_file():
-        return "gca", load_gca(model_dir)
+        model, mesh = load_gca(model_dir)
+        graph = build_graph(mesh)
+
+        def predict(dts):
+            return ([predict_gca(model, graph, dt) for dt in dts],
+                    extrapolates([model.normalize_dt(dt) for dt in dts]))
+        return "gca", model, predict
     raise FormatError(
         f"{model_dir} holds no model archive: expected "
         f"{model_dir / 'manifest.json'} or {model_dir / 'gca.json'}"
@@ -227,17 +239,8 @@ def cmd_predict(ns: SimpleNamespace) -> dict:
     dt = ParameterPoint(float(ns.dt)).dwell_time
     model_dir = _resolve(ns.model_dir)
     out = _resolve(ns.out)
-    kind, loaded = _load_any_model(model_dir)
-    if kind == "pod-gpr":
-        pred = predict_distortion(loaded, dt)
-        field = pred.mean_field
-        extrapolation = pred.extrapolation
-    else:
-        model, mesh = loaded
-        graph = build_graph(mesh)
-        field = predict_gca(model, graph, dt)
-        normalized = model.normalize_dt(dt)
-        extrapolation = not 0.0 <= normalized <= 1.0
+    kind, _, predict = _load_any_model(model_dir)
+    (field,), (extrapolation,) = predict([dt])
     out.parent.mkdir(parents=True, exist_ok=True)
     write_snapshot_bin(field[:, None], out)
     sidecar = {"dt": dt, "max_displacement": float(field.max()),
@@ -262,30 +265,20 @@ def cmd_eval(ns: SimpleNamespace) -> dict:
     if not test_dts:
         raise ConfigurationError("empty test list")
     tensor = load_snapshot_tensor(data)
-    kind, loaded = _load_any_model(model_dir)
-    if kind == "pod-gpr":
-        fields = [p.mean_field for p in predict_distortion_many(loaded, test_dts)]
-        predict = functools.partial(predict_distortion, loaded)
-    else:
-        gca_model, gca_mesh = loaded
-        gca_graph = build_graph(gca_mesh)
-
-        def predict(dt):
-            return predict_gca(gca_model, gca_graph, dt)
-        fields = [predict(dt) for dt in test_dts]
+    kind, model, predict = _load_any_model(model_dir)
+    fields, _ = predict(test_dts)
     rows = [evaluation_row(dt, field, tensor.matrix_for(dt).final_field)
             for dt, field in zip(test_dts, fields)]
 
     predict_seconds = None
     if ns.timing:
-        predict_seconds = time_predict(predict, test_dts,
+        predict_seconds = time_predict(lambda dt: predict([dt]), test_dts,
                                        int(ns.repeats)).mean_seconds
     report = EvalReport(rows=tuple(rows), predict_seconds_mean=predict_seconds)
 
     plots.mkdir(parents=True, exist_ok=True)
     if kind == "pod-gpr":
-        emit_coefficient_plot(loaded, test_dts,
-                              min(int(ns.first_k), loaded.rank),
+        emit_coefficient_plot(model, test_dts, min(int(ns.first_k), model.rank),
                               plots / "coefficients")
     emit_max_displacement_plot(rows, plots / "max_displacement")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,15 @@ class ParameterPoint:
             )
 
 
+def extrapolates(normalized_dts) -> list[bool]:
+    """Flag normalized dwell times outside [0, 1], the training range.
+
+    Both surrogates map their training dwell-time range onto [0, 1], so this
+    one rule decides extrapolation for either; a NaN counts as outside.
+    """
+    return [not 0.0 <= t <= 1.0 for t in normalized_dts]
+
+
 @dataclass(frozen=True)
 class MeshGeometry:
     """Node coordinates, per-node deposition layer, and undirected edges.
@@ -92,7 +101,9 @@ class MeshGeometry:
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ConfigurationError("self-loop edges are not allowed")
             canon = np.sort(edges, axis=1)
-            if len(np.unique(canon, axis=0)) != len(canon):
+            # one integer per pair; a sort puts duplicates side by side
+            codes = np.sort(canon[:, 0] * n + canon[:, 1])
+            if np.any(codes[1:] == codes[:-1]):
                 raise ConfigurationError("duplicate edges are not allowed")
             edges = canon
         object.__setattr__(self, "node_coords", _frozen(coords))
@@ -214,35 +225,29 @@ def _cylinder_mesh(n_radial: int, n_theta: int, n_layers: int) -> MeshGeometry:
     n_levels = n_layers + 1
     per_level = n_radial * n_theta
 
-    coords = np.empty((n_levels * per_level, 3))
-    layers = np.empty(n_levels * per_level, dtype=np.int64)
-    for k in range(n_levels):
-        zs = LAYER_THICKNESS_MM * k
-        base = k * per_level
-        for i, r in enumerate(radii):
-            rows = base + i * n_theta + np.arange(n_theta)
-            coords[rows, 0] = r * np.cos(angles)
-            coords[rows, 1] = r * np.sin(angles)
-            coords[rows, 2] = zs
-        # nodes on level k are created with layer k-1; the base plate is layer 0
-        layers[base:base + per_level] = max(k - 1, 0)
+    # node (k, i, j) is number k * per_level + i * n_theta + j
+    node = np.arange(n_levels * per_level, dtype=np.int64).reshape(
+        n_levels, n_radial, n_theta)
+    k, i, j = np.indices(node.shape).reshape(3, -1)
+    coords = np.column_stack([radii[i] * np.cos(angles)[j],
+                              radii[i] * np.sin(angles)[j],
+                              LAYER_THICKNESS_MM * k])
+    # nodes on level k are created with layer k-1; the base plate is layer 0
+    layers = np.maximum(k - 1, 0)
 
-    def node(k, i, j):
-        return k * per_level + i * n_theta + j
-
-    edges = set()
-    for k in range(n_levels):
-        for i in range(n_radial):
-            for j in range(n_theta):
-                a = node(k, i, j)
-                ring = node(k, i, (j + 1) % n_theta)
-                edges.add((min(a, ring), max(a, ring)))
-                if i + 1 < n_radial:
-                    edges.add((a, node(k, i + 1, j)))
-                if k + 1 < n_levels:
-                    edges.add((a, node(k + 1, i, j)))
-    edge_arr = np.array(sorted(edges), dtype=np.int64)
-    return MeshGeometry(coords, layers, edge_arr)
+    # each node links to its ring neighbour, its outward radial neighbour
+    # and the node above it
+    ring = np.roll(node, -1, axis=2)
+    lo = np.concatenate([np.minimum(node, ring).ravel(),
+                         node[:, :-1].ravel(), node[:-1].ravel()])
+    hi = np.concatenate([np.maximum(node, ring).ravel(),
+                         node[:, 1:].ravel(), node[1:].ravel()])
+    # sorting one integer per pair sorts the pairs as tuples; with
+    # n_theta >= 3 no pair occurs twice
+    n = node.size
+    codes = np.sort(lo * n + hi)
+    return MeshGeometry(coords, layers, np.column_stack([codes // n,
+                                                         codes % n]))
 
 
 def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,

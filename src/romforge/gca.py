@@ -21,10 +21,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse
 
 from .dataset import MeshGeometry, _mesh_from_dict, _mesh_to_dict
-from .errors import CorruptionError, FormatError, archive_values, read_json
+from .errors import (
+    CorruptionError,
+    DataError,
+    FormatError,
+    archive_values,
+    read_json,
+)
 
 __all__ = [
     "Graph",
@@ -43,19 +48,24 @@ GCA_VERSION = 1
 
 @dataclass(frozen=True)
 class Graph:
-    """Normalized adjacency (with self-loops) of the mesh graph."""
+    """Normalized adjacency (with self-loops) of the mesh graph, held as a
+    SciPy CSR matrix."""
 
     n_nodes: int
-    adjacency_norm: scipy.sparse.csr_matrix
+    adjacency_norm: object
 
 
 def build_graph(mesh: MeshGeometry) -> Graph:
     """Build ``D^{-1/2} (A + I) D^{-1/2}`` from the mesh edges."""
+    # the package's only SciPy use, imported here so that POD-GPR commands
+    # never load it
+    from scipy import sparse
+
     n = mesh.n_nodes
     e = mesh.edges
     ones = np.ones(len(e))
-    adj = scipy.sparse.coo_matrix((ones, (e[:, 0], e[:, 1])), shape=(n, n))
-    adj = adj + adj.T + scipy.sparse.identity(n, format="coo")
+    adj = sparse.coo_matrix((ones, (e[:, 0], e[:, 1])), shape=(n, n))
+    adj = adj + adj.T + sparse.identity(n, format="coo")
     deg = np.asarray(adj.sum(axis=1)).ravel()
     dinv = 1.0 / np.sqrt(deg)
     norm = adj.tocsr().multiply(dinv[:, None]).multiply(dinv[None, :])
@@ -316,7 +326,7 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
 
     A missing file, malformed JSON or an unknown version is a
     :class:`FormatError`; a missing key or an unusable value a
-    :class:`CorruptionError`.
+    :class:`CorruptionError`; a NaN or infinite weight a :class:`DataError`.
     """
     path = Path(path)
     with archive_values(path):
@@ -338,14 +348,16 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
                 f"gca_weights.bin holds {len(raw)} bytes, manifest implies "
                 f"{expected}"
             )
+        weights = np.frombuffer(raw, "<f8")
+        if not np.isfinite(weights).all():
+            raise DataError(f"{path / 'gca_weights.bin'}: payload contains "
+                            "NaN or Inf")
         params = {}
         offset = 0
         for name, shape in arch.param_shapes():
             count = int(np.prod(shape))
-            params[name] = np.frombuffer(
-                raw, "<f8", count=count, offset=offset
-            ).reshape(shape).copy()
-            offset += 8 * count
+            params[name] = weights[offset:offset + count].reshape(shape).copy()
+            offset += count
         mesh = _mesh_from_dict(manifest["mesh"])
         if mesh.n_nodes != arch.n_nodes:
             raise CorruptionError(

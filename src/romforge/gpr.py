@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, ConditioningError, ShapeError
 
@@ -148,7 +147,8 @@ def _gram(kernel: RbfKernel, inputs: np.ndarray) -> np.ndarray:
 def make_gpr(inputs, targets, kernel: RbfKernel, jitter: float) -> GprModel:
     """Build a GP at fixed hyperparameters, caching Cholesky and dual weights.
 
-    On Cholesky failure the jitter escalates tenfold up to
+    Inputs and targets must be finite and the jitter finite and >= 0. On
+    Cholesky failure the jitter escalates tenfold up to
     ``MAX_JITTER_RATIO * signal_variance``; starting from zero jitter there is
     nothing to escalate and the singular matrix is reported directly.
     """
@@ -159,18 +159,23 @@ def make_gpr(inputs, targets, kernel: RbfKernel, jitter: float) -> GprModel:
     n = inputs.shape[0]
     if n < 1:
         raise ConfigurationError("need at least one training point")
+    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+        raise ConfigurationError("training inputs and targets must be finite")
+    jit = float(jitter)
+    if not math.isfinite(jit) or jit < 0.0:
+        raise ConfigurationError(f"jitter must be finite and >= 0, got {jit}")
 
     mean_constant = float(targets.mean())
     resid = targets - mean_constant
     gram = _gram(kernel, inputs)
     eye = np.eye(n)
     cap = MAX_JITTER_RATIO * kernel.signal_variance
-    jit = float(jitter)
     while True:
+        k = gram + jit * eye
         try:
-            chol = scipy.linalg.cholesky(gram + jit * eye, lower=True)
+            chol = np.linalg.cholesky(k)
             break
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             if jit <= 0.0:
                 raise ConditioningError(
                     "kernel matrix is singular and jitter is 0 "
@@ -182,7 +187,6 @@ def make_gpr(inputs, targets, kernel: RbfKernel, jitter: float) -> GprModel:
                     f"(cap {cap:.3e})"
                 ) from None
             jit *= 10.0
-    alpha = scipy.linalg.cho_solve((chol, True), resid)
     return GprModel(
         train_inputs=inputs,
         train_targets=targets,
@@ -190,7 +194,7 @@ def make_gpr(inputs, targets, kernel: RbfKernel, jitter: float) -> GprModel:
         kernel=kernel,
         noise_jitter=jit,
         chol_factor=chol,
-        alpha=alpha,
+        alpha=np.linalg.solve(k, resid),
     )
 
 
@@ -299,13 +303,14 @@ def _lml_derivatives(log_params, resid, sqd, jitter):
     k_s = sv * np.exp(-0.5 * scaled)        # dK/dlog sv, and K less jitter
     k_l = k_s * scaled                       # dK/dlog ls
     k_ll = k_l * scaled - 2.0 * k_l          # d2K/dlog ls2
+    k = k_s + jitter * np.eye(n)
     try:
-        chol = np.linalg.cholesky(k_s + jitter * np.eye(n))
+        chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         return None
-    alpha = scipy.linalg.cho_solve((chol, True), resid, check_finite=False)
-    k_inv = scipy.linalg.cho_solve((chol, True), np.eye(n),
-                                   check_finite=False)
+    # one solve gives alpha and K^-1 together
+    solved = np.linalg.solve(k, np.column_stack([resid, np.eye(n)]))
+    alpha, k_inv = solved[:, 0], solved[:, 1:]
     lml = (-0.5 * resid @ alpha - np.sum(np.log(np.diag(chol)))
            - 0.5 * n * _LOG_2PI)
     first = np.stack([k_s, k_l])
@@ -339,10 +344,12 @@ def _polish(x, lo, hi, resid, sqd, jitter):
         g = grad[free]
         if g.size == 0:
             break
+        neg_hess = -hess[np.ix_(free, free)]
         try:
-            factor = scipy.linalg.cho_factor(-hess[np.ix_(free, free)])
-            step = scipy.linalg.cho_solve(factor, g)
-        except scipy.linalg.LinAlgError:
+            # a Newton step ascends only where -H is positive definite
+            np.linalg.cholesky(neg_hess)
+            step = np.linalg.solve(neg_hess, g)
+        except np.linalg.LinAlgError:
             step = g / max(1.0, float(np.max(np.abs(g))))
         # first-order gain of the full step; below the rounding noise of
         # the LML itself there is nothing left to gain
@@ -481,50 +488,26 @@ def fit_gprs(inputs, targets, *, jitter: float | None = None,
 
 
 def fit_gpr(inputs, targets, *, jitter: float | None = None, restarts: int = 8,
-            seed: int = 0, kernel: RbfKernel | None = None) -> GprModel:
+            seed: int = 0) -> GprModel:
     """Fit a constant-mean RBF GP by maximizing the log marginal likelihood.
 
-    The one-target case of :func:`fit_gprs`, which documents the search.
-
-    Parameters
-    ----------
-    inputs, targets : (n,) arrays
-        Training pairs; inputs must be distinct.
-    jitter : float, optional
-        Diagonal conditioning term. Defaults to ``1e-8 * var(targets)``.
-    restarts : int
-        Number of seeded length scales added to the scan, >= 1.
-    seed : int
-        Seed for those draws; fits are deterministic given a seed.
-    kernel : RbfKernel, optional
-        Skip the search and use these hyperparameters as-is.
+    The one-target case of :func:`fit_gprs`, which documents the search and
+    the parameters; :func:`make_gpr` builds a GP at fixed hyperparameters.
     """
     inputs = np.asarray(inputs, dtype=np.float64).ravel()
     targets = np.asarray(targets, dtype=np.float64).ravel()
     if inputs.shape != targets.shape:
         raise ShapeError("inputs and targets must have equal length")
-    if kernel is None:
-        return fit_gprs(inputs, targets[None, :], jitter=jitter,
-                        restarts=restarts, seed=seed)[0]
-    if np.unique(inputs).size != inputs.shape[0]:
-        raise ConfigurationError("training inputs must be distinct")
-    jitter = _requested_jitters(targets[None, :], jitter)[0]
-    return make_gpr(inputs, targets, kernel, jitter)
+    return fit_gprs(inputs, targets[None, :], jitter=jitter,
+                    restarts=restarts, seed=seed)[0]
 
 
 def predict_gpr(model: GprModel, mu_star: float) -> GprPrediction:
-    """Posterior mean and variance at one query point.
-
-    The variance is ``k(mu*, mu*) + jitter - |L^-1 k*|^2``, clamped at zero
-    (the clamp only absorbs rounding noise of order 1e-10 x signal variance).
-    """
-    k_star = rbf_kernel(model.kernel, model.train_inputs, mu_star)
-    mean = model.mean_constant + k_star @ model.alpha
-    v = scipy.linalg.solve_triangular(model.chol_factor, k_star, lower=True)
-    variance = (
-        model.kernel.signal_variance + model.noise_jitter - float(v @ v)
-    )
-    return GprPrediction(mean=float(mean), variance=max(variance, 0.0))
+    """Posterior mean and variance at one query point: the one-GP,
+    one-query case of :func:`predict_stack`."""
+    means, variances = predict_stack(stack_gprs([model]), [mu_star])
+    return GprPrediction(mean=float(means[0, 0]),
+                         variance=float(variances[0, 0]))
 
 
 class GprStack(NamedTuple):
@@ -572,8 +555,9 @@ def predict_stack(stack: GprStack, mu_star) -> tuple[np.ndarray, np.ndarray]:
 
     GPML Alg. 2.1 for all GPs and all points at once. ``v = L^-1 k*`` comes
     from forward substitution on the stacked factors (no inverse is formed)
-    and the variance is ``k(mu*, mu*) + jitter - |v|^2``, clamped at zero as
-    in :func:`predict_gpr`. Every step is elementwise or a sum over training
+    and the variance is ``k(mu*, mu*) + jitter - |v|^2``, clamped at zero
+    (the clamp only absorbs rounding noise of order 1e-10 x signal
+    variance). Every step is elementwise or a sum over training
     points, so each query's result does not depend on the others. Returns
     two ``(m, q)`` arrays for ``q`` queries.
     """

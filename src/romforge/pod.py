@@ -249,7 +249,10 @@ def save_basis(basis: PodBasis, path) -> None:
 
 
 def load_basis(path) -> PodBasis:
-    """Load a basis written by :func:`save_basis`, validating the header."""
+    """Load a basis written by :func:`save_basis`, validating the header.
+
+    A NaN or infinite value in the payload is a :class:`DataError`.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != BASIS_MAGIC:
         raise FormatError(f"{path}: bad magic, not a PODB file")
@@ -263,13 +266,13 @@ def load_basis(path) -> PodBasis:
         raise CorruptionError(
             f"{path}: file holds {len(raw)} bytes, header implies {expected}"
         )
-    offset = _BASIS_HEADER.size
-    reference = np.frombuffer(raw, "<f8", count=n_nodes, offset=offset).copy()
-    offset += 8 * n_nodes
-    modes = np.frombuffer(raw, "<f8", count=n_nodes * rank, offset=offset)
+    payload = np.frombuffer(raw, "<f8", offset=_BASIS_HEADER.size)
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: payload contains NaN or Inf")
+    reference = payload[:n_nodes].copy()
+    modes = payload[n_nodes:n_nodes * (rank + 1)]
     modes = modes.reshape((n_nodes, rank), order="F").copy()
-    offset += 8 * n_nodes * rank
-    sigma = np.frombuffer(raw, "<f8", count=m, offset=offset).copy()
+    sigma = payload[n_nodes * (rank + 1):].copy()
     return PodBasis(
         modes=modes,
         singular_values=sigma,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SnapshotTensor
+from .dataset import SnapshotTensor, extrapolates
 from .errors import (
     ConfigurationError,
     CorruptionError,
@@ -156,15 +156,16 @@ def predict_distortion_many(rom: PodGprRom, dwell_times
 
     One stacked posterior evaluates every mode at every dwell time. The
     per-node variance sums the independent mode posteriors through the
-    linear reconstruction, ``var_i = sum_j modes[i, j]^2 var_j``.
+    linear reconstruction, ``var_i = sum_j modes[i, j]^2 var_j``. A
+    prediction extrapolates where its normalized dwell time does
+    (:func:`~romforge.dataset.extrapolates`).
     """
-    dts = [float(dt) for dt in dwell_times]
-    mu = rom.input_norm.apply(np.array(dts))
+    mu = rom.input_norm.apply(np.array([float(dt) for dt in dwell_times]))
     means, variances = predict_stack(rom.gpr_stack, mu)      # (rank, q)
     basis = rom.basis
     fields = means.T @ basis.modes.T + basis.reference         # (q, n_nodes)
     halves = CI95_FACTOR * np.sqrt(variances.T @ basis.squared_modes.T)
-    lo, hi = min(rom.training_dwell_times), max(rom.training_dwell_times)
+    outside = extrapolates(mu.tolist())
     return [
         FieldPrediction(
             mean_field=field,
@@ -172,9 +173,9 @@ def predict_distortion_many(rom: PodGprRom, dwell_times
             upper_95=field + half,
             coeff_means=means[:, i].copy(),
             coeff_variances=variances[:, i].copy(),
-            extrapolation=not lo <= dt <= hi,
+            extrapolation=outside[i],
         )
-        for i, (dt, field, half) in enumerate(zip(dts, fields, halves))
+        for i, (field, half) in enumerate(zip(fields, halves))
     ]
 
 
@@ -232,15 +233,6 @@ def save_rom(rom: PodGprRom, path) -> None:
     (path / "norm.json").write_bytes(
         json.dumps(norm, sort_keys=True, separators=(",", ":")).encode()
     )
-
-
-def _read_json(path: Path):
-    if not path.is_file():
-        raise FormatError(f"{path} is missing")
-    try:
-        return json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
 def load_rom(path) -> PodGprRom:

@@ -21,6 +21,7 @@ from romforge.dataset import (
     save_snapshot_tensor,
 )
 from romforge.errors import ConfigurationError
+from romforge.pod import _BASIS_HEADER
 
 GEN_ARGS = ["--dwell-times", "20:80:10", "--layers", "2", "--radial", "2",
             "--theta", "4", "--seed", "0"]
@@ -237,11 +238,19 @@ def test_predict_writes_field_and_sidecar(rom_dir, tmp_path, capsys):
                        "sidecar": str(tmp_path / "field.bin.json")}
 
 
-def test_predict_flags_extrapolation(rom_dir, tmp_path, capsys):
-    code, stdout, _ = run(capsys, "predict", "--model-dir", rom_dir,
-                          "--dt", "100", "--out", tmp_path / "f.bin")
-    assert code == 0
-    assert summary_of(stdout)["extrapolation"] is True
+def test_predict_flags_extrapolation(rom_dir, gca_dir, tmp_path, capsys):
+    # both archives were trained on 20..80 s; one rule flags either kind
+    capsys.readouterr()
+    for model_dir in (rom_dir, gca_dir):
+        for dt, expected in ((45, False), (20, False), (80, False),
+                             (10, True), (100, True)):
+            code, stdout, _ = run(capsys, "predict", "--model-dir", model_dir,
+                                  "--dt", dt, "--out", tmp_path / "f.bin")
+            assert code == 0
+            summary = summary_of(stdout)
+            assert summary["extrapolation"] is expected, (model_dir, dt)
+            sidecar = json.loads((tmp_path / "f.bin.json").read_text())
+            assert sidecar["extrapolation"] is expected
 
 
 @pytest.mark.parametrize("archive", ["rom_dir", "gca_dir"])
@@ -280,16 +289,25 @@ def copy_archive(source, target):
     return target
 
 
-def truncate(text):
-    return text[: len(text) // 2]
+def truncate(raw):
+    return raw[: len(raw) // 2]
 
 
 def edited(edit):
-    def apply(text):
-        doc = json.loads(text)
+    def apply(raw):
+        doc = json.loads(raw)
         edit(doc)
-        return json.dumps(doc)
+        return json.dumps(doc).encode()
     return apply
+
+
+def nan_at(offset):
+    """Overwrite the float64 starting ``offset`` bytes in (from the end when
+    negative) with NaN."""
+    def nan_payload(raw):
+        at = offset % len(raw)
+        return raw[:at] + np.array([np.nan], "<f8").tobytes() + raw[at + 8:]
+    return nan_payload
 
 
 @pytest.mark.parametrize("archive, name, change", [
@@ -304,12 +322,16 @@ def edited(edit):
     ("gca_dir", "gca.json", truncate),
     ("gca_dir", "gca.json", edited(lambda d: d.pop("dt_scale"))),
     ("gca_dir", "gca.json", edited(lambda d: d.update(enc_widths=None))),
+    # non-finite binary payloads: the first basis reference value, the last
+    # GCA weight
+    ("rom_dir", "basis.bin", nan_at(_BASIS_HEADER.size)),
+    ("gca_dir", "gca_weights.bin", nan_at(-8)),
 ])
 def test_hand_edited_archive_is_io_failure(archive, name, change, request,
                                            tmp_path, capsys):
     broken = copy_archive(request.getfixturevalue(archive), tmp_path / "m")
     capsys.readouterr()
-    (broken / name).write_text(change((broken / name).read_text()))
+    (broken / name).write_bytes(change((broken / name).read_bytes()))
     code, stdout, stderr = run(capsys, "predict", "--model-dir", broken,
                                "--dt", "45", "--out", tmp_path / "f.bin")
     assert code == 3
@@ -494,12 +516,29 @@ def test_module_entry_point(tmp_path):
     assert (out / "meta.json").is_file()
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, romforge.cli; "
-         "print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+def test_cli_import_leaves_scipy_optimize_out(tmp_path):
+    # importing the CLI and running a POD-GPR gen/train/predict/eval chain
+    # never loads SciPy; only the GCA graph needs it
+    data, rom = tmp_path / "data", tmp_path / "rom"
+    script = f"""
+import json, sys
+import romforge.cli
+seen = [["import", 0, "scipy" in sys.modules]]
+for argv in (
+    ["gen", "--out", {str(data)!r}, *{GEN_ARGS!r}],
+    ["train", "--model", "pod-gpr", "--data", {str(data)!r},
+     "--out", {str(rom)!r}],
+    ["predict", "--model-dir", {str(rom)!r}, "--dt", "45",
+     "--out", {str(tmp_path / "f.bin")!r}],
+    ["eval", "--model-dir", {str(rom)!r}, "--data", {str(data)!r},
+     "--test", "30,60", "--plots", {str(tmp_path / "plots")!r}, "--time"],
+):
+    seen.append([argv[0], romforge.cli.main(argv), "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [step, 0, False]
+        for step in ("import", "gen", "train", "predict", "eval")]

@@ -14,6 +14,7 @@ from romforge.dataset import (
     ParameterPoint,
     SnapshotMatrix,
     SnapshotTensor,
+    _cylinder_mesh,
     generate_synthetic_dataset,
     load_snapshot_tensor,
     read_snapshot_bin,
@@ -74,9 +75,44 @@ def test_mesh_rejects_self_loops_duplicates_and_bad_indices():
     with pytest.raises(ConfigurationError):
         MeshGeometry(coords, layers, [[0, 1], [1, 0]])
     with pytest.raises(ConfigurationError):
+        MeshGeometry(coords, layers, [[0, 1], [1, 2], [1, 0]])
+    with pytest.raises(ConfigurationError):
         MeshGeometry(coords, layers, [[0, 3]])
     with pytest.raises(ConfigurationError):
         MeshGeometry(coords, np.array([0, -1, 0]), [[0, 1]])
+
+
+def reference_cylinder_edges(n_radial, n_theta, n_layers):
+    """The cylinder's edge list built node by node: every node links to its
+    ring neighbour, its outward radial neighbour and the node above it."""
+    per_level = n_radial * n_theta
+
+    def node(k, i, j):
+        return k * per_level + i * n_theta + j
+
+    edges = set()
+    for k in range(n_layers + 1):
+        for i in range(n_radial):
+            for j in range(n_theta):
+                a = node(k, i, j)
+                ring = node(k, i, (j + 1) % n_theta)
+                edges.add((min(a, ring), max(a, ring)))
+                if i + 1 < n_radial:
+                    edges.add((a, node(k, i + 1, j)))
+                if k < n_layers:
+                    edges.add((a, node(k + 1, i, j)))
+    return np.array(sorted(edges), dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_radial, n_theta, n_layers", [
+    (2, 4, 2), (2, 3, 3), (3, 5, 4), (1, 6, 2), (5, 24, 8),
+])
+def test_cylinder_edges_match_node_by_node_reference(n_radial, n_theta,
+                                                     n_layers):
+    mesh = _cylinder_mesh(n_radial, n_theta, n_layers)
+    assert mesh.n_nodes == n_radial * n_theta * (n_layers + 1)
+    np.testing.assert_array_equal(
+        mesh.edges, reference_cylinder_edges(n_radial, n_theta, n_layers))
 
 
 def test_snapshot_matrix_rejects_non_finite():

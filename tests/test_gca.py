@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from romforge.dataset import MeshGeometry, generate_synthetic_dataset
-from romforge.errors import CorruptionError, FormatError
+from romforge.errors import CorruptionError, DataError, FormatError
 from romforge.gca import (
     GcaArchitecture,
     GcaModel,
@@ -404,6 +404,18 @@ def test_checkpoint_truncation_detected(irregular, tmp_path):
     blob = (tmp_path / "ckpt" / "gca_weights.bin").read_bytes()
     (tmp_path / "ckpt" / "gca_weights.bin").write_bytes(blob[:-8])
     with pytest.raises(CorruptionError):
+        load_gca(tmp_path / "ckpt")
+
+
+def test_checkpoint_non_finite_weight_is_a_data_error(irregular, tmp_path):
+    mesh, _, arch, params = irregular
+    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
+                     seed=2)
+    save_gca(model, mesh, tmp_path / "ckpt")
+    blob = (tmp_path / "ckpt" / "gca_weights.bin").read_bytes()
+    (tmp_path / "ckpt" / "gca_weights.bin").write_bytes(
+        blob[:-8] + np.array([np.inf], "<f8").tobytes())
+    with pytest.raises(DataError, match="gca_weights.bin"):
         load_gca(tmp_path / "ckpt")
 
 

@@ -256,6 +256,22 @@ def test_zero_jitter_singular_matrix_is_reported():
         make_gpr([0.5, 0.5], [1.0, 2.0], RbfKernel(1.0, 0.5), 0.0)
 
 
+@pytest.mark.parametrize("inputs, targets, jitter", [
+    ([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], -1.0),
+    ([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], math.nan),
+    ([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], math.inf),
+    ([0.0, 0.5, 1.0], [1.0, math.nan, 3.0], 1e-8),
+    ([0.0, math.nan, 1.0], [1.0, 2.0, 3.0], 1e-8),
+    ([0.0, 0.5, 1.0], [1.0, -math.inf, 3.0], 1e-8),
+], ids=["negative-jitter", "nan-jitter", "inf-jitter", "nan-target",
+        "nan-input", "inf-target"])
+def test_make_gpr_rejects_non_finite_data_and_bad_jitter(inputs, targets,
+                                                         jitter):
+    # rejected before any factorization is attempted
+    with pytest.raises(ConfigurationError):
+        make_gpr(inputs, targets, RbfKernel(1.0, 0.5), jitter)
+
+
 def test_input_validation():
     with pytest.raises(ConfigurationError):
         fit_gpr([0.5, 0.5], [1.0, 2.0])

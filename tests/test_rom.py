@@ -19,9 +19,14 @@ from romforge.dataset import (
     generate_synthetic_dataset,
     split_dataset,
 )
-from romforge.errors import ConfigurationError, CorruptionError, FormatError
+from romforge.errors import (
+    ConfigurationError,
+    CorruptionError,
+    DataError,
+    FormatError,
+)
 from romforge.gpr import log_marginal_likelihood
-from romforge.pod import project, reconstruct
+from romforge.pod import _BASIS_HEADER, project, reconstruct
 from romforge.rom import (
     InputNormalization,
     PodGprRom,
@@ -258,6 +263,15 @@ def test_prediction_caches_stay_out_of_the_archive(dataset, tmp_path):
                 == (tmp_path / "after" / name).read_bytes())
 
 
+#: A little-endian float64 NaN, as hex.
+NAN_HEX = np.array([np.nan], dtype="<f8").tobytes().hex()
+
+
+def nan_first(hex_values):
+    """Hex-encoded float64 values with the first one replaced by NaN."""
+    return NAN_HEX + hex_values[len(NAN_HEX):]
+
+
 def edit_json(path, edit):
     doc = json.loads(path.read_text())
     edit(doc)
@@ -273,6 +287,12 @@ def edit_json(path, edit):
     ("gprs.json", lambda d: d.update(modes=7)),
     ("norm.json", lambda d: d.update(scale=0.0)),
     ("norm.json", lambda d: d.pop("offset")),
+    ("gprs.json", lambda d: d["modes"][0].update(
+        train_targets_hex=nan_first(d["modes"][0]["train_targets_hex"]))),
+    ("gprs.json", lambda d: d["modes"][1].update(
+        train_inputs_hex=nan_first(d["modes"][1]["train_inputs_hex"]))),
+    ("gprs.json", lambda d: d["modes"][0].update(jitter=float("nan"))),
+    ("gprs.json", lambda d: d["modes"][0].update(jitter=-1.0)),
 ])
 def test_bad_archive_values_are_corruption(rom, tmp_path, name, edit):
     save_rom(rom, tmp_path / "rom")
@@ -295,6 +315,16 @@ def test_truncated_basis_is_detected(rom, tmp_path):
     blob = (tmp_path / "rom" / "basis.bin").read_bytes()
     (tmp_path / "rom" / "basis.bin").write_bytes(blob[:-16])
     with pytest.raises(CorruptionError):
+        load_rom(tmp_path / "rom")
+
+
+def test_non_finite_basis_is_a_data_error(rom, tmp_path):
+    save_rom(rom, tmp_path / "rom")
+    blob = (tmp_path / "rom" / "basis.bin").read_bytes()
+    at = _BASIS_HEADER.size  # the first reference value
+    (tmp_path / "rom" / "basis.bin").write_bytes(
+        blob[:at] + np.array([np.nan], "<f8").tobytes() + blob[at + 8:])
+    with pytest.raises(DataError, match="basis.bin"):
         load_rom(tmp_path / "rom")
 
 
