@@ -7,7 +7,9 @@ vector back to a per-node field through a dense head, node broadcast, and two
 graph convolutions. Training, validation and :func:`predict_gca` all run
 through these two functions; prediction decodes the parameter branch's latent
 and skips the encoder. All forward/backward passes are hand-written numpy; no
-autograd.
+autograd. Graph features are node-major, ``(n, B, d)``, so each aggregation
+is one sparse product; only the dense decoder head crosses from ``(B, n * d)``.
+The cache holds activations, and the ELU derivative is taken from them.
 
 Graph convolutions use the symmetric normalization with self-loops,
 ``D^{-1/2} (A + I) D^{-1/2}``, applied by ``_aggregate`` and followed by a
@@ -73,11 +75,18 @@ def build_graph(mesh: MeshGeometry) -> Graph:
 
 
 def elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    """``max(x, expm1(min(x, 0)))`` in one buffer; bit for bit the usual
+    ``where`` form, since ``expm1(s) >= s``."""
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    return np.maximum(x, out, out=out)
 
 
-def _elu_grad(pre: np.ndarray) -> np.ndarray:
-    return np.where(pre > 0.0, 1.0, np.exp(np.minimum(pre, 0.0)))
+def _elu_grad(act: np.ndarray) -> np.ndarray:
+    """ELU derivative from the activation ``act = elu(s)``: 1 where s > 0,
+    ``exp(s) = act + 1`` elsewhere, without a second ``exp``."""
+    grad = np.minimum(act, 0.0)
+    return np.add(grad, 1.0, out=grad)
 
 
 @dataclass(frozen=True)
@@ -142,11 +151,13 @@ def init_gca(arch: GcaArchitecture, dt_offset: float = 0.0,
 
 
 def _aggregate(adj, feats: np.ndarray) -> np.ndarray:
-    """Apply the normalized adjacency to each sample of (B, n, d) features."""
-    b, n, d = feats.shape
-    flat = feats.transpose(1, 0, 2).reshape(n, b * d)
-    out = adj @ flat
-    return out.reshape(n, b, d).transpose(1, 0, 2)
+    """Apply the normalized adjacency to (n, B, d) node-major features."""
+    return (adj @ feats.reshape(feats.shape[0], -1)).reshape(feats.shape)
+
+
+def _weight_grad(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Sum over nodes and samples of ``outer(h, d)``, as one matrix product."""
+    return h.reshape(-1, h.shape[-1]).T @ d.reshape(-1, d.shape[-1])
 
 
 def _keep(cache: dict | None, key: str, value: np.ndarray) -> np.ndarray:
@@ -161,37 +172,35 @@ def _keep(cache: dict | None, key: str, value: np.ndarray) -> np.ndarray:
 def _param_branch(p: dict, t: np.ndarray, cache: dict | None = None
                   ) -> np.ndarray:
     """Map (B, 1) normalized dwell times to (B, latent) through fc1-fc3."""
-    f1 = _keep(cache, "f1", t @ p["fc1_w"] + p["fc1_b"])
-    a1 = _keep(cache, "a1", elu(f1))
-    f2 = _keep(cache, "f2", a1 @ p["fc2_w"] + p["fc2_b"])
-    a2 = _keep(cache, "a2", elu(f2))
+    a1 = _keep(cache, "a1", elu(t @ p["fc1_w"] + p["fc1_b"]))
+    a2 = _keep(cache, "a2", elu(a1 @ p["fc2_w"] + p["fc2_b"]))
     return a2 @ p["fc3_w"] + p["fc3_b"]
 
 
 def _decode(p: dict, graph: Graph, z: np.ndarray, cache: dict | None = None
             ) -> np.ndarray:
-    """Expand (B, latent) codes to (B, n, 1) fields: dense head, node
-    broadcast, then two graph convolutions."""
+    """Expand (B, latent) codes to (n, B, 1) node-major fields: dense head,
+    node broadcast, then two graph convolutions."""
     adj = graph.adjacency_norm
-    h = elu(_keep(cache, "s4", z @ p["dec_head_w"] + p["dec_head_b"]))
-    h = _keep(cache, "ahb",
-              _aggregate(adj, h.reshape(z.shape[0], graph.n_nodes, -1)))
-    h = elu(_keep(cache, "s5", h @ p["dec_gc1_w"] + p["dec_gc1_b"]))
+    h = _keep(cache, "h4", elu(z @ p["dec_head_w"] + p["dec_head_b"]))
+    h = h.reshape(z.shape[0], graph.n_nodes, -1).transpose(1, 0, 2)
+    h = _keep(cache, "ahb", _aggregate(adj, h))
+    h = _keep(cache, "h5", elu(h @ p["dec_gc1_w"] + p["dec_gc1_b"]))
     h = _keep(cache, "ah5", _aggregate(adj, h))
     return h @ p["dec_gc2_w"] + p["dec_gc2_b"]
 
 
 def _forward_batch(params: dict, graph: Graph, x: np.ndarray, t: np.ndarray):
-    """Batched forward pass. x: (B, n, 1) fields, t: (B, 1) normalized dts."""
+    """Batched forward pass. x: (n, B, 1) fields, t: (B, 1) normalized dts."""
     p = params
     adj = graph.adjacency_norm
-    cache = {"x": x, "t": t}
+    cache = {"t": t}
 
     cache["ax"] = _aggregate(adj, x)
-    cache["s1"] = cache["ax"] @ p["enc_gc1_w"] + p["enc_gc1_b"]
-    cache["ah1"] = _aggregate(adj, elu(cache["s1"]))
-    cache["s2"] = cache["ah1"] @ p["enc_gc2_w"] + p["enc_gc2_b"]
-    cache["pool"] = elu(cache["s2"]).mean(axis=1)           # (B, h2)
+    cache["h1"] = elu(cache["ax"] @ p["enc_gc1_w"] + p["enc_gc1_b"])
+    cache["ah1"] = _aggregate(adj, cache["h1"])
+    cache["h2"] = elu(cache["ah1"] @ p["enc_gc2_w"] + p["enc_gc2_b"])
+    cache["pool"] = cache["h2"].mean(axis=0)                # (B, h2)
     z = cache["pool"] @ p["enc_head_w"] + p["enc_head_b"]  # (B, latent)
 
     x_hat = _decode(p, graph, z, cache)
@@ -205,49 +214,47 @@ def _backward_batch(params: dict, graph: Graph, cache: dict, x_hat: np.ndarray,
     """Gradients of the batch-mean loss w.r.t. every parameter array."""
     p = params
     adj = graph.adjacency_norm
-    b, n, _ = x_hat.shape
+    n, b, _ = x_hat.shape
     z, z_p = cache["z"], cache["z_p"]
-    lat = z.shape[1]
     g = {}
 
     d_xhat = 2.0 * (x_hat - target) / (b * n)
-    g["dec_gc2_w"] = np.einsum("bni,bnj->ij", cache["ah5"], d_xhat)
+    g["dec_gc2_w"] = _weight_grad(cache["ah5"], d_xhat)
     g["dec_gc2_b"] = d_xhat.sum(axis=(0, 1))
-    d_h5 = _aggregate(adj, d_xhat @ p["dec_gc2_w"].T)
-    d_s5 = d_h5 * _elu_grad(cache["s5"])
-    g["dec_gc1_w"] = np.einsum("bni,bnj->ij", cache["ahb"], d_s5)
+    d_s5 = _aggregate(adj, d_xhat @ p["dec_gc2_w"].T)
+    d_s5 *= _elu_grad(cache["h5"])
+    g["dec_gc1_w"] = _weight_grad(cache["ahb"], d_s5)
     g["dec_gc1_b"] = d_s5.sum(axis=(0, 1))
-    d_hb = _aggregate(adj, d_s5 @ p["dec_gc1_w"].T)
-    d_h4 = d_hb.reshape(b, -1)                             # (B, n*h2)
-    d_s4 = d_h4 * _elu_grad(cache["s4"])
+    d_hb = _aggregate(adj, d_s5 @ p["dec_gc1_w"].T)       # (n, B, h2)
+    d_s4 = d_hb.transpose(1, 0, 2).reshape(b, -1)          # (B, n*h2)
+    d_s4 *= _elu_grad(cache["h4"])
     g["dec_head_w"] = z.T @ d_s4
     g["dec_head_b"] = d_s4.sum(axis=0)
 
-    d_latent = 2.0 * lam * (z - z_p) / (b * lat)
+    d_latent = 2.0 * lam * (z - z_p) / z.size
     d_z = d_s4 @ p["dec_head_w"].T + d_latent
     d_zp = -d_latent
 
     g["enc_head_w"] = cache["pool"].T @ d_z
     g["enc_head_b"] = d_z.sum(axis=0)
     d_pool = d_z @ p["enc_head_w"].T                       # (B, h2)
-    d_h2 = np.broadcast_to(d_pool[:, None, :] / n,
-                           (b, n, d_pool.shape[1]))
-    d_s2 = d_h2 * _elu_grad(cache["s2"])
-    g["enc_gc2_w"] = np.einsum("bni,bnj->ij", cache["ah1"], d_s2)
+    d_s2 = _elu_grad(cache["h2"])
+    d_s2 *= d_pool / n                     # the mean pool, broadcast to nodes
+    g["enc_gc2_w"] = _weight_grad(cache["ah1"], d_s2)
     g["enc_gc2_b"] = d_s2.sum(axis=(0, 1))
-    d_h1 = _aggregate(adj, d_s2 @ p["enc_gc2_w"].T)
-    d_s1 = d_h1 * _elu_grad(cache["s1"])
-    g["enc_gc1_w"] = np.einsum("bni,bnj->ij", cache["ax"], d_s1)
+    d_s1 = _aggregate(adj, d_s2 @ p["enc_gc2_w"].T)
+    d_s1 *= _elu_grad(cache["h1"])
+    g["enc_gc1_w"] = _weight_grad(cache["ax"], d_s1)
     g["enc_gc1_b"] = d_s1.sum(axis=(0, 1))
 
     d_a2 = d_zp @ p["fc3_w"].T
     g["fc3_w"] = cache["a2"].T @ d_zp
     g["fc3_b"] = d_zp.sum(axis=0)
-    d_f2 = d_a2 * _elu_grad(cache["f2"])
+    d_f2 = d_a2 * _elu_grad(cache["a2"])
     g["fc2_w"] = cache["a1"].T @ d_f2
     g["fc2_b"] = d_f2.sum(axis=0)
     d_a1 = d_f2 @ p["fc2_w"].T
-    d_f1 = d_a1 * _elu_grad(cache["f1"])
+    d_f1 = d_a1 * _elu_grad(cache["a1"])
     g["fc1_w"] = cache["t"].T @ d_f1
     g["fc1_b"] = d_f1.sum(axis=0)
     return g
@@ -256,8 +263,8 @@ def _backward_batch(params: dict, graph: Graph, cache: dict, x_hat: np.ndarray,
 def _loss_terms(params: dict, graph: Graph, inputs: np.ndarray,
                 targets: np.ndarray, t: np.ndarray):
     """Forward pass plus the reconstruction and latent-gap mean squares."""
-    target = targets[:, :, None]
-    x_hat, z, z_p, cache = _forward_batch(params, graph, inputs[:, :, None],
+    target = targets.T[:, :, None]
+    x_hat, z, z_p, cache = _forward_batch(params, graph, inputs.T[:, :, None],
                                           t[:, None])
     l_rec = float(np.mean((target - x_hat) ** 2))
     l_param = float(np.mean((z - z_p) ** 2))
@@ -288,7 +295,7 @@ def predict_gca(model: GcaModel, graph: Graph, dwell_time: float) -> np.ndarray:
     """Decode the parameter branch's latent vector; the encoder is not used."""
     t = np.array([[model.normalize_dt(dwell_time)]])
     z_p = _param_branch(model.params, t)
-    return _decode(model.params, graph, z_p)[0, :, 0]
+    return _decode(model.params, graph, z_p)[:, 0, 0]
 
 
 # Checkpoint I/O ==============================================================

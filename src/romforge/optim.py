@@ -12,10 +12,12 @@ __all__ = ["init_adamw_state", "adamw_step", "cosine_warm_restart_lr"]
 
 
 def init_adamw_state(params: dict[str, np.ndarray]) -> dict:
+    """Zero moments, and one scratch array per parameter for adamw_step."""
     return {
         "t": 0,
         "m": {k: np.zeros_like(v) for k, v in params.items()},
         "v": {k: np.zeros_like(v) for k, v in params.items()},
+        "scratch": {k: np.empty_like(v) for k, v in params.items()},
     }
 
 
@@ -23,7 +25,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: dict, lr: float, beta1: float = 0.9,
                beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 1e-4) -> None:
-    """One AdamW update, in place.
+    """One AdamW update, in place and without allocating.
 
     Weight decay is decoupled: it scales the pre-update parameter value and is
     not folded into the gradient, so the adaptive moments never see it.
@@ -36,13 +38,18 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         g = grads[name]
         m = state["m"][name]
         v = state["v"][name]
+        s = state["scratch"][name]
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=s)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps) + lr * weight_decay * p
+        v += np.multiply(np.multiply(g, 1.0 - beta2, out=s), g, out=s)
+        # s = lr * m_hat / (sqrt(v_hat) + eps); p = decayed p - s
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += eps
+        np.divide(m, s, out=s)
+        s *= lr / bc1
+        p *= 1.0 - lr * weight_decay
+        p -= s
 
 
 def cosine_warm_restart_lr(epoch: float, lr_max: float, lr_min: float,

@@ -273,8 +273,11 @@ def load_rom(path) -> PodGprRom:
         dwell_times = tuple(float(dt) for dt in manifest["training_dwell_times"])
         if not all(math.isfinite(v) for v in (offset, scale, *dwell_times)):
             raise CorruptionError(f"{path}: non-finite dwell-time values")
-        if scale <= 0.0:
-            raise CorruptionError(f"{path}: dwell-time scale must be > 0")
+        # train_pod_gpr derives norm.json from these same floats
+        if scale <= 0.0 or (offset, scale) != (min(dwell_times),
+                                               max(dwell_times) - offset):
+            raise CorruptionError(f"{path}: norm.json must hold the min and a "
+                                  "positive range of training_dwell_times")
         return PodGprRom(
             basis=basis,
             gprs=tuple(gprs),

@@ -119,6 +119,7 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
     state = init_adamw_state(params)
     noise_rng = np.random.default_rng(config.seed + 1)
 
+    adamw_args = (config.beta1, config.beta2, config.eps, config.weight_decay)
     best = math.inf
     best_params = {k: v.copy() for k, v in params.items()}
     bad_epochs = 0
@@ -139,30 +140,27 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
             raise DivergenceError(
                 f"training loss became non-finite at epoch {epoch} (lr={lr:.3g})"
             )
-        # keep the weights that produced this epoch's train loss in case it
-        # is the monitored quantity
-        pre_step = None if has_val else {k: v.copy() for k, v in params.items()}
-        adamw_step(params, grads, state, lr, config.beta1, config.beta2,
-                   config.eps, config.weight_decay)
-
         if has_val:
-            val_loss = batch_loss(params, graph, val_fields, val_fields,
-                                  val_ts, config.lam)
-            monitored, snapshot = val_loss, params
+            adamw_step(params, grads, state, lr, *adamw_args)
+            val_loss = monitored = batch_loss(params, graph, val_fields,
+                                              val_fields, val_ts, config.lam)
         else:
-            val_loss = math.nan
-            monitored, snapshot = loss, pre_step
+            val_loss, monitored = math.nan, loss
         history.append(EpochRecord(epoch=epoch, lr=lr, train_loss=loss,
                                    val_loss=val_loss, l_rec=l_rec,
                                    l_param=l_param))
         if monitored < best:
             best = monitored
-            best_params = {k: v.copy() for k, v in snapshot.items()}
+            for name, value in params.items():
+                np.copyto(best_params[name], value)
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
                 break
+        if not has_val:
+            # the training loss predates this step, so it was compared above
+            adamw_step(params, grads, state, lr, *adamw_args)
 
     model = GcaModel(arch=arch, params=best_params, dt_offset=offset,
                      dt_scale=scale, seed=config.seed)

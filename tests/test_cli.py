@@ -326,6 +326,13 @@ def nan_at(offset):
     # GCA weight
     ("rom_dir", "basis.bin", nan_at(_BASIS_HEADER.size)),
     ("gca_dir", "gca_weights.bin", nan_at(-8)),
+    # norm.json must be the min and range of the manifest's dwell times
+    pytest.param("rom_dir", "manifest.json",
+                 edited(lambda d: d.update(training_dwell_times=[1.0, 2.0])),
+                 id="rom_dir-manifest.json-dwell_times"),
+    pytest.param("rom_dir", "norm.json",
+                 edited(lambda d: d.update(offset=21.0)),
+                 id="rom_dir-norm.json-offset"),
 ])
 def test_hand_edited_archive_is_io_failure(archive, name, change, request,
                                            tmp_path, capsys):

@@ -15,6 +15,7 @@ from romforge.gca import (
     GcaArchitecture,
     GcaModel,
     _decode,
+    _elu_grad,
     _forward_batch,
     batch_loss,
     batch_loss_and_grads,
@@ -49,9 +50,9 @@ def dense_elu(v):
 
 def forward_one(params, graph, x, t):
     """Run one field through the batched pass; returns (x_hat, z, z_p)."""
-    x_hat, z, z_p, _ = _forward_batch(params, graph, x[None, :, None],
+    x_hat, z, z_p, _ = _forward_batch(params, graph, x[:, None, None],
                                       np.array([[t]]))
-    return x_hat[0, :, 0], z[0], z_p[0]
+    return x_hat[:, 0, 0], z[0], z_p[0]
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +129,12 @@ def test_gc_layer_zero_everything_is_zero():
     arch = GcaArchitecture(n_nodes=2, enc_widths=(3, 4), latent_dim=2,
                            fc_width=2)
     zeros = {name: np.zeros(shape) for name, shape in arch.param_shapes()}
-    x_hat, _, _, cache = _forward_batch(zeros, graph, np.zeros((1, 2, 1)),
+    x_hat, _, _, cache = _forward_batch(zeros, graph, np.zeros((2, 1, 1)),
                                         np.zeros((1, 1)))
-    for key in ("ax", "s1", "ah1", "s2", "ahb", "s5", "ah5"):
+    for key in ("ax", "h1", "ah1", "h2", "ahb", "h5", "ah5"):
         np.testing.assert_array_equal(cache[key], np.zeros_like(cache[key]),
                                       err_msg=key)
-    np.testing.assert_array_equal(x_hat, np.zeros((1, 2, 1)))
+    np.testing.assert_array_equal(x_hat, np.zeros((2, 1, 1)))
 
 
 def test_gc_layer_matches_dense_oracle(irregular):
@@ -143,7 +144,7 @@ def test_gc_layer_matches_dense_oracle(irregular):
     rng = np.random.default_rng(5)
     params = {k: v + rng.normal(size=v.shape) if k.endswith("_b") else v
               for k, v in params.items()}
-    x = rng.normal(size=(2, graph.n_nodes, 1))
+    x = rng.normal(size=(graph.n_nodes, 2, 1))
     x_hat, _, _, cache = _forward_batch(params, graph, x,
                                         rng.uniform(size=(2, 1)))
     a_hat = graph.adjacency_norm.toarray()
@@ -152,12 +153,12 @@ def test_gc_layer_matches_dense_oracle(irregular):
         return a_hat @ h @ params[layer + "_w"] + params[layer + "_b"]
 
     for i in range(2):
-        seed = dense_elu(cache["s4"][i]).reshape(graph.n_nodes, -1)
+        seed = cache["h4"][i].reshape(graph.n_nodes, -1)
         for got, want in (
-            (cache["s1"][i], conv(x[i], "enc_gc1")),
-            (cache["s2"][i], conv(dense_elu(cache["s1"][i]), "enc_gc2")),
-            (cache["s5"][i], conv(seed, "dec_gc1")),
-            (x_hat[i], conv(dense_elu(cache["s5"][i]), "dec_gc2")),
+            (cache["h1"][:, i], dense_elu(conv(x[:, i], "enc_gc1"))),
+            (cache["h2"][:, i], dense_elu(conv(cache["h1"][:, i], "enc_gc2"))),
+            (cache["h5"][:, i], dense_elu(conv(seed, "dec_gc1"))),
+            (x_hat[:, i], conv(cache["h5"][:, i], "dec_gc2")),
         ):
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -168,6 +169,28 @@ def test_elu_values():
     assert elu(np.array([-1.0]))[0] == pytest.approx(np.expm1(-1.0))
     # large negative inputs saturate at -1 without overflow
     assert elu(np.array([-1e4]))[0] == pytest.approx(-1.0)
+
+
+def elu_probe_values():
+    rng = np.random.default_rng(31)
+    spread = [rng.normal(scale=s, size=500)
+              for s in (1e-300, 1e-12, 1e-6, 1.0, 30.0, 300.0)]
+    return np.concatenate(
+        spread + [[0.0, 1e-300, -1e-300, 700.0, -700.0, 5e-324, -1e4]])
+
+
+def test_elu_is_bit_identical_to_the_where_form():
+    x = elu_probe_values()
+    np.testing.assert_array_equal(elu(x).view(np.uint64),
+                                  dense_elu(x).view(np.uint64))
+
+
+def test_elu_grad_from_the_activation_matches_exp():
+    # measured in ulps of 1.0, the derivative's scale: for strongly negative
+    # s, elu(s) + 1 cancels, and both sides lie within an ulp of 0
+    x = elu_probe_values()
+    gap = np.abs(_elu_grad(elu(x)) - np.exp(np.minimum(x, 0.0)))
+    assert gap.max() <= 2.0 * np.spacing(1.0)
 
 
 # ----------------------------------------------------------- forward pass ---
@@ -369,11 +392,11 @@ def test_predict_agrees_with_forward_decoder(irregular):
                      seed=2)
     rng = np.random.default_rng(23)
     for dt in (35.0, 47.0, 95.0):
-        x = rng.normal(size=(1, graph.n_nodes, 1))
+        x = rng.normal(size=(graph.n_nodes, 1, 1))
         _, _, z_p, _ = _forward_batch(params, graph, x,
                                       np.array([[model.normalize_dt(dt)]]))
         np.testing.assert_array_equal(predict_gca(model, graph, dt),
-                                      _decode(params, graph, z_p)[0, :, 0])
+                                      _decode(params, graph, z_p)[:, 0, 0])
 
 
 # ------------------------------------------------------------ checkpoint ---

@@ -293,6 +293,7 @@ def edit_json(path, edit):
         train_inputs_hex=nan_first(d["modes"][1]["train_inputs_hex"]))),
     ("gprs.json", lambda d: d["modes"][0].update(jitter=float("nan"))),
     ("gprs.json", lambda d: d["modes"][0].update(jitter=-1.0)),
+    ("manifest.json", lambda d: d.update(training_dwell_times=[])),
 ])
 def test_bad_archive_values_are_corruption(rom, tmp_path, name, edit):
     save_rom(rom, tmp_path / "rom")

@@ -1,12 +1,14 @@
 """Optimizer arithmetic, learning-rate schedule, and the training loop.
 
-The AdamW examples are asserted bit-for-bit by mirroring the update's
-operation order; training-loop behavior is pinned through tiny synthetic
-datasets that run in seconds.
+Single AdamW steps are asserted bit-for-bit on values whose arithmetic is
+exact, and 50-step runs against a textbook reference kept in this file;
+training-loop behavior is pinned through tiny synthetic datasets that run in
+seconds.
 """
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +75,50 @@ def test_update_is_in_place():
     state = init_adamw_state(params)
     adamw_step(params, {"w": np.ones(2)}, state, lr=0.1)
     assert params["w"] is arr
+
+
+def textbook_adamw(start, grads, lrs, beta1, beta2, eps, weight_decay):
+    """Yield the parameters after each step of AdamW as Loshchilov & Hutter
+    write it, with fresh arrays and the bias-corrected moments spelled out."""
+    p, m, v = start, np.zeros_like(start), np.zeros_like(start)
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * p
+        yield p
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adamw_tracks_the_textbook_reference(weight_decay):
+    rng = np.random.default_rng(29)
+    start = rng.normal(size=(40, 3))
+    grads = rng.normal(size=(50, 40, 3)) * rng.uniform(1e-3, 1e3, (50, 1, 1))
+    lrs = rng.uniform(1e-3, 1e-1, 50)
+    params = {"w": start.copy()}
+    state = init_adamw_state(params)
+    reference = textbook_adamw(start, grads, lrs, 0.9, 0.999, 1e-8,
+                               weight_decay)
+    for g, lr, want in zip(grads, lrs, reference):
+        adamw_step(params, {"w": g}, state, lr=lr, weight_decay=weight_decay)
+        gap = np.abs(params["w"] - want).max()
+        assert gap <= 1e-14 * np.abs(want).max()
+    assert state["t"] == 50
+
+
+def test_adamw_step_allocates_no_parameter_sized_array():
+    params = {"w": np.ones(100_000), "b": np.zeros(7)}
+    grads = {k: np.full_like(v, 0.5) for k, v in params.items()}
+    state = init_adamw_state(params)
+    adamw_step(params, grads, state, lr=1e-3)
+    tracemalloc.start()
+    try:
+        adamw_step(params, grads, state, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params["w"].nbytes
 
 
 # --------------------------------------------------------------- schedule ---
@@ -184,6 +230,22 @@ def test_best_validation_weights_are_returned():
     revalidated = batch_loss(model.params, graph, fields, fields, ts,
                              config.lam)
     assert revalidated == min(h.val_loss for h in history)
+
+
+def test_best_training_weights_are_returned(tiny):
+    # without validation the monitored loss is each epoch's training loss,
+    # which belongs to the weights before that epoch's step
+    data, graph = tiny
+    config = GcaTrainConfig(noise_sigma=0.0, lr_max=0.05, lr_min=0.05,
+                            max_epochs=40, patience=40)
+    model, history = train_gca(data, None, graph, config)
+    losses = [h.train_loss for h in history]
+    assert len(history) == 40 and losses.index(min(losses)) < 39
+
+    fields = data.final_fields().T.copy()
+    ts = (np.array(data.dwell_times) - model.dt_offset) / model.dt_scale
+    assert batch_loss(model.params, graph, fields, fields, ts,
+                      config.lam) == min(losses)
 
 
 def test_divergence_names_epoch_and_lr(tiny):
