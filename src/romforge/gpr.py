@@ -6,10 +6,11 @@ marginal likelihood (LML) in log-parameter space. The modes share their
 inputs, so :func:`fit_gprs` fits them together: one eigendecomposition of
 the unit correlation matrix per scanned length scale gives every mode's LML
 in closed form with the signal variance profiled out (Rasmussen & Williams,
-*GPML* 2006, sec. 5.4); a projected Newton polish on the Cholesky LML then
-lands on a stationary point. Each model caches its Cholesky factor and dual
-weights; :func:`predict_stack` evaluates many models at many points at once
-(GPML Alg. 2.1).
+*GPML* 2006, sec. 5.4). From each mode's best scan point, one projected
+Newton polish of all modes on the same eigen-form LML lands on a
+stationary point. Each model caches its Cholesky factor and dual weights;
+:func:`predict_stack` evaluates many models at many points at once (GPML
+Alg. 2.1).
 """
 
 from __future__ import annotations
@@ -52,19 +53,17 @@ SIGNAL_VARIANCE_BOX = (0.1, 10.0)
 SEARCH_MARGIN = 14.0
 
 # Log spacing of the length-scale scan and of the signal-variance grid that
-# seeds each profile; iteration counts of the profile Newton solve, the
-# golden-section refinement and the polish.
-_SCAN_STEP = 0.25
+# seeds each profile; iteration counts of the profile Newton solve and of
+# the polish.
+_SCAN_STEP = 0.125
 _PROFILE_STEP = 2.0
 _PROFILE_NEWTON_STEPS = 10
-_REFINE_STEPS = 10
 _POLISH_STEPS = 30
 _POLISH_HALVINGS = 5
 _POLISH_FTOL = 1e-13
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Relative eigenvalue floor below which the eigen-form LML is not trusted
-# (the Cholesky factorization would be rounding-dominated there).
+# (the kernel matrix is rounding-dominated there); scan and polish share it.
 _SPECTRUM_FLOOR = 1e-14
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -221,51 +220,48 @@ def _search_boxes(inputs: np.ndarray, target_vars: np.ndarray):
 def _profile_lml(log_sv, lam, z2, jitter):
     """LML, less its constant, of kernels ``sv Q diag(lam) Q^T + jitter I``.
 
-    ``z2`` holds the squared projected residuals ``(Q^T r)^2``; the last
-    axis runs over eigenvalues and every other axis broadcasts. Where the
-    spectrum is not safely positive the LML reads ``-inf``.
+    ``z2`` holds the squared projected residuals ``(Q^T r)^2``; the first
+    axis runs over eigenvalues, in ascending order as ``eigh`` returns
+    them, and every other axis broadcasts. Where the spectrum is not safely
+    positive the LML reads ``-inf``.
     """
-    d = np.exp(log_sv)[..., None] * lam + jitter[..., None]
+    d = np.exp(log_sv) * lam + jitter
     with np.errstate(divide="ignore", invalid="ignore"):
-        lml = -0.5 * np.sum(z2 / d + np.log(d), axis=-1)
-    valid = d.min(axis=-1) > _SPECTRUM_FLOOR * d.max(axis=-1)
-    return np.where(valid, lml, -np.inf)
+        lml = -0.5 * np.sum(z2 / d + np.log(d), axis=0)
+    # rounding is monotone, so d keeps the order of lam
+    return np.where(d[0] > _SPECTRUM_FLOOR * d[-1], lml, -np.inf)
 
 
 def _profile_slopes(log_sv, lam, z2, jitter):
     """First and second log-sv derivatives of :func:`_profile_lml`."""
-    a = np.exp(log_sv)[..., None] * lam
-    d = a + jitter[..., None]
+    a = np.exp(log_sv) * lam
+    d = a + jitter
     with np.errstate(divide="ignore", invalid="ignore"):
         q = z2 / d
         w = a / d
-        d1 = 0.5 * np.sum(w * (q - 1.0), axis=-1)
-        d2 = 0.5 * np.sum(w * (q - 1.0 + w * (1.0 - 2.0 * q)), axis=-1)
+        d1 = 0.5 * np.sum(w * (q - 1.0), axis=0)
+        d2 = 0.5 * np.sum(w * (q - 1.0 + w * (1.0 - 2.0 * q)), axis=0)
     return d1, d2
 
 
-def _profile(lam, z2, jitter, s_lo, s_hi, start=None):
+def _profile(lam, z2, jitter, s_lo, s_hi):
     """Maximize the eigen-form LML over log sv in ``[s_lo, s_hi]``.
 
-    Without ``start``, a grid of ``_PROFILE_STEP`` spacing picks the basin.
-    Safeguarded Newton steps (bisection when a step leaves the bracket)
-    then converge within one grid step of it. Returns ``(lml, log_sv)``
-    with the shape of the leading axes.
+    A grid of ``_PROFILE_STEP`` spacing picks the basin. Safeguarded Newton
+    steps (bisection when a step leaves the bracket) then converge within
+    one grid step of it. Returns ``(lml, log_sv)`` with the shape of the
+    axes after the eigenvalue axis.
     """
-    shape = np.broadcast_shapes(lam.shape[:-1], jitter.shape, s_lo.shape)
-    if start is None:
-        best_f = np.full(shape, -np.inf)
-        best_s = np.broadcast_to(s_lo, shape)
-        count = int(np.ceil(np.max(s_hi - s_lo) / _PROFILE_STEP)) + 1
-        for k in range(count):
-            s = np.minimum(s_lo + k * _PROFILE_STEP, s_hi)
-            f = _profile_lml(s, lam, z2, jitter)
-            better = f > best_f
-            best_f = np.where(better, f, best_f)
-            best_s = np.where(better, s, best_s)
-    else:
-        best_s = np.broadcast_to(start, shape)
-        best_f = _profile_lml(best_s, lam, z2, jitter)
+    shape = np.broadcast_shapes(lam.shape[1:], jitter.shape, s_lo.shape)
+    best_f = np.full(shape, -np.inf)
+    best_s = np.broadcast_to(s_lo, shape)
+    count = int(np.ceil(np.max(s_hi - s_lo) / _PROFILE_STEP)) + 1
+    for k in range(count):
+        s = np.minimum(s_lo + k * _PROFILE_STEP, s_hi)
+        f = _profile_lml(s, lam, z2, jitter)
+        better = f > best_f
+        best_f = np.where(better, f, best_f)
+        best_s = np.where(better, s, best_s)
     lo = np.maximum(s_lo, best_s - _PROFILE_STEP)
     hi = np.minimum(s_hi, best_s + _PROFILE_STEP)
     s = best_s
@@ -289,128 +285,93 @@ def _spectrum(log_ls, sqd):
 
 
 def _lml_derivatives(log_params, resid, sqd, jitter):
-    """Cholesky LML with its gradient and Hessian in (log sv, log ls).
+    """LML with its gradient and Hessian in (log sv, log ls), one row per mode.
 
-    With ``K_a`` the derivatives of the kernel matrix and ``alpha = K^-1 r``,
+    ``log_params`` is ``(m, 2)``, ``resid`` ``(m, n)`` and ``jitter``
+    ``(m,)``. The kernel matrix comes from the scan's spectrum,
+    ``K = Q diag(d) Q^T`` with ``d = sv lam + jitter``, so ``K^-1 = Q diag(1/d)
+    Q^T`` and ``alpha = Q (z / d)`` for ``z = Q^T r``, and the LML is
+    :func:`_profile_lml` (``-inf`` where the spectrum is not trusted). With
+    ``K_a`` the derivatives of the kernel matrix,
     ``dL/da = (alpha' K_a alpha - tr(K^-1 K_a)) / 2`` and
     ``d2L/dadb = -alpha' K_a K^-1 K_b alpha + alpha' K_ab alpha / 2
-    + tr(K^-1 K_a K^-1 K_b) / 2 - tr(K^-1 K_ab) / 2``. Returns ``None``
-    when the kernel matrix is not numerically positive definite.
+    + tr(K^-1 K_a K^-1 K_b) / 2 - tr(K^-1 K_ab) / 2`` (GPML sec. 5.4.1).
     """
-    sv, ls = np.exp(log_params)
-    n = resid.shape[0]
-    scaled = sqd / (ls * ls)
-    k_s = sv * np.exp(-0.5 * scaled)        # dK/dlog sv, and K less jitter
-    k_l = k_s * scaled                       # dK/dlog ls
+    log_sv, log_ls = log_params[:, 0], log_params[:, 1]
+    lam, vecs = _spectrum(log_ls, sqd)
+    z = np.einsum("mji,mj->im", vecs, resid)
+    lml = (_profile_lml(log_sv, lam.T, z * z, jitter)
+           - 0.5 * resid.shape[1] * _LOG_2PI)
+    d = np.exp(log_sv)[:, None] * lam + jitter[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_inv = (vecs / d[:, None, :]) @ vecs.transpose(0, 2, 1)
+        alpha = np.einsum("mij,jm->mi", vecs, z / d.T)
+    scaled = sqd / np.exp(2.0 * log_ls)[:, None, None]
+    k_s = np.exp(log_sv)[:, None, None] * np.exp(-0.5 * scaled)
+    k_l = k_s * scaled                       # dK/dlog ls; k_s is dK/dlog sv
     k_ll = k_l * scaled - 2.0 * k_l          # d2K/dlog ls2
-    k = k_s + jitter * np.eye(n)
-    try:
-        chol = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        return None
-    # one solve gives alpha and K^-1 together
-    solved = np.linalg.solve(k, np.column_stack([resid, np.eye(n)]))
-    alpha, k_inv = solved[:, 0], solved[:, 1:]
-    lml = (-0.5 * resid @ alpha - np.sum(np.log(np.diag(chol)))
-           - 0.5 * n * _LOG_2PI)
-    first = np.stack([k_s, k_l])
-    u = first @ alpha
-    w = k_inv @ first
-    quad = u @ alpha
-    trace = np.trace(w, axis1=1, axis2=2)
-    grad = 0.5 * (quad - trace)
-    # d2K/dlog sv2 = k_s and d2K/dlog sv dlog ls = k_l reuse the first terms
-    quad2 = np.array([[quad[0], quad[1]], [quad[1], alpha @ k_ll @ alpha]])
-    trace2 = np.array([[trace[0], trace[1]],
-                       [trace[1], np.sum(k_inv * k_ll)]])
-    hess = (-u @ k_inv @ u.T + 0.5 * np.einsum("aij,bji->ab", w, w)
-            + 0.5 * (quad2 - trace2))
+    first = np.stack([k_s, k_l], axis=1)     # (m, 2, n, n)
+    u = np.einsum("maij,mj->mai", first, alpha)
+    w = k_inv[:, None] @ first
+    grad = 0.5 * (np.einsum("mai,mi->ma", u, alpha)
+                  - np.trace(w, axis1=2, axis2=3))
+    hess = (-u @ k_inv @ u.transpose(0, 2, 1)
+            + 0.5 * np.einsum("maij,mbji->mab", w, w))
+    # d2K/dlog sv2 = k_s and d2K/dlog sv dlog ls = k_l, so for those two
+    # entries the K_ab terms of the Hessian equal the gradient
+    hess[:, 0] += grad
+    hess[:, 1, 0] += grad[:, 1]
+    hess[:, 1, 1] += 0.5 * (np.einsum("mi,mij,mj->m", alpha, k_ll, alpha)
+                            - np.sum(k_inv * k_ll, axis=(1, 2)))
     return lml, grad, hess
 
 
 def _polish(x, lo, hi, resid, sqd, jitter):
-    """Projected Newton ascent of the Cholesky LML from ``x`` within bounds.
+    """Projected Newton ascent of every mode's LML from ``x`` within bounds.
 
-    Steps are accepted only when the LML rises, so the result is never worse
-    than the start; a bound-active coordinate whose gradient points outward
-    is held fixed.
+    All modes step together; a mode stops when its first-order gain falls
+    below ``_POLISH_FTOL`` or no halving of its step raises its LML, so the
+    result is never worse than the start. A bound-active coordinate whose
+    gradient points outward is held fixed.
     """
-    current = _lml_derivatives(x, resid, sqd, jitter)
-    if current is None:
-        return x
+    lml, grad, hess = _lml_derivatives(x, resid, sqd, jitter)
+    active = np.isfinite(lml)
     for _ in range(_POLISH_STEPS):
-        lml, grad, hess = current
         free = ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
-        g = grad[free]
-        if g.size == 0:
-            break
-        neg_hess = -hess[np.ix_(free, free)]
-        try:
-            # a Newton step ascends only where -H is positive definite
-            np.linalg.cholesky(neg_hess)
-            step = np.linalg.solve(neg_hess, g)
-        except np.linalg.LinAlgError:
-            step = g / max(1.0, float(np.max(np.abs(g))))
+        g = np.where(free, grad, 0.0)
+        # -H on the free coordinates, the identity on the fixed ones
+        a = np.where(free[:, :, None] & free[:, None, :], -hess, np.eye(2))
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.stack([a[:, 1, 1] * g[:, 0] - a[:, 0, 1] * g[:, 1],
+                               a[:, 0, 0] * g[:, 1] - a[:, 1, 0] * g[:, 0]],
+                              axis=1) / det[:, None]
+        # a Newton step ascends only where -H is positive definite
+        definite = (a[:, 0, 0] > 0.0) & (det > 0.0)
+        gradient = g / np.maximum(1.0, np.abs(g).max(axis=1))[:, None]
+        step = np.where(definite[:, None], newton, gradient)
         # first-order gain of the full step; below the rounding noise of
         # the LML itself there is nothing left to gain
-        if 0.5 * float(g @ step) <= _POLISH_FTOL * max(1.0, abs(lml)):
-            break
-        direction = np.zeros(2)
-        direction[free] = step
+        gain = 0.5 * np.sum(g * step, axis=1)
+        active &= gain > _POLISH_FTOL * np.maximum(1.0, np.abs(lml))
+        pending = active.copy()
         scale = 1.0
         for _ in range(_POLISH_HALVINGS):
-            trial = np.clip(x + scale * direction, lo, hi)
-            found = _lml_derivatives(trial, resid, sqd, jitter)
-            if found is not None and found[0] > lml:
+            rows = np.flatnonzero(pending)
+            if rows.size == 0:
                 break
+            trial = np.clip(x[rows] + scale * step[rows], lo[rows], hi[rows])
+            found = _lml_derivatives(trial, resid[rows], sqd, jitter[rows])
+            take = found[0] > lml[rows]
+            rows = rows[take]
+            x[rows] = trial[take]
+            lml[rows], grad[rows], hess[rows] = (f[take] for f in found)
+            pending[rows] = False
             scale *= 0.5
-        else:
+        active &= ~pending
+        if not active.any():
             break
-        x, current = trial, found
     return x
-
-
-def _refine(grid, lml, log_sv, sqd, resid, jitters, s_lo, s_hi):
-    """Golden-section search of each mode's profiled LML over log ls.
-
-    The bracket is the pair of grid neighbours of the mode's best scan
-    point. Returns the best ``(log_sv, log_ls)`` seen, one entry per mode.
-    """
-    modes = np.arange(resid.shape[0])
-    best = np.argmax(lml, axis=0)
-    best_t, best_f, start = grid[best], lml[best, modes], log_sv[best, modes]
-    best_s = start
-
-    def profiled(log_ls):
-        lam, vecs = _spectrum(log_ls, sqd)
-        z2 = np.einsum("mji,mj->mi", vecs, resid) ** 2
-        return _profile(lam, z2, jitters, s_lo, s_hi, start)
-
-    def keep(t, f, s):
-        nonlocal best_t, best_f, best_s
-        better = f > best_f
-        best_t = np.where(better, t, best_t)
-        best_f = np.where(better, f, best_f)
-        best_s = np.where(better, s, best_s)
-
-    a = grid[np.maximum(best - 1, 0)]
-    b = grid[np.minimum(best + 1, grid.size - 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    (fc, sc), (fd, sd) = profiled(c), profiled(d)
-    keep(c, fc, sc)
-    keep(d, fd, sd)
-    for _ in range(_REFINE_STEPS):
-        # keep the better interior point; probe one new point per mode
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fp, sp = profiled(probe)
-        keep(probe, fp, sp)
-        c, fc, sc, d, fd, sd = (
-            np.where(left, probe, d), np.where(left, fp, fd),
-            np.where(left, sp, sd), np.where(left, c, probe),
-            np.where(left, fc, fp), np.where(left, sc, sp))
-    return best_s, best_t
 
 
 def fit_gprs(inputs, targets, *, jitter: float | None = None,
@@ -426,10 +387,9 @@ def fit_gprs(inputs, targets, *, jitter: float | None = None,
        start box with ``seed``, one ``eigh`` of the unit correlation matrix
        gives each mode's LML in closed form; the signal variance is
        profiled out by Newton steps.
-    2. Refine: golden-section search on the profiled LML inside the grid
-       bracket around each mode's best length scale.
-    3. Polish: projected Newton on the Cholesky LML, so the result is a
-       stationary point (or a bound) of the likelihood the model reports.
+    2. Polish: from each mode's best scan point, projected Newton steps on
+       the same eigen-form LML, all modes at once, end on a stationary
+       point (or a bound) of the likelihood the model reports.
 
     Parameters
     ----------
@@ -469,16 +429,17 @@ def fit_gprs(inputs, targets, *, jitter: float | None = None,
     seeded = np.random.default_rng(seed).uniform(ls_box[0], ls_box[1], restarts)
     grid = np.unique(np.concatenate([np.linspace(t_lo, t_hi, count), seeded]))
     lam, vecs = _spectrum(grid, sqd)
-    z2 = np.einsum("gji,mj->gmi", vecs, resid) ** 2
-    lml, log_sv = _profile(lam[:, None, :], z2, jitters, s_lo, s_hi)
-    best_s, best_t = _refine(grid, lml, log_sv, sqd, resid, jitters, s_lo, s_hi)
+    z2 = np.einsum("gji,mj->igm", vecs, resid) ** 2
+    lml, log_sv = _profile(lam.T[:, :, None], z2, jitters, s_lo, s_hi)
+    modes = np.arange(targets.shape[0])
+    best = np.argmax(lml, axis=0)
+    start = np.column_stack([log_sv[best, modes], grid[best]])
+    lo = np.column_stack([s_lo, np.full_like(s_lo, t_lo)])
+    hi = np.column_stack([s_hi, np.full_like(s_hi, t_hi)])
+    fitted = np.exp(_polish(start, lo, hi, resid, sqd, jitters))
 
     models = []
-    for j in range(targets.shape[0]):
-        x = _polish(np.array([best_s[j], best_t[j]]),
-                    np.array([s_lo[j], t_lo]), np.array([s_hi[j], t_hi]),
-                    resid[j], sqd, jitters[j])
-        sv, ls = np.exp(x)
+    for j, (sv, ls) in enumerate(fitted):
         try:
             models.append(make_gpr(inputs, targets[j], RbfKernel(sv, ls),
                                    jitters[j]))

@@ -319,13 +319,26 @@ def test_fit_matches_lbfgs_oracle_at_other_jitters(wiggly):
 
 
 def test_fit_gprs_rows_equal_single_fits(wiggly):
+    # the constant row stops on the signal-variance bound and the rough one
+    # on the length-scale bound while the other rows keep stepping
     x, y = wiggly
-    targets = np.vstack([y, 3.0 * y**2, np.cos(4.0 * x), 1e-3 * y])
+    targets = np.vstack([y, 3.0 * y**2, np.cos(4.0 * x), 1e-3 * y,
+                         np.full_like(x, 0.7), np.cumsum(np.cos(17.0 * x))])
     together = fit_gprs(x, targets, seed=5)
     for row, model in zip(targets, together):
         alone = fit_gpr(x, row, seed=5)
         assert model.kernel == alone.kernel
         np.testing.assert_array_equal(model.alpha, alone.alpha)
+
+
+def test_fit_matches_lbfgs_oracle_on_narrow_interior_peak():
+    # the LML peaks near log ls = -1.1, between two points of a 0.25 scan
+    # grid; a fit that misses the peak stops near ls = 0.05, 2e-3 nats low
+    x = np.array([0.0193484, 0.437346, 0.813613])
+    y = np.array([0.071396, 0.0287192, -0.0753926])
+    for seed in (0, 1, 2):
+        assert_matches_oracle(fit_gpr(x, y, seed=seed),
+                              lbfgs_fit(x, y, seed=seed))
 
 
 def test_fit_gprs_validates_inputs(wiggly):
