@@ -20,7 +20,6 @@ import numpy as np
 
 from .dataset import (
     ParameterPoint,
-    extrapolates,
     generate_synthetic_dataset,
     load_snapshot_tensor,
     save_snapshot_tensor,
@@ -226,7 +225,7 @@ def _load_any_model(model_dir: Path):
 
         def predict(dts):
             return ([predict_gca(model, graph, dt) for dt in dts],
-                    extrapolates([model.normalize_dt(dt) for dt in dts]))
+                    model.input_norm.extrapolates(dts))
         return "gca", model, predict
     raise FormatError(
         f"{model_dir} holds no model archive: expected "

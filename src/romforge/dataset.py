@@ -9,9 +9,10 @@ is closed-form, any test can recompute the exact ground truth.
 
 from __future__ import annotations
 
-import json
+import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     UnknownParameterError,
     archive_values,
     read_json,
+    write_json,
 )
 
 SNAP_MAGIC = b"SNPT"
@@ -57,13 +59,46 @@ class ParameterPoint:
             )
 
 
-def extrapolates(normalized_dts) -> list[bool]:
-    """Flag normalized dwell times outside [0, 1], the training range.
+@dataclass(frozen=True)
+class InputNormalization:
+    """A surrogate's training dwell times, whose range maps onto [0, 1].
 
-    Both surrogates map their training dwell-time range onto [0, 1], so this
-    one rule decides extrapolation for either; a NaN counts as outside.
+    Both surrogates take the dwell time through this one rule: ``offset`` is
+    the smallest training dwell time and ``scale`` the range, or 1.0 for a
+    single dwell time. A dwell time extrapolates when it lies outside the
+    training range; a NaN counts as outside.
     """
-    return [not 0.0 <= t <= 1.0 for t in normalized_dts]
+
+    dwell_times: tuple[float, ...]
+
+    def __post_init__(self):
+        dts = tuple(float(dt) for dt in self.dwell_times)
+        if not dts or not all(math.isfinite(dt) for dt in dts):
+            raise ConfigurationError("training dwell times must be finite "
+                                     f"and non-empty, got {dts}")
+        object.__setattr__(self, "dwell_times", dts)
+
+    @cached_property
+    def offset(self) -> float:
+        return min(self.dwell_times)
+
+    @cached_property
+    def scale(self) -> float:
+        return (max(self.dwell_times) - self.offset) or 1.0
+
+    def apply(self, dwell_time):
+        """Normalize a dwell time, or an array of them."""
+        return (dwell_time - self.offset) / self.scale
+
+    @property
+    def training_inputs(self) -> np.ndarray:
+        """The training dwell times, normalized: the surrogates' inputs."""
+        return self.apply(np.array(self.dwell_times))
+
+    def extrapolates(self, dwell_times) -> list[bool]:
+        """Flag each raw dwell time outside [min, max] of the training ones."""
+        lo, hi = self.offset, max(self.dwell_times)
+        return [not lo <= dt <= hi for dt in dwell_times]
 
 
 @dataclass(frozen=True)
@@ -367,17 +402,11 @@ def save_snapshot_tensor(tensor: SnapshotTensor, path) -> None:
     """Write ``meta.json`` plus one ``snap_<i>.bin`` per parameter."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    meta = {
+    write_json(path / "meta.json", {
         "version": SNAP_VERSION,
-        "n_mu": tensor.n_mu,
-        "n_h": tensor.n_nodes,
-        "n_t": tensor.n_steps,
         "dwell_times": tensor.dwell_times,
         "mesh": _mesh_to_dict(tensor.mesh),
-    }
-    (path / "meta.json").write_bytes(
-        json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    )
+    })
     for i, m in enumerate(tensor.matrices):
         write_snapshot_bin(m.values, path / f"snap_{i}.bin")
 
@@ -386,7 +415,8 @@ def load_snapshot_tensor(path) -> SnapshotTensor:
     """Load a tensor saved by :func:`save_snapshot_tensor`, validating headers.
 
     A missing file, malformed JSON or an unknown version is a
-    :class:`FormatError`; a missing key or an unusable value a
+    :class:`FormatError`; a missing key or an unusable value, including
+    snapshot files that disagree with each other or with the mesh, a
     :class:`CorruptionError`.
     """
     path = Path(path)
@@ -395,20 +425,11 @@ def load_snapshot_tensor(path) -> SnapshotTensor:
         if meta.get("version") != SNAP_VERSION:
             raise FormatError(
                 f"unsupported meta.json version {meta.get('version')}")
-        mesh = _mesh_from_dict(meta["mesh"])
-        matrices = []
-        for i, dt in enumerate(meta["dwell_times"]):
-            values = read_snapshot_bin(path / f"snap_{i}.bin")
-            if values.shape != (meta["n_h"], meta["n_t"]):
-                raise CorruptionError(
-                    f"snap_{i}.bin holds shape {values.shape}, meta.json "
-                    f"declares ({meta['n_h']}, {meta['n_t']})"
-                )
-            matrices.append(SnapshotMatrix(values, ParameterPoint(dt)))
-        if len(matrices) != meta["n_mu"]:
-            raise CorruptionError(
-                "meta.json n_mu disagrees with dwell_times length")
-        return SnapshotTensor(tuple(matrices), mesh)
+        matrices = tuple(
+            SnapshotMatrix(read_snapshot_bin(path / f"snap_{i}.bin"),
+                           ParameterPoint(dt))
+            for i, dt in enumerate(meta["dwell_times"]))
+        return SnapshotTensor(matrices, _mesh_from_dict(meta["mesh"]))
 
 
 def split_dataset(tensor: SnapshotTensor, train, test):

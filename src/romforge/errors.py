@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all romforge modules.
 
-Also the archive readers' helpers that map malformed content onto it.
+Also the archives' canonical JSON writer and the readers' helpers that map
+malformed content onto the hierarchy.
 """
 
 import json
@@ -58,6 +59,12 @@ class DivergenceError(RomforgeError, ArithmeticError):
 
 class DegenerateMetricError(RomforgeError, ValueError):
     """A metric is undefined for the given inputs (e.g. zero-norm truth)."""
+
+
+def write_json(path: Path, doc) -> None:
+    """Write an archive JSON file: sorted keys, no whitespace."""
+    path.write_bytes(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
 
 
 def read_json(path: Path):

@@ -18,19 +18,24 @@ weight product.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import MeshGeometry, _mesh_from_dict, _mesh_to_dict
+from .dataset import (
+    InputNormalization,
+    MeshGeometry,
+    _mesh_from_dict,
+    _mesh_to_dict,
+)
 from .errors import (
     CorruptionError,
     DataError,
     FormatError,
     archive_values,
     read_json,
+    write_json,
 )
 
 __all__ = [
@@ -45,7 +50,7 @@ __all__ = [
     "load_gca",
 ]
 
-GCA_VERSION = 1
+GCA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -119,16 +124,20 @@ class GcaArchitecture:
 
 @dataclass(frozen=True)
 class GcaModel:
-    """Trained (or freshly initialized) autoencoder weights."""
+    """Trained (or freshly initialized) autoencoder weights, with the
+    training dwell times and the normalization derived from them."""
 
     arch: GcaArchitecture
     params: dict[str, np.ndarray]
-    dt_offset: float
-    dt_scale: float
+    training_dwell_times: tuple[float, ...]
     seed: int
+    input_norm: InputNormalization = field(init=False, repr=False,
+                                           compare=False)
 
-    def normalize_dt(self, dwell_time: float) -> float:
-        return (dwell_time - self.dt_offset) / self.dt_scale
+    def __post_init__(self):
+        norm = InputNormalization(self.training_dwell_times)
+        object.__setattr__(self, "training_dwell_times", norm.dwell_times)
+        object.__setattr__(self, "input_norm", norm)
 
 
 def init_params(arch: GcaArchitecture, seed: int) -> dict[str, np.ndarray]:
@@ -144,10 +153,10 @@ def init_params(arch: GcaArchitecture, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def init_gca(arch: GcaArchitecture, dt_offset: float = 0.0,
-             dt_scale: float = 1.0, seed: int = 0) -> GcaModel:
+def init_gca(arch: GcaArchitecture, training_dwell_times=(0.0, 1.0),
+             seed: int = 0) -> GcaModel:
     return GcaModel(arch=arch, params=init_params(arch, seed),
-                    dt_offset=dt_offset, dt_scale=dt_scale, seed=seed)
+                    training_dwell_times=training_dwell_times, seed=seed)
 
 
 def _aggregate(adj, feats: np.ndarray) -> np.ndarray:
@@ -293,7 +302,7 @@ def batch_loss(params: dict, graph: Graph, inputs: np.ndarray,
 
 def predict_gca(model: GcaModel, graph: Graph, dwell_time: float) -> np.ndarray:
     """Decode the parameter branch's latent vector; the encoder is not used."""
-    t = np.array([[model.normalize_dt(dwell_time)]])
+    t = np.array([[model.input_norm.apply(dwell_time)]])
     z_p = _param_branch(model.params, t)
     return _decode(model.params, graph, z_p)[:, 0, 0]
 
@@ -304,23 +313,16 @@ def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
     """Write ``gca.json`` (manifest + mesh) and ``gca_weights.bin``."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    manifest = {
+    write_json(path / "gca.json", {
         "version": GCA_VERSION,
         "model": "gca",
         "seed": model.seed,
-        "n_nodes": model.arch.n_nodes,
         "latent_dim": model.arch.latent_dim,
         "enc_widths": list(model.arch.enc_widths),
         "fc_width": model.arch.fc_width,
-        "dt_offset": model.dt_offset,
-        "dt_scale": model.dt_scale,
-        "param_order": [[name, list(shape)]
-                        for name, shape in model.arch.param_shapes()],
+        "training_dwell_times": list(model.training_dwell_times),
         "mesh": _mesh_to_dict(mesh),
-    }
-    (path / "gca.json").write_bytes(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    )
+    })
     blob = b"".join(
         np.ascontiguousarray(model.params[name]).astype("<f8").tobytes()
         for name, _ in model.arch.param_shapes()
@@ -341,8 +343,9 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
         if manifest.get("version") != GCA_VERSION:
             raise FormatError(
                 f"unsupported GCA version {manifest.get('version')}")
+        mesh = _mesh_from_dict(manifest["mesh"])
         arch = GcaArchitecture(
-            n_nodes=manifest["n_nodes"],
+            n_nodes=mesh.n_nodes,
             enc_widths=tuple(manifest["enc_widths"]),
             latent_dim=manifest["latent_dim"],
             fc_width=manifest["fc_width"],
@@ -365,19 +368,7 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
             count = int(np.prod(shape))
             params[name] = weights[offset:offset + count].reshape(shape).copy()
             offset += count
-        mesh = _mesh_from_dict(manifest["mesh"])
-        if mesh.n_nodes != arch.n_nodes:
-            raise CorruptionError(
-                f"manifest mesh has {mesh.n_nodes} nodes but the architecture "
-                f"expects {arch.n_nodes}"
-            )
-        dt_offset = float(manifest["dt_offset"])
-        dt_scale = float(manifest["dt_scale"])
-        if not (np.isfinite(dt_offset) and np.isfinite(dt_scale)
-                and dt_scale > 0.0):
-            raise CorruptionError(
-                f"{path}: dwell-time normalization must be finite with "
-                "scale > 0")
-        model = GcaModel(arch=arch, params=params, dt_offset=dt_offset,
-                         dt_scale=dt_scale, seed=manifest["seed"])
+        model = GcaModel(arch=arch, params=params,
+                         training_dwell_times=manifest["training_dwell_times"],
+                         seed=manifest["seed"])
     return model, mesh

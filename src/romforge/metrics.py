@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, ShapeError
-from .rom import PodGprRom, predict_distortion, predict_distortion_many
+from .gpr import predict_stack
+from .rom import CI95_FACTOR, PodGprRom, predict_distortion
 
 __all__ = [
     "EvalRow",
@@ -270,14 +271,16 @@ def emit_coefficient_plot(rom: PodGprRom, dts, first_k: int, path
     """Predicted coefficient curves with 95% bands, one panel per mode.
 
     Writes ``<path>.csv`` and ``<path>.svg``; training coefficients are
-    overlaid as markers. Returns the two paths.
+    overlaid as markers. Only the mode posteriors are evaluated, no fields.
+    Returns the two paths.
     """
     if first_k < 1 or first_k > rom.rank:
         raise ConfigurationError(
             f"first_k must be in [1, {rom.rank}], got {first_k}"
         )
     dts = [float(dt) for dt in dts]
-    preds = predict_distortion_many(rom, dts)
+    means, variances = predict_stack(rom.gpr_stack,
+                                     rom.input_norm.apply(np.array(dts)))
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_suffix(".csv")
@@ -287,23 +290,22 @@ def emit_coefficient_plot(rom: PodGprRom, dts, first_k: int, path
     for j in range(first_k):
         header += [f"mode_{j}_mean", f"mode_{j}_lo", f"mode_{j}_hi"]
     rows = []
-    for dt, pred in zip(dts, preds):
+    for i, dt in enumerate(dts):
         row = [dt]
         for j in range(first_k):
-            mean = pred.coeff_means[j]
-            half = 1.96 * math.sqrt(pred.coeff_variances[j])
+            mean = means[j, i]
+            half = CI95_FACTOR * math.sqrt(variances[j, i])
             row += [mean, mean - half, mean + half]
         rows.append(row)
     _write_csv(csv_path, header, rows)
 
     x = np.array(dts)
+    train_x = np.array(rom.training_dwell_times)
     panels = []
     for j in range(first_k):
         mean = np.array([r[1 + 3 * j] for r in rows])
         lo = np.array([r[2 + 3 * j] for r in rows])
         hi = np.array([r[3 + 3 * j] for r in rows])
-        train_x = np.array([rom.input_norm.offset + rom.input_norm.scale * v
-                            for v in rom.gprs[j].train_inputs])
         train_y = np.asarray(rom.gprs[j].train_targets)
         xs = np.concatenate([x, train_x]) if x.size else train_x
         ys = np.concatenate([lo, hi, train_y]) if x.size else train_y

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SnapshotTensor
+from .dataset import InputNormalization, SnapshotTensor
 from .errors import ConfigurationError, DivergenceError, ShapeError
 from .gca import (
     GcaArchitecture,
@@ -95,17 +95,15 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
         )
 
     fields = train.final_fields().T.copy()          # (B, n)
-    dts = np.array(train.dwell_times)
-    offset = float(dts.min())
-    scale = float(dts.max() - dts.min()) or 1.0
-    ts = (dts - offset) / scale
+    norm = InputNormalization(train.dwell_times)
+    ts = norm.training_inputs
 
     has_val = val is not None and val.n_mu > 0
     if has_val:
         if val.n_nodes != train.n_nodes:
             raise ShapeError("validation fields disagree with training fields")
         val_fields = val.final_fields().T.copy()
-        val_ts = (np.array(val.dwell_times) - offset) / scale
+        val_ts = norm.apply(np.array(val.dwell_times))
 
     sigma = config.noise_sigma
     if sigma is None:
@@ -162,8 +160,8 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
             # the training loss predates this step, so it was compared above
             adamw_step(params, grads, state, lr, *adamw_args)
 
-    model = GcaModel(arch=arch, params=best_params, dt_offset=offset,
-                     dt_scale=scale, seed=config.seed)
+    model = GcaModel(arch=arch, params=best_params,
+                     training_dwell_times=norm.dwell_times, seed=config.seed)
     return model, history
 
 

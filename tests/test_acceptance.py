@@ -269,7 +269,7 @@ def test_criterion_08_training_mechanics():
     stop_cfg = GcaTrainConfig(noise_sigma=0.0, max_epochs=60, patience=10)
     model, stop_hist = train_gca(train, val, graph, stop_cfg)
     fields = val.final_fields().T.copy()
-    ts = (np.array(val.dwell_times) - model.dt_offset) / model.dt_scale
+    ts = model.input_norm.apply(np.array(val.dwell_times))
     revalidated = batch_loss(model.params, graph, fields, fields, ts,
                              stop_cfg.lam)
     assert revalidated == min(h.val_loss for h in stop_hist)
@@ -335,7 +335,7 @@ def test_criterion_10_serialization_round_trips(protocol, tmp_path):
     graph = build_graph(small.mesh)
     arch = GcaArchitecture(n_nodes=small.n_nodes, enc_widths=(4, 4),
                            latent_dim=2, fc_width=4)
-    model = init_gca(arch, dt_offset=20.0, dt_scale=60.0, seed=5)
+    model = init_gca(arch, training_dwell_times=(20.0, 80.0), seed=5)
     gca_dir = tmp_path / "gca"
     save_gca(model, small.mesh, gca_dir)
     model_back, mesh_back = load_gca(gca_dir)

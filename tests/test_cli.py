@@ -7,6 +7,7 @@ built once per module.
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -21,6 +22,7 @@ from romforge.dataset import (
     save_snapshot_tensor,
 )
 from romforge.errors import ConfigurationError
+from romforge.gca import load_gca
 from romforge.pod import _BASIS_HEADER
 
 GEN_ARGS = ["--dwell-times", "20:80:10", "--layers", "2", "--radial", "2",
@@ -167,8 +169,8 @@ def test_train_summary_records_the_fit_decision(rom_dir, dataset_dir,
         assert isinstance(record["jitter_escalated"], bool)
         assert isinstance(record["at_bound"], bool)
     # the decision record stays out of the archive
-    gprs_doc = (rom_dir.parent / "rom_fit" / "gprs.json").read_text()
-    assert "lml" not in gprs_doc and "at_bound" not in gprs_doc
+    manifest = (rom_dir.parent / "rom_fit" / "manifest.json").read_text()
+    assert "lml" not in manifest and "at_bound" not in manifest
 
 
 def test_train_subset_of_dwell_times(dataset_dir, tmp_path, capsys):
@@ -253,6 +255,27 @@ def test_predict_flags_extrapolation(rom_dir, gca_dir, tmp_path, capsys):
             assert sidecar["extrapolation"] is expected
 
 
+def test_single_dwell_time_gca_flags_every_other_dwell_time(
+        dataset_dir, tmp_path, capsys):
+    # a GCA trained on 40 s alone has the one-point training range [40, 40]
+    out = tmp_path / "gca"
+    assert run(capsys, "train", "--model", "gca", "--data", dataset_dir,
+               "--out", out, "--train", "40", "--max-epochs", "2",
+               "--latent", "2", "--seed", "0")[0] == 0
+    dts = [40.0, 40.5, 41.0, 41.5]
+    expected = [False, True, True, True]
+    flags = []
+    for dt in dts:
+        code, _, _ = run(capsys, "predict", "--model-dir", out, "--dt", dt,
+                         "--out", tmp_path / "f.bin")
+        assert code == 0
+        sidecar = json.loads((tmp_path / "f.bin.json").read_text())
+        flags.append(sidecar["extrapolation"])
+    assert flags == expected
+    model, _ = load_gca(out)
+    assert model.input_norm.extrapolates(dts) == expected
+
+
 @pytest.mark.parametrize("archive", ["rom_dir", "gca_dir"])
 @pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "-5", "0"])
 def test_predict_rejects_bad_dwell_time(archive, dt, request, tmp_path,
@@ -312,27 +335,40 @@ def nan_at(offset):
 
 @pytest.mark.parametrize("archive, name, change", [
     ("rom_dir", "manifest.json", truncate),
-    ("rom_dir", "manifest.json", edited(lambda d: d.pop("rank"))),
-    ("rom_dir", "gprs.json",
-     edited(lambda d: d["modes"][0].update(length_scale=-1.0))),
-    ("rom_dir", "norm.json", edited(lambda d: d.update(scale="wide"))),
+    ("rom_dir", "manifest.json", edited(lambda d: d.pop("modes"))),
+    pytest.param("rom_dir", "manifest.json",
+                 edited(lambda d: d["modes"][0].update(length_scale=-1.0)),
+                 id="rom_dir-manifest.json-length_scale"),
     # a singular kernel with no jitter to escalate cannot be factorized
-    ("rom_dir", "gprs.json", edited(lambda d: [
-        e.update(jitter=0.0, length_scale=50.0) for e in d["modes"]])),
+    pytest.param("rom_dir", "manifest.json",
+                 edited(lambda d: [e.update(jitter=0.0, length_scale=50.0)
+                                   for e in d["modes"]]),
+                 id="rom_dir-manifest.json-singular_kernel"),
     ("gca_dir", "gca.json", truncate),
-    ("gca_dir", "gca.json", edited(lambda d: d.pop("dt_scale"))),
+    ("gca_dir", "gca.json", edited(lambda d: d.pop("training_dwell_times"))),
     ("gca_dir", "gca.json", edited(lambda d: d.update(enc_widths=None))),
     # non-finite binary payloads: the first basis reference value, the last
     # GCA weight
     ("rom_dir", "basis.bin", nan_at(_BASIS_HEADER.size)),
     ("gca_dir", "gca_weights.bin", nan_at(-8)),
-    # norm.json must be the min and range of the manifest's dwell times
+    # the GP inputs are derived from the dwell times, so two dwell times no
+    # longer fit the seven stored targets
     pytest.param("rom_dir", "manifest.json",
                  edited(lambda d: d.update(training_dwell_times=[1.0, 2.0])),
                  id="rom_dir-manifest.json-dwell_times"),
-    pytest.param("rom_dir", "norm.json",
-                 edited(lambda d: d.update(offset=21.0)),
-                 id="rom_dir-norm.json-offset"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d.update(training_dwell_times=[math.nan])),
+                 id="gca_dir-gca.json-dwell_times_nan"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d.update(training_dwell_times=[])),
+                 id="gca_dir-gca.json-dwell_times_empty"),
+    # the archives of the previous layouts are not read
+    pytest.param("rom_dir", "manifest.json",
+                 edited(lambda d: d.update(version=1)),
+                 id="rom_dir-manifest.json-version_1"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d.update(version=1)),
+                 id="gca_dir-gca.json-version_1"),
 ])
 def test_hand_edited_archive_is_io_failure(archive, name, change, request,
                                            tmp_path, capsys):

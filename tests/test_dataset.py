@@ -10,6 +10,7 @@ import pytest
 from romforge.dataset import (
     CYLINDER_RADIUS_MM,
     LAYER_THICKNESS_MM,
+    InputNormalization,
     MeshGeometry,
     ParameterPoint,
     SnapshotMatrix,
@@ -58,13 +59,29 @@ def zeros_tensor(n_nodes=2, n_steps=2):
     return SnapshotTensor((mat,), tiny_mesh(n_nodes, n_steps))
 
 
-# ParameterPoint and mesh validation -----------------------------------------
+# ParameterPoint, normalization and mesh validation ---------------------------
 
 def test_parameter_point_requires_positive_dwell():
     assert ParameterPoint(20.0).dwell_time == 20.0
     for bad in (0.0, -5.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError):
             ParameterPoint(bad)
+
+
+def test_input_normalization_range_and_extrapolation():
+    norm = InputNormalization([80, 20.0, 50.0])
+    assert (norm.offset, norm.scale) == (20.0, 60.0)
+    np.testing.assert_array_equal(norm.training_inputs, [1.0, 0.0, 0.5])
+    assert norm.extrapolates([20.0, 80.0, 19.9, 80.1, math.nan]) == [
+        False, False, True, True, True]
+    # one dwell time: the scale only normalizes; every other dwell time is
+    # outside the one-point range
+    single = InputNormalization([40.0])
+    assert (single.offset, single.scale) == (40.0, 1.0)
+    assert single.extrapolates([40.0, 40.5, 39.5]) == [False, True, True]
+    for bad in ([], [20.0, math.nan], [math.inf]):
+        with pytest.raises(ConfigurationError):
+            InputNormalization(bad)
 
 
 def test_mesh_rejects_self_loops_duplicates_and_bad_indices():
@@ -285,22 +302,43 @@ def test_nan_payload_is_a_data_error(tmp_path):
 
 
 def test_meta_dimension_mismatch_is_a_corruption_error(tmp_path):
-    tensor = generate_synthetic_dataset(2, 4, 3, [20.0])
-    save_snapshot_tensor(tensor, tmp_path)
-    # drop the last column from the binary while meta still declares 3 steps
-    write_snapshot_bin(tensor.matrices[0].values[:, :2], tmp_path / "snap_0.bin")
-    with pytest.raises(CorruptionError):
-        load_snapshot_tensor(tmp_path)
+    # meta.json declares no dimensions of its own: the snapshot files must
+    # agree with each other and with the mesh
+    tensor = generate_synthetic_dataset(2, 4, 3, [20.0, 30.0])
+    values = tensor.matrices[1].values
+    for bad in (values[:, :2], values[:-1]):  # one step fewer, one node fewer
+        save_snapshot_tensor(tensor, tmp_path)
+        write_snapshot_bin(bad, tmp_path / "snap_1.bin")
+        with pytest.raises(CorruptionError):
+            load_snapshot_tensor(tmp_path)
 
 
 def test_meta_is_valid_json_with_declared_dimensions(tmp_path):
+    # the dwell-time list, the mesh and the SNPT headers declare every
+    # dimension once
+    tensor = generate_synthetic_dataset(2, 4, 2, [20.0, 30.0])
+    save_snapshot_tensor(tensor, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "meta.json", "snap_0.bin", "snap_1.bin"]
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert set(meta) == {"version", "dwell_times", "mesh"}
+    assert set(meta["mesh"]) == {"node_coords", "layer_index", "edges"}
+    assert meta["dwell_times"] == [20.0, 30.0]
+    assert len(meta["mesh"]["node_coords"]) == tensor.n_nodes
+
+
+def test_meta_with_the_old_dimension_keys_still_loads(tmp_path):
     tensor = generate_synthetic_dataset(2, 4, 2, [20.0, 30.0])
     save_snapshot_tensor(tensor, tmp_path)
     meta = json.loads((tmp_path / "meta.json").read_text())
-    assert meta["n_mu"] == 2
-    assert meta["n_h"] == tensor.n_nodes
-    assert meta["n_t"] == 2
-    assert meta["dwell_times"] == [20.0, 30.0]
+    assert not {"n_mu", "n_h", "n_t"} & set(meta)
+    # the form of older datasets, which also stored their dimensions
+    meta.update(n_mu=2, n_h=tensor.n_nodes, n_t=2)
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    loaded = load_snapshot_tensor(tmp_path)
+    assert loaded.dwell_times == [20.0, 30.0]
+    for got, want in zip(loaded.matrices, tensor.matrices):
+        assert np.array_equal(got.values, want.values)
 
 
 # Splits ----------------------------------------------------------------------

@@ -6,12 +6,15 @@ equivariance, loss decomposition, which gradients a loss term can touch) are
 asserted exactly.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from romforge.dataset import MeshGeometry, generate_synthetic_dataset
 from romforge.errors import CorruptionError, DataError, FormatError
 from romforge.gca import (
+    GCA_VERSION,
     GcaArchitecture,
     GcaModel,
     _decode,
@@ -118,8 +121,8 @@ def test_gc_layer_single_node_identity_weights():
     params["dec_head_b"] = feats          # the seed features of the node
     params["dec_gc1_w"] = np.eye(2)
     params["dec_gc2_w"] = np.array([[1.0], [0.0]])
-    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
-                     seed=0)
+    model = GcaModel(arch=arch, params=params,
+                     training_dwell_times=(0.0, 1.0), seed=0)
     np.testing.assert_allclose(predict_gca(model, graph, 0.5),
                                elu(elu(feats))[:1], atol=1e-15)
 
@@ -199,8 +202,8 @@ def test_elu_grad_from_the_activation_matches_exp():
 def test_zero_weights_give_zero_outputs(irregular):
     _, graph, arch, _ = irregular
     zeros = {name: np.zeros(shape) for name, shape in arch.param_shapes()}
-    model = GcaModel(arch=arch, params=zeros, dt_offset=0.0, dt_scale=1.0,
-                     seed=0)
+    model = GcaModel(arch=arch, params=zeros,
+                     training_dwell_times=(0.0, 1.0), seed=0)
     rng = np.random.default_rng(0)
     x_hat, z, z_p = forward_one(zeros, graph, rng.normal(size=graph.n_nodes),
                                 0.4)
@@ -363,8 +366,8 @@ def test_init_params_glorot_bounds_and_determinism(irregular):
 
 def test_predict_matches_dense_reimplementation(irregular):
     _, graph, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=20.0, dt_scale=60.0,
-                     seed=2)
+    model = GcaModel(arch=arch, params=params,
+                     training_dwell_times=(20.0, 80.0), seed=2)
     dt = 47.0
     # independent dense-numpy walk through the parameter branch and decoder
     def act(v):
@@ -388,13 +391,13 @@ def test_predict_agrees_with_forward_decoder(irregular):
     # prediction is the training pass's decoder applied to the training
     # pass's parameter-branch latent, bit for bit
     _, graph, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=20.0, dt_scale=60.0,
-                     seed=2)
+    model = GcaModel(arch=arch, params=params,
+                     training_dwell_times=(20.0, 80.0), seed=2)
     rng = np.random.default_rng(23)
     for dt in (35.0, 47.0, 95.0):
         x = rng.normal(size=(graph.n_nodes, 1, 1))
         _, _, z_p, _ = _forward_batch(params, graph, x,
-                                      np.array([[model.normalize_dt(dt)]]))
+                                      np.array([[model.input_norm.apply(dt)]]))
         np.testing.assert_array_equal(predict_gca(model, graph, dt),
                                       _decode(params, graph, z_p)[:, 0, 0])
 
@@ -404,12 +407,12 @@ def test_predict_agrees_with_forward_decoder(irregular):
 
 def test_checkpoint_round_trip_is_bit_exact(irregular, tmp_path):
     mesh, graph, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=20.0, dt_scale=60.0,
-                     seed=2)
+    model = GcaModel(arch=arch, params=params,
+                     training_dwell_times=(20.0, 80.0), seed=2)
     save_gca(model, mesh, tmp_path / "ckpt")
     back, mesh_back = load_gca(tmp_path / "ckpt")
     assert back.arch == arch
-    assert back.dt_offset == 20.0 and back.dt_scale == 60.0
+    assert back.training_dwell_times == (20.0, 80.0)
     for name in params:
         np.testing.assert_array_equal(back.params[name], params[name])
     np.testing.assert_array_equal(mesh_back.node_coords, mesh.node_coords)
@@ -419,10 +422,27 @@ def test_checkpoint_round_trip_is_bit_exact(irregular, tmp_path):
     )
 
 
+def test_checkpoint_layout_stores_each_fact_once(irregular, tmp_path):
+    # the node count comes from the mesh and the normalization from the
+    # training dwell times
+    mesh, _, arch, params = irregular
+    model = GcaModel(arch=arch, params=params,
+                     training_dwell_times=(20.0, 50.0, 80.0), seed=2)
+    save_gca(model, mesh, tmp_path / "ckpt")
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+        "gca.json", "gca_weights.bin"]
+    manifest = json.loads((tmp_path / "ckpt" / "gca.json").read_text())
+    assert set(manifest) == {"version", "model", "seed", "latent_dim",
+                             "enc_widths", "fc_width",
+                             "training_dwell_times", "mesh"}
+    assert manifest["version"] == GCA_VERSION == 2
+    assert manifest["training_dwell_times"] == [20.0, 50.0, 80.0]
+
+
 def test_checkpoint_truncation_detected(irregular, tmp_path):
     mesh, _, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
-                     seed=2)
+    model = GcaModel(arch=arch, params=params,
+                     training_dwell_times=(0.0, 1.0), seed=2)
     save_gca(model, mesh, tmp_path / "ckpt")
     blob = (tmp_path / "ckpt" / "gca_weights.bin").read_bytes()
     (tmp_path / "ckpt" / "gca_weights.bin").write_bytes(blob[:-8])
@@ -432,8 +452,8 @@ def test_checkpoint_truncation_detected(irregular, tmp_path):
 
 def test_checkpoint_non_finite_weight_is_a_data_error(irregular, tmp_path):
     mesh, _, arch, params = irregular
-    model = GcaModel(arch=arch, params=params, dt_offset=0.0, dt_scale=1.0,
-                     seed=2)
+    model = GcaModel(arch=arch, params=params,
+                     training_dwell_times=(0.0, 1.0), seed=2)
     save_gca(model, mesh, tmp_path / "ckpt")
     blob = (tmp_path / "ckpt" / "gca_weights.bin").read_bytes()
     (tmp_path / "ckpt" / "gca_weights.bin").write_bytes(
@@ -450,7 +470,7 @@ def test_checkpoint_missing_manifest(tmp_path):
 
 def test_init_gca_builds_a_usable_model(irregular):
     _, graph, arch, _ = irregular
-    model = init_gca(arch, dt_offset=20.0, dt_scale=60.0, seed=9)
-    assert model.normalize_dt(50.0) == pytest.approx(0.5)
+    model = init_gca(arch, training_dwell_times=(20.0, 80.0), seed=9)
+    assert model.input_norm.apply(50.0) == pytest.approx(0.5)
     field = predict_gca(model, graph, 50.0)
     assert field.shape == (graph.n_nodes,)

@@ -28,7 +28,7 @@ from romforge.errors import (
 from romforge.gpr import log_marginal_likelihood
 from romforge.pod import _BASIS_HEADER, project, reconstruct
 from romforge.rom import (
-    InputNormalization,
+    ROM_VERSION,
     PodGprRom,
     load_rom,
     predict_distortion,
@@ -213,7 +213,6 @@ def test_gp_input_mismatch_is_rejected(rom):
         PodGprRom(
             basis=rom.basis,
             gprs=tuple(bad),
-            input_norm=rom.input_norm,
             training_dwell_times=rom.training_dwell_times,
         )
 
@@ -235,20 +234,28 @@ def test_archive_round_trip_is_exact(rom, tmp_path):
 
 
 def test_archive_contents_are_enumerable(rom, tmp_path):
+    # each fact is stored once: the GP inputs, the normalization and the
+    # rank all follow from the dwell times, the modes and basis.bin
     save_rom(rom, tmp_path / "rom")
     names = sorted(p.name for p in (tmp_path / "rom").iterdir())
-    assert names == ["basis.bin", "gprs.json", "manifest.json", "norm.json"]
+    assert names == ["basis.bin", "manifest.json"]
     manifest = json.loads((tmp_path / "rom" / "manifest.json").read_text())
+    assert set(manifest) == {"version", "model", "training_dwell_times",
+                             "modes"}
+    assert manifest["version"] == ROM_VERSION == 2
     assert manifest["model"] == "pod-gpr"
-    assert manifest["rank"] == rom.rank
+    assert manifest["training_dwell_times"] == TRAIN_DTS
+    assert len(manifest["modes"]) == rom.rank
+    for mode in manifest["modes"]:
+        assert set(mode) == {"signal_variance", "length_scale", "jitter",
+                             "train_targets_hex"}
 
 
-def test_missing_mode_entry_is_named(rom, tmp_path):
+def test_version_1_archive_is_a_format_error(rom, tmp_path):
     save_rom(rom, tmp_path / "rom")
-    doc = json.loads((tmp_path / "rom" / "gprs.json").read_text())
-    doc["modes"] = [e for e in doc["modes"] if e["mode"] != 1]
-    (tmp_path / "rom" / "gprs.json").write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match="mode 1"):
+    edit_json(tmp_path / "rom" / "manifest.json",
+              lambda d: d.update(version=1))
+    with pytest.raises(FormatError, match="version 1"):
         load_rom(tmp_path / "rom")
 
 
@@ -258,7 +265,7 @@ def test_prediction_caches_stay_out_of_the_archive(dataset, tmp_path):
     save_rom(fresh, tmp_path / "before")
     predict_distortion_many(fresh, [30.0, 60.0])
     save_rom(fresh, tmp_path / "after")
-    for name in ("basis.bin", "gprs.json", "manifest.json", "norm.json"):
+    for name in ("basis.bin", "manifest.json"):
         assert ((tmp_path / "before" / name).read_bytes()
                 == (tmp_path / "after" / name).read_bytes())
 
@@ -279,21 +286,20 @@ def edit_json(path, edit):
 
 
 @pytest.mark.parametrize("name, edit", [
-    ("manifest.json", lambda d: d.pop("rank")),
+    ("manifest.json", lambda d: d.pop("modes")),
     ("manifest.json", lambda d: d.update(training_dwell_times=None)),
-    ("gprs.json", lambda d: d["modes"][0].update(length_scale=-0.5)),
-    ("gprs.json", lambda d: d["modes"][1].pop("jitter")),
-    ("gprs.json", lambda d: d["modes"][0].update(train_inputs_hex="zz")),
-    ("gprs.json", lambda d: d.update(modes=7)),
-    ("norm.json", lambda d: d.update(scale=0.0)),
-    ("norm.json", lambda d: d.pop("offset")),
-    ("gprs.json", lambda d: d["modes"][0].update(
-        train_targets_hex=nan_first(d["modes"][0]["train_targets_hex"]))),
-    ("gprs.json", lambda d: d["modes"][1].update(
-        train_inputs_hex=nan_first(d["modes"][1]["train_inputs_hex"]))),
-    ("gprs.json", lambda d: d["modes"][0].update(jitter=float("nan"))),
-    ("gprs.json", lambda d: d["modes"][0].update(jitter=-1.0)),
     ("manifest.json", lambda d: d.update(training_dwell_times=[])),
+    ("manifest.json", lambda d: d["modes"][0].update(length_scale=-0.5)),
+    ("manifest.json", lambda d: d["modes"][1].pop("jitter")),
+    ("manifest.json", lambda d: d.update(modes=7)),
+    ("manifest.json", lambda d: d["modes"][0].update(
+        train_targets_hex=nan_first(d["modes"][0]["train_targets_hex"]))),
+    ("manifest.json", lambda d: d["modes"][0].update(jitter=float("nan"))),
+    ("manifest.json", lambda d: d["modes"][0].update(jitter=-1.0)),
+    # one mode fewer than the basis has
+    ("manifest.json", lambda d: d["modes"].pop(1)),
+    ("manifest.json", lambda d: d["training_dwell_times"].__setitem__(
+        0, float("nan"))),
 ])
 def test_bad_archive_values_are_corruption(rom, tmp_path, name, edit):
     save_rom(rom, tmp_path / "rom")
@@ -302,7 +308,7 @@ def test_bad_archive_values_are_corruption(rom, tmp_path, name, edit):
         load_rom(tmp_path / "rom")
 
 
-@pytest.mark.parametrize("name", ["manifest.json", "gprs.json", "norm.json"])
+@pytest.mark.parametrize("name", ["manifest.json"])
 def test_malformed_archive_json_is_a_format_error(rom, tmp_path, name):
     save_rom(rom, tmp_path / "rom")
     text = (tmp_path / "rom" / name).read_text()

@@ -226,7 +226,7 @@ def test_best_validation_weights_are_returned():
     model, history = train_gca(train, val, graph, config)
 
     fields = val.final_fields().T.copy()
-    ts = (np.array(val.dwell_times) - model.dt_offset) / model.dt_scale
+    ts = model.input_norm.apply(np.array(val.dwell_times))
     revalidated = batch_loss(model.params, graph, fields, fields, ts,
                              config.lam)
     assert revalidated == min(h.val_loss for h in history)
@@ -243,7 +243,7 @@ def test_best_training_weights_are_returned(tiny):
     assert len(history) == 40 and losses.index(min(losses)) < 39
 
     fields = data.final_fields().T.copy()
-    ts = (np.array(data.dwell_times) - model.dt_offset) / model.dt_scale
+    ts = model.input_norm.apply(np.array(data.dwell_times))
     assert batch_loss(model.params, graph, fields, fields, ts,
                       config.lam) == min(losses)
 
