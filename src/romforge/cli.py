@@ -209,9 +209,16 @@ def _load_any_model(model_dir: Path):
 
     ``predict(dts)`` returns one mean field per dwell time and a matching
     list of extrapolation flags. ``model`` is the loaded :class:`PodGprRom`
-    or :class:`GcaModel`.
+    or :class:`GcaModel`. A directory that holds both layouts is a
+    :class:`FormatError`: neither archive can be trusted to be the current
+    one.
     """
-    if (model_dir / "manifest.json").is_file():
+    rom_manifest = model_dir / "manifest.json"
+    gca_manifest = model_dir / "gca.json"
+    if rom_manifest.is_file() and gca_manifest.is_file():
+        raise FormatError(f"{model_dir} holds two model archives, "
+                          f"{rom_manifest} and {gca_manifest}")
+    if rom_manifest.is_file():
         rom = load_rom(model_dir)
 
         def predict(dts):
@@ -219,7 +226,7 @@ def _load_any_model(model_dir: Path):
             return ([p.mean_field for p in preds],
                     [p.extrapolation for p in preds])
         return "pod-gpr", rom, predict
-    if (model_dir / "gca.json").is_file():
+    if gca_manifest.is_file():
         model, mesh = load_gca(model_dir)
         graph = build_graph(mesh)
 
@@ -227,10 +234,8 @@ def _load_any_model(model_dir: Path):
             return ([predict_gca(model, graph, dt) for dt in dts],
                     model.input_norm.extrapolates(dts))
         return "gca", model, predict
-    raise FormatError(
-        f"{model_dir} holds no model archive: expected "
-        f"{model_dir / 'manifest.json'} or {model_dir / 'gca.json'}"
-    )
+    raise FormatError(f"{model_dir} holds no model archive: expected "
+                      f"{rom_manifest} or {gca_manifest}")
 
 
 def cmd_predict(ns: SimpleNamespace) -> dict:

@@ -33,7 +33,7 @@ from .errors import (
 
 SNAP_MAGIC = b"SNPT"
 SNAP_VERSION = 1
-_SNAP_HEADER = struct.Struct("<4sBII")  # magic, version, n_nodes, n_steps
+_SNAP_HEADER = struct.Struct("<4sBII")  # magic, version, rows, columns
 
 #: Geometry constants of the synthetic cylinder (mm).
 CYLINDER_RADIUS_MM = 5.0
@@ -343,22 +343,29 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
 # Binary I/O ==================================================================
 
 def write_snapshot_bin(values: np.ndarray, path) -> None:
-    """Write one snapshot matrix as an SNPT binary file.
+    """Write a 2-D array (a 1-D one as one column) as an SNPT binary file.
 
-    Layout: magic ``SNPT``, u8 version, u32 LE node count, u32 LE step count,
-    then the float64 LE values in node-major (row-major) order.
+    Layout: magic ``SNPT``, u8 version, u32 LE row count, u32 LE column
+    count, then the float64 LE values in row-major order. Every array an
+    archive stores uses this layout. A contiguous little-endian float64
+    array is written straight from its buffer, without a copy.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype="<f8")
     if values.ndim == 1:
         values = values[:, None]
     header = _SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION, *values.shape)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(values).astype("<f8").tobytes())
+        fh.write(values.data)
 
 
 def read_snapshot_bin(path) -> np.ndarray:
-    """Read an SNPT binary file back into an (n_nodes, n_steps) array."""
+    """Read an SNPT binary file back into a 2-D float64 array.
+
+    A bad magic or version is a :class:`FormatError`, a size that disagrees
+    with the header a :class:`CorruptionError`, and a NaN or infinite value
+    a :class:`DataError`.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != SNAP_MAGIC:
         raise FormatError(f"{path}: bad magic, not an SNPT file")
@@ -421,10 +428,7 @@ def load_snapshot_tensor(path) -> SnapshotTensor:
     """
     path = Path(path)
     with archive_values(path):
-        meta = read_json(path / "meta.json")
-        if meta.get("version") != SNAP_VERSION:
-            raise FormatError(
-                f"unsupported meta.json version {meta.get('version')}")
+        meta = read_json(path / "meta.json", SNAP_VERSION)
         matrices = tuple(
             SnapshotMatrix(read_snapshot_bin(path / f"snap_{i}.bin"),
                            ParameterPoint(dt))

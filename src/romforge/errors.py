@@ -67,14 +67,20 @@ def write_json(path: Path, doc) -> None:
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
 
 
-def read_json(path: Path):
-    """Parse a JSON archive file; missing or malformed is a FormatError."""
+def read_json(path: Path, version: int) -> dict:
+    """Parse a JSON archive file whose ``version`` key must equal ``version``.
+
+    A missing or malformed file, or another version, is a FormatError.
+    """
     if not path.is_file():
         raise FormatError(f"{path} is missing")
     try:
-        return json.loads(path.read_bytes())
+        doc = json.loads(path.read_bytes())
     except ValueError as exc:  # JSONDecodeError and undecodable bytes
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    if doc.get("version") != version:
+        raise FormatError(f"{path}: unsupported version {doc.get('version')}")
+    return doc
 
 
 @contextmanager

@@ -28,15 +28,10 @@ from .dataset import (
     MeshGeometry,
     _mesh_from_dict,
     _mesh_to_dict,
+    read_snapshot_bin,
+    write_snapshot_bin,
 )
-from .errors import (
-    CorruptionError,
-    DataError,
-    FormatError,
-    archive_values,
-    read_json,
-    write_json,
-)
+from .errors import CorruptionError, archive_values, read_json, write_json
 
 __all__ = [
     "Graph",
@@ -50,7 +45,7 @@ __all__ = [
     "load_gca",
 ]
 
-GCA_VERSION = 2
+GCA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,11 @@ def predict_gca(model: GcaModel, graph: Graph, dwell_time: float) -> np.ndarray:
 # Checkpoint I/O ==============================================================
 
 def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
-    """Write ``gca.json`` (manifest + mesh) and ``gca_weights.bin``."""
+    """Write ``gca.json`` (manifest + mesh) and ``gca_weights.bin``.
+
+    ``gca_weights.bin`` is an SNPT array of shape (n_params, 1): every
+    tensor flattened, in the architecture's parameter order.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     write_json(path / "gca.json", {
@@ -323,11 +322,10 @@ def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
         "training_dwell_times": list(model.training_dwell_times),
         "mesh": _mesh_to_dict(mesh),
     })
-    blob = b"".join(
-        np.ascontiguousarray(model.params[name]).astype("<f8").tobytes()
-        for name, _ in model.arch.param_shapes()
-    )
-    (path / "gca_weights.bin").write_bytes(blob)
+    write_snapshot_bin(
+        np.concatenate([model.params[name].ravel()
+                        for name, _ in model.arch.param_shapes()]),
+        path / "gca_weights.bin")
 
 
 def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
@@ -339,10 +337,7 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
     """
     path = Path(path)
     with archive_values(path):
-        manifest = read_json(path / "gca.json")
-        if manifest.get("version") != GCA_VERSION:
-            raise FormatError(
-                f"unsupported GCA version {manifest.get('version')}")
+        manifest = read_json(path / "gca.json", GCA_VERSION)
         mesh = _mesh_from_dict(manifest["mesh"])
         arch = GcaArchitecture(
             n_nodes=mesh.n_nodes,
@@ -350,23 +345,18 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
             latent_dim=manifest["latent_dim"],
             fc_width=manifest["fc_width"],
         )
-        raw = (path / "gca_weights.bin").read_bytes()
-        expected = 8 * sum(int(np.prod(shape))
-                           for _, shape in arch.param_shapes())
-        if len(raw) != expected:
+        weights = read_snapshot_bin(path / "gca_weights.bin")
+        n_params = sum(int(np.prod(shape)) for _, shape in arch.param_shapes())
+        if weights.shape != (n_params, 1):
             raise CorruptionError(
-                f"gca_weights.bin holds {len(raw)} bytes, manifest implies "
-                f"{expected}"
+                f"{path / 'gca_weights.bin'} holds shape {weights.shape}, "
+                f"manifest implies ({n_params}, 1)"
             )
-        weights = np.frombuffer(raw, "<f8")
-        if not np.isfinite(weights).all():
-            raise DataError(f"{path / 'gca_weights.bin'}: payload contains "
-                            "NaN or Inf")
         params = {}
         offset = 0
         for name, shape in arch.param_shapes():
             count = int(np.prod(shape))
-            params[name] = weights[offset:offset + count].reshape(shape).copy()
+            params[name] = weights[offset:offset + count].reshape(shape)
             offset += count
         model = GcaModel(arch=arch, params=params,
                          training_dwell_times=manifest["training_dwell_times"],

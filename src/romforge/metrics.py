@@ -8,7 +8,6 @@ Every CSV value is written with full repr precision so files round-trip.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import time
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, ShapeError
 from .gpr import predict_stack
-from .rom import CI95_FACTOR, PodGprRom, predict_distortion
+from .rom import CI95_FACTOR, PodGprRom
 
 __all__ = [
     "EvalRow",
@@ -81,7 +80,6 @@ class EvalRow:
 @dataclass(frozen=True)
 class EvalReport:
     rows: tuple[EvalRow, ...]
-    train_seconds: float | None = None
     predict_seconds_mean: float | None = None
 
 
@@ -111,8 +109,6 @@ def report_to_dict(report: EvalReport) -> dict:
             for r in report.rows
         ]
     }
-    if report.train_seconds is not None:
-        out["train_seconds"] = report.train_seconds
     if report.predict_seconds_mean is not None:
         out["predict_seconds_mean"] = report.predict_seconds_mean
     return out
@@ -121,7 +117,6 @@ def report_to_dict(report: EvalReport) -> dict:
 def report_from_dict(data: dict) -> EvalReport:
     rows = tuple(EvalRow(**row) for row in data["rows"])
     return EvalReport(rows=rows,
-                      train_seconds=data.get("train_seconds"),
                       predict_seconds_mean=data.get("predict_seconds_mean"))
 
 
@@ -356,13 +351,10 @@ class TimingResult:
 def time_predict(predict, dts, repeats: int) -> TimingResult:
     """Per-call prediction latency over `repeats` sweeps of `dts`.
 
-    ``predict`` is any one-dwell-time predictor, ``dt -> prediction``; a
-    :class:`PodGprRom` stands for ``predict_distortion`` on it. One untimed
-    warm-up sweep runs first. Each sweep is timed as a whole and divided by
-    the number of dwell times; statistics are over sweeps.
+    ``predict`` is any one-dwell-time predictor, ``dt -> prediction``. One
+    untimed warm-up sweep runs first. Each sweep is timed as a whole and
+    divided by the number of dwell times; statistics are over sweeps.
     """
-    if isinstance(predict, PodGprRom):
-        predict = functools.partial(predict_distortion, predict)
     if repeats < 1:
         raise ConfigurationError("repeats must be at least 1")
     dts = [float(dt) for dt in dts]

@@ -9,20 +9,16 @@ snapshots, which yields identical modes at a fraction of the memory.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
-    CorruptionError,
     DataError,
     DegenerateBasisError,
-    FormatError,
     ShapeError,
 )
 
@@ -32,24 +28,14 @@ __all__ = [
     "project",
     "reconstruct",
     "energy_fraction",
-    "save_basis",
-    "load_basis",
 ]
-
-BASIS_MAGIC = b"PODB"
-BASIS_VERSION = 1
-_BASIS_HEADER = struct.Struct("<4sBIII")  # magic, version, n_nodes, rank, m
-
-#: Relative singular-value cutoff; modes below it are never formed (their
-#: eigenvectors are numerically meaningless and would divide by ~0).
-SV_RELATIVE_CUTOFF = 1e-12
 
 
 def _sigma_floor(m: int) -> float:
     # the Gram route squares the condition number: eigenvalues carry an
     # absolute error ~m*eps*lambda_1, so sigmas below ~sqrt(m*eps)*sigma_1
-    # are pure rounding noise no matter how small the nominal cutoff is
-    return max(SV_RELATIVE_CUTOFF, 4.0 * math.sqrt(m * np.finfo(np.float64).eps))
+    # are pure rounding noise; modes below the floor are never formed
+    return 4.0 * math.sqrt(m * np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -91,7 +77,7 @@ class PodBasis:
             raise ConfigurationError(
                 f"rank must be in [1, {sv.shape[0]}], got {self.rank}"
             )
-        if np.any(sv < 0.0) or np.any(np.diff(sv) > 0.0):
+        if not np.all(sv >= 0.0) or np.any(np.diff(sv) > 0.0):
             raise ConfigurationError(
                 "singular values must be nonnegative and descending"
             )
@@ -227,56 +213,16 @@ def reconstruct(basis: PodBasis, coefficients: np.ndarray) -> np.ndarray:
 
 
 def energy_fraction(singular_values: np.ndarray, r: int) -> float:
-    """Cumulative squared-singular-value fraction of the first ``r`` values."""
+    """Cumulative squared-singular-value fraction of the first ``r`` values.
+
+    All-zero singular values are a :class:`DegenerateBasisError`.
+    """
     singular_values = np.asarray(singular_values, dtype=np.float64)
     if not 1 <= r <= singular_values.shape[0]:
         raise IndexError(
             f"r must be in [1, {singular_values.shape[0]}], got {r}"
         )
     total = np.sum(singular_values**2)
+    if total == 0.0:
+        raise DegenerateBasisError("singular values are all zero")
     return float(np.sum(singular_values[:r] ** 2) / total)
-
-
-def save_basis(basis: PodBasis, path) -> None:
-    """Serialize a basis to the PODB binary layout (all little-endian f64)."""
-    n_nodes, rank = basis.modes.shape
-    m = basis.singular_values.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_BASIS_HEADER.pack(BASIS_MAGIC, BASIS_VERSION, n_nodes, rank, m))
-        fh.write(basis.reference.astype("<f8").tobytes())
-        fh.write(np.asfortranarray(basis.modes).astype("<f8").tobytes(order="F"))
-        fh.write(basis.singular_values.astype("<f8").tobytes())
-
-
-def load_basis(path) -> PodBasis:
-    """Load a basis written by :func:`save_basis`, validating the header.
-
-    A NaN or infinite value in the payload is a :class:`DataError`.
-    """
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != BASIS_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a PODB file")
-    if len(raw) < _BASIS_HEADER.size:
-        raise CorruptionError(f"{path}: truncated header")
-    _, version, n_nodes, rank, m = _BASIS_HEADER.unpack_from(raw)
-    if version != BASIS_VERSION:
-        raise FormatError(f"{path}: unsupported PODB version {version}")
-    expected = _BASIS_HEADER.size + 8 * (n_nodes + n_nodes * rank + m)
-    if len(raw) != expected:
-        raise CorruptionError(
-            f"{path}: file holds {len(raw)} bytes, header implies {expected}"
-        )
-    payload = np.frombuffer(raw, "<f8", offset=_BASIS_HEADER.size)
-    if not np.isfinite(payload).all():
-        raise DataError(f"{path}: payload contains NaN or Inf")
-    reference = payload[:n_nodes].copy()
-    modes = payload[n_nodes:n_nodes * (rank + 1)]
-    modes = modes.reshape((n_nodes, rank), order="F").copy()
-    sigma = payload[n_nodes * (rank + 1):].copy()
-    return PodBasis(
-        modes=modes,
-        singular_values=sigma,
-        reference=reference,
-        rank=rank,
-        energy_captured=energy_fraction(sigma, rank),
-    )

@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import InputNormalization, SnapshotTensor
-from .errors import (
-    ConfigurationError,
-    FormatError,
-    archive_values,
-    read_json,
-    write_json,
+from .dataset import (
+    InputNormalization,
+    SnapshotTensor,
+    read_snapshot_bin,
+    write_snapshot_bin,
 )
+from .errors import ConfigurationError, archive_values, read_json, write_json
 from .gpr import (
     GprModel,
     GprStack,
@@ -37,7 +36,7 @@ from .gpr import (
 )
 # perfbench's tracer wraps romforge.rom.fit_gpr, so the name stays bound
 from .gpr import fit_gpr  # noqa: F401
-from .pod import PodBasis, compute_pod, load_basis, project, save_basis
+from .pod import PodBasis, compute_pod, energy_fraction, project
 
 __all__ = [
     "FieldPrediction",
@@ -49,7 +48,7 @@ __all__ = [
     "load_rom",
 ]
 
-ROM_VERSION = 2
+ROM_VERSION = 3
 
 #: Two-sided 95% confidence half-width in standard deviations.
 CI95_FACTOR = 1.96
@@ -168,40 +167,36 @@ def predict_distortion(rom: PodGprRom, dwell_time: float) -> FieldPrediction:
 
 # Archive I/O =================================================================
 
-def _hex(values: np.ndarray) -> str:
-    return np.asarray(values, dtype=np.float64).astype("<f8").tobytes().hex()
-
-
-def _unhex(text: str) -> np.ndarray:
-    return np.frombuffer(bytes.fromhex(text), dtype="<f8").copy()
-
-
 def save_rom(rom: PodGprRom, path) -> None:
     """Write the archive directory: ``manifest.json`` and ``basis.bin``.
 
-    The manifest holds the training dwell times and, per mode in order, the
-    GP hyperparameters and training targets; the targets are hex-encoded
-    little-endian float64, so the archive is human-inspectable yet
-    reproduces predictions bit-exactly. The GP inputs are not stored: they
-    are the normalized training dwell times.
+    The manifest holds the training dwell times, the singular values and,
+    per mode in order, the GP hyperparameters and training targets, all as
+    JSON floats, which round-trip float64 exactly. ``basis.bin`` is an SNPT
+    array of shape (n_nodes, rank + 1): the reference field, then the
+    modes. The GP inputs are not stored: they are the normalized training
+    dwell times.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    basis = rom.basis
     write_json(path / "manifest.json", {
         "version": ROM_VERSION,
         "model": "pod-gpr",
         "training_dwell_times": list(rom.training_dwell_times),
+        "singular_values": basis.singular_values.tolist(),
         "modes": [
             {
                 "signal_variance": g.kernel.signal_variance,
                 "length_scale": g.kernel.length_scale,
                 "jitter": g.noise_jitter,
-                "train_targets_hex": _hex(g.train_targets),
+                "train_targets": g.train_targets.tolist(),
             }
             for g in rom.gprs
         ],
     })
-    save_basis(rom.basis, path / "basis.bin")
+    write_snapshot_bin(np.column_stack([basis.reference, basis.modes]),
+                       path / "basis.bin")
 
 
 def load_rom(path) -> PodGprRom:
@@ -213,16 +208,17 @@ def load_rom(path) -> PodGprRom:
     """
     path = Path(path)
     with archive_values(path):
-        manifest = read_json(path / "manifest.json")
-        if manifest.get("version") != ROM_VERSION:
-            raise FormatError(
-                f"unsupported ROM archive version {manifest.get('version')}"
-            )
-        basis = load_basis(path / "basis.bin")
+        manifest = read_json(path / "manifest.json", ROM_VERSION)
+        columns = read_snapshot_bin(path / "basis.bin")
+        sigma = np.array(manifest["singular_values"], dtype=np.float64)
+        rank = columns.shape[1] - 1
+        basis = PodBasis(modes=columns[:, 1:], singular_values=sigma,
+                         reference=columns[:, 0], rank=rank,
+                         energy_captured=energy_fraction(sigma, rank))
         norm = InputNormalization(manifest["training_dwell_times"])
         inputs = norm.training_inputs
         gprs = tuple(
-            make_gpr(inputs, _unhex(mode["train_targets_hex"]),
+            make_gpr(inputs, mode["train_targets"],
                      RbfKernel(mode["signal_variance"], mode["length_scale"]),
                      mode["jitter"])
             for mode in manifest["modes"]

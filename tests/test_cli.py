@@ -8,6 +8,8 @@ built once per module.
 import dataclasses
 import json
 import math
+import re
+import struct
 import subprocess
 import sys
 
@@ -16,14 +18,20 @@ import pytest
 
 from romforge.cli import main, parse_dwell_times
 from romforge.dataset import (
+    _SNAP_HEADER,
     SnapshotTensor,
     load_snapshot_tensor,
     read_snapshot_bin,
     save_snapshot_tensor,
 )
-from romforge.errors import ConfigurationError
+from romforge.errors import (
+    ConfigurationError,
+    CorruptionError,
+    DataError,
+    FormatError,
+)
 from romforge.gca import load_gca
-from romforge.pod import _BASIS_HEADER
+from romforge.rom import load_rom
 
 GEN_ARGS = ["--dwell-times", "20:80:10", "--layers", "2", "--radial", "2",
             "--theta", "4", "--seed", "0"]
@@ -349,7 +357,7 @@ def nan_at(offset):
     ("gca_dir", "gca.json", edited(lambda d: d.update(enc_widths=None))),
     # non-finite binary payloads: the first basis reference value, the last
     # GCA weight
-    ("rom_dir", "basis.bin", nan_at(_BASIS_HEADER.size)),
+    ("rom_dir", "basis.bin", nan_at(_SNAP_HEADER.size)),
     ("gca_dir", "gca_weights.bin", nan_at(-8)),
     # the GP inputs are derived from the dwell times, so two dwell times no
     # longer fit the seven stored targets
@@ -369,6 +377,12 @@ def nan_at(offset):
     pytest.param("gca_dir", "gca.json",
                  edited(lambda d: d.update(version=1)),
                  id="gca_dir-gca.json-version_1"),
+    pytest.param("rom_dir", "manifest.json",
+                 edited(lambda d: d.update(version=2)),
+                 id="rom_dir-manifest.json-version_2"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d.update(version=2)),
+                 id="gca_dir-gca.json-version_2"),
 ])
 def test_hand_edited_archive_is_io_failure(archive, name, change, request,
                                            tmp_path, capsys):
@@ -381,6 +395,61 @@ def test_hand_edited_archive_is_io_failure(archive, name, change, request,
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
     assert "Traceback" not in stderr
+    assert not (tmp_path / "f.bin").exists()
+
+
+def swapped_shape(raw):
+    """A well-formed SNPT file whose header swaps the row and column
+    counts."""
+    rows, cols = struct.unpack_from("<II", raw, 5)
+    return raw[:5] + struct.pack("<II", cols, rows) + raw[13:]
+
+
+@pytest.mark.parametrize("archive, name, load", [
+    ("dataset_dir", "snap_0.bin", load_snapshot_tensor),
+    ("rom_dir", "basis.bin", load_rom),
+    ("gca_dir", "gca_weights.bin", load_gca),
+], ids=["snap_0.bin", "basis.bin", "gca_weights.bin"])
+@pytest.mark.parametrize("change, error", [
+    pytest.param(lambda raw: raw[:-8], CorruptionError, id="truncated"),
+    pytest.param(lambda raw: b"XXXX" + raw[4:], FormatError, id="bad_magic"),
+    pytest.param(lambda raw: raw[:4] + b"\x09" + raw[5:], FormatError,
+                 id="version_9"),
+    pytest.param(nan_at(_SNAP_HEADER.size), DataError, id="nan_first"),
+    pytest.param(swapped_shape, CorruptionError, id="wrong_shape"),
+])
+def test_corrupt_archive_binary(archive, name, load, change, error, request,
+                                tmp_path, capsys):
+    # every archive array is one SNPT file, read by one reader
+    broken = copy_archive(request.getfixturevalue(archive), tmp_path / "m")
+    capsys.readouterr()
+    (broken / name).write_bytes(change((broken / name).read_bytes()))
+    with pytest.raises(error, match=re.escape(str(broken))):
+        load(broken)
+    if archive == "dataset_dir":
+        return
+    code, stdout, stderr = run(capsys, "predict", "--model-dir", broken,
+                               "--dt", "45", "--out", tmp_path / "f.bin")
+    assert code == 3
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert not (tmp_path / "f.bin").exists()
+
+
+def test_directory_holding_both_archives_is_io_failure(rom_dir, gca_dir,
+                                                       tmp_path, capsys):
+    # training both surrogates into one directory leaves both archives;
+    # neither may answer for the other
+    both = copy_archive(rom_dir, tmp_path / "m")
+    for p in gca_dir.iterdir():
+        (both / p.name).write_bytes(p.read_bytes())
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "predict", "--model-dir", both,
+                               "--dt", "45", "--out", tmp_path / "f.bin")
+    assert code == 3
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "manifest.json" in stderr and "gca.json" in stderr
     assert not (tmp_path / "f.bin").exists()
 
 

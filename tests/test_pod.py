@@ -6,19 +6,10 @@ import pytest
 from romforge.dataset import generate_synthetic_dataset
 from romforge.errors import (
     ConfigurationError,
-    CorruptionError,
     DegenerateBasisError,
-    FormatError,
     ShapeError,
 )
-from romforge.pod import (
-    compute_pod,
-    energy_fraction,
-    load_basis,
-    project,
-    reconstruct,
-    save_basis,
-)
+from romforge.pod import compute_pod, energy_fraction, project, reconstruct
 
 
 def svd_oracle(snapshots, center=True):
@@ -160,6 +151,9 @@ def test_energy_fraction_examples_and_bounds():
         energy_fraction(s, 0)
     with pytest.raises(IndexError):
         energy_fraction(s, 3)
+    # no energy at all: the fraction is undefined, not NaN
+    with pytest.raises(DegenerateBasisError):
+        energy_fraction(np.zeros(2), 1)
 
 
 def test_threshold_unreachable_warns_and_keeps_effective_modes():
@@ -189,32 +183,3 @@ def test_synthetic_snapshots_have_low_effective_rank():
     basis = compute_pod(snapshots, 0.999999)
     assert basis.rank <= 6
 
-
-def test_basis_binary_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    basis = compute_pod(rng.normal(size=(23, 7)), 0.95)
-    path = tmp_path / "basis.bin"
-    save_basis(basis, path)
-    loaded = load_basis(path)
-    assert loaded.rank == basis.rank
-    assert loaded.energy_captured == pytest.approx(basis.energy_captured,
-                                                   rel=1e-15)
-    assert np.array_equal(loaded.modes, basis.modes)
-    assert np.array_equal(loaded.singular_values, basis.singular_values)
-    assert np.array_equal(loaded.reference, basis.reference)
-
-
-def test_basis_file_corruption_detected(tmp_path):
-    basis = compute_pod(np.random.default_rng(1).normal(size=(12, 4)), 0.9)
-    path = tmp_path / "basis.bin"
-    save_basis(basis, path)
-
-    raw = path.read_bytes()
-    assert raw[:4] == b"PODB"
-    path.write_bytes(raw[:-8])
-    with pytest.raises(CorruptionError):
-        load_basis(path)
-
-    path.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(FormatError):
-        load_basis(path)

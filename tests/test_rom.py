@@ -17,16 +17,12 @@ from romforge.dataset import (
     SnapshotMatrix,
     SnapshotTensor,
     generate_synthetic_dataset,
+    read_snapshot_bin,
     split_dataset,
 )
-from romforge.errors import (
-    ConfigurationError,
-    CorruptionError,
-    DataError,
-    FormatError,
-)
+from romforge.errors import ConfigurationError, CorruptionError, FormatError
 from romforge.gpr import log_marginal_likelihood
-from romforge.pod import _BASIS_HEADER, project, reconstruct
+from romforge.pod import project, reconstruct
 from romforge.rom import (
     ROM_VERSION,
     PodGprRom,
@@ -235,28 +231,37 @@ def test_archive_round_trip_is_exact(rom, tmp_path):
 
 def test_archive_contents_are_enumerable(rom, tmp_path):
     # each fact is stored once: the GP inputs, the normalization and the
-    # rank all follow from the dwell times, the modes and basis.bin
+    # rank all follow from the dwell times and basis.bin's column count
     save_rom(rom, tmp_path / "rom")
     names = sorted(p.name for p in (tmp_path / "rom").iterdir())
     assert names == ["basis.bin", "manifest.json"]
     manifest = json.loads((tmp_path / "rom" / "manifest.json").read_text())
     assert set(manifest) == {"version", "model", "training_dwell_times",
-                             "modes"}
-    assert manifest["version"] == ROM_VERSION == 2
+                             "singular_values", "modes"}
+    assert manifest["version"] == ROM_VERSION == 3
     assert manifest["model"] == "pod-gpr"
     assert manifest["training_dwell_times"] == TRAIN_DTS
+    assert manifest["singular_values"] == rom.basis.singular_values.tolist()
     assert len(manifest["modes"]) == rom.rank
-    for mode in manifest["modes"]:
+    for mode, g in zip(manifest["modes"], rom.gprs):
         assert set(mode) == {"signal_variance", "length_scale", "jitter",
-                             "train_targets_hex"}
+                             "train_targets"}
+        assert mode["train_targets"] == g.train_targets.tolist()
+    # basis.bin is one SNPT array: the reference field, then the modes
+    columns = read_snapshot_bin(tmp_path / "rom" / "basis.bin")
+    assert columns.shape == (rom.basis.n_nodes, rom.rank + 1)
+    np.testing.assert_array_equal(columns[:, 0], rom.basis.reference)
+    np.testing.assert_array_equal(columns[:, 1:], rom.basis.modes)
 
 
 def test_version_1_archive_is_a_format_error(rom, tmp_path):
+    # neither the first layout nor the PODB/hex one is read
     save_rom(rom, tmp_path / "rom")
-    edit_json(tmp_path / "rom" / "manifest.json",
-              lambda d: d.update(version=1))
-    with pytest.raises(FormatError, match="version 1"):
-        load_rom(tmp_path / "rom")
+    for version in (1, 2):
+        edit_json(tmp_path / "rom" / "manifest.json",
+                  lambda d: d.update(version=version))
+        with pytest.raises(FormatError, match=f"version {version}"):
+            load_rom(tmp_path / "rom")
 
 
 def test_prediction_caches_stay_out_of_the_archive(dataset, tmp_path):
@@ -268,15 +273,6 @@ def test_prediction_caches_stay_out_of_the_archive(dataset, tmp_path):
     for name in ("basis.bin", "manifest.json"):
         assert ((tmp_path / "before" / name).read_bytes()
                 == (tmp_path / "after" / name).read_bytes())
-
-
-#: A little-endian float64 NaN, as hex.
-NAN_HEX = np.array([np.nan], dtype="<f8").tobytes().hex()
-
-
-def nan_first(hex_values):
-    """Hex-encoded float64 values with the first one replaced by NaN."""
-    return NAN_HEX + hex_values[len(NAN_HEX):]
 
 
 def edit_json(path, edit):
@@ -292,14 +288,21 @@ def edit_json(path, edit):
     ("manifest.json", lambda d: d["modes"][0].update(length_scale=-0.5)),
     ("manifest.json", lambda d: d["modes"][1].pop("jitter")),
     ("manifest.json", lambda d: d.update(modes=7)),
-    ("manifest.json", lambda d: d["modes"][0].update(
-        train_targets_hex=nan_first(d["modes"][0]["train_targets_hex"]))),
+    ("manifest.json", lambda d: d["modes"][0]["train_targets"].__setitem__(
+        0, float("nan"))),
     ("manifest.json", lambda d: d["modes"][0].update(jitter=float("nan"))),
     ("manifest.json", lambda d: d["modes"][0].update(jitter=-1.0)),
     # one mode fewer than the basis has
     ("manifest.json", lambda d: d["modes"].pop(1)),
     ("manifest.json", lambda d: d["training_dwell_times"].__setitem__(
         0, float("nan"))),
+    ("manifest.json", lambda d: d["singular_values"].__setitem__(
+        0, float("nan"))),
+    ("manifest.json", lambda d: d.update(
+        singular_values=[0.0] * len(d["singular_values"]))),
+    # fewer singular values than basis.bin has modes
+    ("manifest.json", lambda d: d.update(
+        singular_values=d["singular_values"][:len(d["modes"]) - 1])),
 ])
 def test_bad_archive_values_are_corruption(rom, tmp_path, name, edit):
     save_rom(rom, tmp_path / "rom")
@@ -314,24 +317,6 @@ def test_malformed_archive_json_is_a_format_error(rom, tmp_path, name):
     text = (tmp_path / "rom" / name).read_text()
     (tmp_path / "rom" / name).write_text(text[: len(text) // 2])
     with pytest.raises(FormatError, match=name):
-        load_rom(tmp_path / "rom")
-
-
-def test_truncated_basis_is_detected(rom, tmp_path):
-    save_rom(rom, tmp_path / "rom")
-    blob = (tmp_path / "rom" / "basis.bin").read_bytes()
-    (tmp_path / "rom" / "basis.bin").write_bytes(blob[:-16])
-    with pytest.raises(CorruptionError):
-        load_rom(tmp_path / "rom")
-
-
-def test_non_finite_basis_is_a_data_error(rom, tmp_path):
-    save_rom(rom, tmp_path / "rom")
-    blob = (tmp_path / "rom" / "basis.bin").read_bytes()
-    at = _BASIS_HEADER.size  # the first reference value
-    (tmp_path / "rom" / "basis.bin").write_bytes(
-        blob[:at] + np.array([np.nan], "<f8").tobytes() + blob[at + 8:])
-    with pytest.raises(DataError, match="basis.bin"):
         load_rom(tmp_path / "rom")
 
 
