@@ -55,14 +55,10 @@ from .gca import (
 )
 from .gpr import (
     GprModel,
-    GprPrediction,
-    RbfKernel,
     fit_gpr,
-    fit_gprs,
     log_marginal_likelihood,
     make_gpr,
     predict_gpr,
-    rbf_kernel,
 )
 from .metrics import (
     EvalReport,
@@ -118,14 +114,12 @@ __all__ = [
     "GcaModel",
     "GcaTrainConfig",
     "GprModel",
-    "GprPrediction",
     "Graph",
     "InputNormalization",
     "MeshGeometry",
     "ParameterPoint",
     "PodBasis",
     "PodGprRom",
-    "RbfKernel",
     "RomforgeError",
     "ShapeError",
     "SnapshotMatrix",
@@ -143,7 +137,6 @@ __all__ = [
     "energy_fraction",
     "evaluation_row",
     "fit_gpr",
-    "fit_gprs",
     "generate_synthetic_dataset",
     "init_adamw_state",
     "init_gca",
@@ -158,7 +151,6 @@ __all__ = [
     "predict_gca",
     "predict_gpr",
     "project",
-    "rbf_kernel",
     "read_snapshot_bin",
     "reconstruct",
     "relative_l2",

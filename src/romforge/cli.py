@@ -168,8 +168,8 @@ def cmd_train(ns: SimpleNamespace) -> dict:
         save_rom(rom, out)
         # what the fitter decided, per mode: reported here only, never in
         # the archive
-        gpr_fit = [{"mode": j, **fit_decision(g, jitter)}
-                   for j, g in enumerate(rom.gprs)]
+        gpr_fit = [{"mode": j, **record}
+                   for j, record in enumerate(fit_decision(rom.gp, jitter))]
         return {"model": "pod-gpr", "out": str(out), "rank": rom.rank,
                 "energy_captured": rom.basis.energy_captured,
                 "n_train": train_t.n_mu, "train_seconds": train_seconds,
@@ -271,6 +271,10 @@ def cmd_eval(ns: SimpleNamespace) -> dict:
     tensor = load_snapshot_tensor(data)
     kind, model, predict = _load_any_model(model_dir)
     fields, _ = predict(test_dts)
+    if fields[0].shape[0] != tensor.n_nodes:
+        raise ConfigurationError(
+            f"model {model_dir} predicts {fields[0].shape[0]} nodes but "
+            f"dataset {data} has {tensor.n_nodes}")
     rows = [evaluation_row(dt, field, tensor.matrix_for(dt).final_field)
             for dt, field in zip(test_dts, fields)]
 

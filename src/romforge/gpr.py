@@ -1,41 +1,34 @@
 """Exact Gaussian process regression with constant mean and RBF kernel.
 
-One of these models is fitted per retained POD mode, mapping a (normalized)
-dwell time to that mode's coefficient. Hyperparameters maximize the log
-marginal likelihood (LML) in log-parameter space. The modes share their
-inputs, so :func:`fit_gprs` fits them together: one eigendecomposition of
-the unit correlation matrix per scanned length scale gives every mode's LML
-in closed form with the signal variance profiled out (Rasmussen & Williams,
-*GPML* 2006, sec. 5.4). From each mode's best scan point, one projected
-Newton polish of all modes on the same eigen-form LML lands on a
-stationary point. Each model caches its Cholesky factor and dual weights;
-:func:`predict_stack` evaluates many models at many points at once (GPML
+A :class:`GprModel` holds m >= 1 such GPs on shared inputs; a POD-GPR has
+one per retained POD mode, mapping a (normalized) dwell time to that mode's
+coefficient. Hyperparameters maximize each GP's log marginal likelihood
+(LML) in log-parameter space. The GPs share their inputs, so
+:func:`fit_gpr` fits them together: one eigendecomposition of the unit
+correlation matrix per scanned length scale gives every GP's LML in closed
+form with the signal variance profiled out (Rasmussen & Williams, *GPML*
+2006, sec. 5.4). From each GP's best scan point, one projected Newton
+polish of all GPs on the same eigen-form LML lands on a stationary point.
+:func:`make_gpr` caches each GP's Cholesky factor and dual weights, and
+:func:`predict_gpr` evaluates every GP at many points at once (GPML
 Alg. 2.1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ConditioningError, ShapeError
 
 __all__ = [
-    "RbfKernel",
     "GprModel",
-    "GprPrediction",
-    "rbf_kernel",
     "make_gpr",
     "fit_gpr",
-    "fit_gprs",
     "fit_decision",
     "predict_gpr",
-    "GprStack",
-    "stack_gprs",
-    "predict_stack",
     "log_marginal_likelihood",
 ]
 
@@ -70,131 +63,149 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class RbfKernel:
-    """Squared-exponential covariance with signal variance and length scale."""
-
-    signal_variance: float
-    length_scale: float
-
-    def __post_init__(self):
-        for name in ("signal_variance", "length_scale"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ConfigurationError(
-                    f"{name} must be finite and > 0, got {value}"
-                )
-
-
-def rbf_kernel(kernel: RbfKernel, mu, mu_prime):
-    """Evaluate ``sv * exp(-|mu - mu'|^2 / (2 l^2))`` (symmetric, vectorized)."""
-    diff = np.asarray(mu, dtype=np.float64) - np.asarray(mu_prime, dtype=np.float64)
-    return kernel.signal_variance * np.exp(
-        -(diff**2) / (2.0 * kernel.length_scale**2)
-    )
-
-
-@dataclass(frozen=True)
-class GprPrediction:
-    mean: float
-    variance: float
-
-
-@dataclass(frozen=True)
 class GprModel:
-    """A fitted GP: training data, hyperparameters, and cached solves."""
+    """GPs on shared training inputs, with their cached solves.
 
-    train_inputs: np.ndarray
-    train_targets: np.ndarray
-    mean_constant: float
-    kernel: RbfKernel
-    noise_jitter: float
-    chol_factor: np.ndarray
-    alpha: np.ndarray
+    Per-GP arrays put the GP axis first. The cached solves put the
+    training-point axes first and the GP axis after them, with a trailing
+    unit axis that broadcasts over query points. The last two fields are
+    derived at construction.
+    """
+
+    train_inputs: np.ndarray      # (n,)
+    train_targets: np.ndarray     # (m, n)
+    signal_variance: np.ndarray   # (m,)
+    length_scale: np.ndarray      # (m,)
+    noise_jitter: np.ndarray      # (m,)
+    chol_factor: np.ndarray       # (n, n, m, 1): [i, j] holds every L[i, j]
+    alpha: np.ndarray             # (n, m, 1)
+    mean_constant: np.ndarray = field(init=False)            # (m,)
+    two_ls2: np.ndarray = field(init=False, repr=False)      # (m,)
 
     def __post_init__(self):
-        n = np.asarray(self.train_inputs).shape[0]
-        if n < 1:
-            raise ConfigurationError("a GP needs at least one training point")
-        if np.asarray(self.train_targets).shape != (n,):
-            raise ShapeError("train_inputs and train_targets lengths differ")
-        if self.chol_factor.shape != (n, n) or self.alpha.shape != (n,):
-            raise ShapeError("cached factor/alpha inconsistent with n")
-        if self.noise_jitter < 0.0:
+        for name in ("train_inputs", "train_targets", "signal_variance",
+                     "length_scale", "noise_jitter", "chol_factor", "alpha"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        n = self.train_inputs.size
+        m = self.train_targets.shape[0] if self.train_targets.ndim else 0
+        if n < 1 or m < 1:
+            raise ConfigurationError("a GP model needs at least one GP and "
+                                     "one training point")
+        expected = {"train_inputs": (n,), "train_targets": (m, n),
+                    "signal_variance": (m,), "length_scale": (m,),
+                    "noise_jitter": (m,), "chol_factor": (n, n, m, 1),
+                    "alpha": (n, m, 1)}
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} has shape "
+                                 f"{getattr(self, name).shape}, not {shape}")
+        if np.any(self.noise_jitter < 0.0):
             raise ConfigurationError("noise_jitter must be >= 0")
-        for name in ("train_inputs", "train_targets", "chol_factor", "alpha"):
-            arr = np.ascontiguousarray(
-                np.asarray(getattr(self, name), dtype=np.float64)
-            )
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "mean_constant",
+                           _frozen(self.train_targets.mean(axis=1)))
+        # 2 l^2 as make_gpr's kernel rows compute it, by libm's pow, which
+        # rounds l**2 unlike l * l about once in a thousand
+        object.__setattr__(self, "two_ls2", _frozen(
+            [2.0 * ls**2 for ls in self.length_scale.tolist()]))
 
     @property
     def n_train(self) -> int:
         return self.train_inputs.shape[0]
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] - b[None, :]) ** 2
 
 
-def _gram(kernel: RbfKernel, inputs: np.ndarray) -> np.ndarray:
-    return kernel.signal_variance * np.exp(
-        -_sq_dists(inputs, inputs) / (2.0 * kernel.length_scale**2)
-    )
-
-
-def make_gpr(inputs, targets, kernel: RbfKernel, jitter: float) -> GprModel:
-    """Build a GP at fixed hyperparameters, caching Cholesky and dual weights.
-
-    Inputs and targets must be finite and the jitter finite and >= 0. On
-    Cholesky failure the jitter escalates tenfold up to
-    ``MAX_JITTER_RATIO * signal_variance``; starting from zero jitter there is
-    nothing to escalate and the singular matrix is reported directly.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64).ravel()
-    targets = np.asarray(targets, dtype=np.float64).ravel()
-    if inputs.shape != targets.shape:
-        raise ShapeError("inputs and targets must have equal length")
+def _target_rows(inputs: np.ndarray, targets) -> np.ndarray:
+    """``targets`` as ``(m, n)`` rows on ``n >= 1`` inputs; ``(n,)`` is one."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim == 1:
+        targets = targets[None, :]
     n = inputs.shape[0]
+    if targets.ndim != 2 or targets.shape[1] != n or targets.shape[0] < 1:
+        raise ShapeError("targets must have shape (n,) or (m, n) for "
+                         f"n = {n} inputs, got {targets.shape}")
     if n < 1:
         raise ConfigurationError("need at least one training point")
+    return targets
+
+
+def _per_gp(name: str, value, m: int, positive: bool) -> np.ndarray:
+    """A scalar or ``(m,)`` hyperparameter as a fresh ``(m,)`` array, each
+    entry finite and > 0 (``positive``) or >= 0."""
+    values = np.array(value, dtype=np.float64)
+    if values.ndim == 0:
+        values = np.full(m, values)
+    if values.shape != (m,):
+        raise ShapeError(f"{name} must be a scalar or have shape ({m},)")
+    low = values <= 0.0 if positive else values < 0.0
+    if not np.isfinite(values).all() or low.any():
+        raise ConfigurationError(f"{name} must be finite and "
+                                 f"{'>' if positive else '>='} 0, got {value}")
+    return values
+
+
+def make_gpr(inputs, targets, signal_variance, length_scale,
+             jitter) -> GprModel:
+    """Build GPs at fixed hyperparameters, caching Cholesky and dual weights.
+
+    ``targets`` is ``(n,)`` for one GP or ``(m, n)`` for one GP per row;
+    each hyperparameter is a scalar shared by every GP or an ``(m,)`` array.
+    Inputs and targets must be finite, signal variances and length scales
+    finite and > 0, and jitters finite and >= 0. On Cholesky failure a GP's
+    jitter escalates tenfold up to ``MAX_JITTER_RATIO * signal_variance``;
+    starting from zero jitter there is nothing to escalate and the singular
+    matrix is reported directly. With more than one GP the error names the
+    row.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64).ravel()
+    targets = _target_rows(inputs, targets)
+    m, n = targets.shape
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ConfigurationError("training inputs and targets must be finite")
-    jit = float(jitter)
-    if not math.isfinite(jit) or jit < 0.0:
-        raise ConfigurationError(f"jitter must be finite and >= 0, got {jit}")
+    sv_all = _per_gp("signal_variance", signal_variance, m, True)
+    ls_all = _per_gp("length_scale", length_scale, m, True)
+    jitters = _per_gp("jitter", jitter, m, False)
 
-    mean_constant = float(targets.mean())
-    resid = targets - mean_constant
-    gram = _gram(kernel, inputs)
+    sqd = _sq_dists(inputs, inputs)
+    resid = targets - targets.mean(axis=1, keepdims=True)
     eye = np.eye(n)
-    cap = MAX_JITTER_RATIO * kernel.signal_variance
-    while True:
-        k = gram + jit * eye
-        try:
-            chol = np.linalg.cholesky(k)
-            break
-        except np.linalg.LinAlgError:
-            if jit <= 0.0:
-                raise ConditioningError(
-                    "kernel matrix is singular and jitter is 0 "
-                    "(duplicate or near-duplicate inputs?)"
-                ) from None
-            if jit * 10.0 > cap:
-                raise ConditioningError(
-                    f"Cholesky failed even at jitter {jit:.3e} "
-                    f"(cap {cap:.3e})"
-                ) from None
-            jit *= 10.0
-    return GprModel(
-        train_inputs=inputs,
-        train_targets=targets,
-        mean_constant=mean_constant,
-        kernel=kernel,
-        noise_jitter=jit,
-        chol_factor=chol,
-        alpha=np.linalg.solve(k, resid),
-    )
+    chol = np.empty((n, n, m, 1))
+    alpha = np.empty((n, m, 1))
+    for j in range(m):
+        sv, ls, jit = float(sv_all[j]), float(ls_all[j]), float(jitters[j])
+        gram = sv * np.exp(-sqd / (2.0 * ls**2))
+        cap = MAX_JITTER_RATIO * sv
+        row = f"target row {j}: " if m > 1 else ""
+        while True:
+            k = gram + jit * eye
+            try:
+                chol[:, :, j, 0] = np.linalg.cholesky(k)
+                break
+            except np.linalg.LinAlgError:
+                if jit <= 0.0:
+                    raise ConditioningError(
+                        f"{row}kernel matrix is singular and jitter is 0 "
+                        "(duplicate or near-duplicate inputs?)"
+                    ) from None
+                if jit * 10.0 > cap:
+                    raise ConditioningError(
+                        f"{row}Cholesky failed even at jitter {jit:.3e} "
+                        f"(cap {cap:.3e})"
+                    ) from None
+                jit *= 10.0
+        alpha[:, j, 0] = np.linalg.solve(k, resid[j])
+        jitters[j] = jit
+    return GprModel(train_inputs=inputs, train_targets=targets,
+                    signal_variance=sv_all, length_scale=ls_all,
+                    noise_jitter=jitters, chol_factor=chol, alpha=alpha)
 
 
 def _requested_jitters(targets: np.ndarray, jitter: float | None):
@@ -285,7 +296,7 @@ def _spectrum(log_ls, sqd):
 
 
 def _lml_derivatives(log_params, resid, sqd, jitter):
-    """LML with its gradient and Hessian in (log sv, log ls), one row per mode.
+    """LML with its gradient and Hessian in (log sv, log ls), one row per GP.
 
     ``log_params`` is ``(m, 2)``, ``resid`` ``(m, n)`` and ``jitter``
     ``(m,)``. The kernel matrix comes from the scan's spectrum,
@@ -327,9 +338,9 @@ def _lml_derivatives(log_params, resid, sqd, jitter):
 
 
 def _polish(x, lo, hi, resid, sqd, jitter):
-    """Projected Newton ascent of every mode's LML from ``x`` within bounds.
+    """Projected Newton ascent of every GP's LML from ``x`` within bounds.
 
-    All modes step together; a mode stops when its first-order gain falls
+    All GPs step together; a GP stops when its first-order gain falls
     below ``_POLISH_FTOL`` or no halving of its step raises its LML, so the
     result is never worse than the start. A bound-active coordinate whose
     gradient points outward is held fixed.
@@ -374,8 +385,8 @@ def _polish(x, lo, hi, resid, sqd, jitter):
     return x
 
 
-def fit_gprs(inputs, targets, *, jitter: float | None = None,
-             restarts: int = 8, seed: int = 0) -> list[GprModel]:
+def fit_gpr(inputs, targets, *, jitter: float | None = None,
+            restarts: int = 8, seed: int = 0) -> GprModel:
     """Fit one constant-mean RBF GP per row of ``targets`` on shared inputs.
 
     Each GP maximizes its log marginal likelihood over log signal variance
@@ -385,18 +396,20 @@ def fit_gprs(inputs, targets, *, jitter: float | None = None,
     1. Scan: for every length scale on a ``_SCAN_STEP`` log grid across the
        bounds, plus ``restarts`` length scales drawn log-uniformly from the
        start box with ``seed``, one ``eigh`` of the unit correlation matrix
-       gives each mode's LML in closed form; the signal variance is
+       gives each GP's LML in closed form; the signal variance is
        profiled out by Newton steps.
-    2. Polish: from each mode's best scan point, projected Newton steps on
-       the same eigen-form LML, all modes at once, end on a stationary
+    2. Polish: from each GP's best scan point, projected Newton steps on
+       the same eigen-form LML, all GPs at once, end on a stationary
        point (or a bound) of the likelihood the model reports.
+
+    :func:`make_gpr` then builds the model at the fitted hyperparameters.
 
     Parameters
     ----------
     inputs : (n,) array
         Training inputs, distinct, shared by every GP.
-    targets : (m, n) array
-        One row of training targets per GP.
+    targets : (n,) or (m, n) array
+        Training targets of one GP, or one row per GP.
     jitter : float, optional
         Diagonal conditioning term. Defaults to ``1e-8 * var(targets[j])``
         for each row ``j``.
@@ -406,13 +419,8 @@ def fit_gprs(inputs, targets, *, jitter: float | None = None,
         Seed for those draws; fits are deterministic given a seed.
     """
     inputs = np.asarray(inputs, dtype=np.float64).ravel()
-    targets = np.asarray(targets, dtype=np.float64)
-    n = inputs.shape[0]
-    if targets.ndim != 2 or targets.shape[1] != n:
-        raise ShapeError("targets must have shape (m, len(inputs))")
-    if n < 1:
-        raise ConfigurationError("need at least one training point")
-    if np.unique(inputs).size != n:
+    targets = _target_rows(inputs, targets)
+    if np.unique(inputs).size != inputs.shape[0]:
         raise ConfigurationError("training inputs must be distinct")
     if restarts < 1:
         raise ConfigurationError("restarts must be >= 1")
@@ -431,88 +439,17 @@ def fit_gprs(inputs, targets, *, jitter: float | None = None,
     lam, vecs = _spectrum(grid, sqd)
     z2 = np.einsum("gji,mj->igm", vecs, resid) ** 2
     lml, log_sv = _profile(lam.T[:, :, None], z2, jitters, s_lo, s_hi)
-    modes = np.arange(targets.shape[0])
+    rows = np.arange(targets.shape[0])
     best = np.argmax(lml, axis=0)
-    start = np.column_stack([log_sv[best, modes], grid[best]])
+    start = np.column_stack([log_sv[best, rows], grid[best]])
     lo = np.column_stack([s_lo, np.full_like(s_lo, t_lo)])
     hi = np.column_stack([s_hi, np.full_like(s_hi, t_hi)])
     fitted = np.exp(_polish(start, lo, hi, resid, sqd, jitters))
-
-    models = []
-    for j, (sv, ls) in enumerate(fitted):
-        try:
-            models.append(make_gpr(inputs, targets[j], RbfKernel(sv, ls),
-                                   jitters[j]))
-        except ConditioningError as exc:
-            raise ConditioningError(f"target row {j}: {exc}") from exc
-    return models
+    return make_gpr(inputs, targets, fitted[:, 0], fitted[:, 1], jitters)
 
 
-def fit_gpr(inputs, targets, *, jitter: float | None = None, restarts: int = 8,
-            seed: int = 0) -> GprModel:
-    """Fit a constant-mean RBF GP by maximizing the log marginal likelihood.
-
-    The one-target case of :func:`fit_gprs`, which documents the search and
-    the parameters; :func:`make_gpr` builds a GP at fixed hyperparameters.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64).ravel()
-    targets = np.asarray(targets, dtype=np.float64).ravel()
-    if inputs.shape != targets.shape:
-        raise ShapeError("inputs and targets must have equal length")
-    return fit_gprs(inputs, targets[None, :], jitter=jitter,
-                    restarts=restarts, seed=seed)[0]
-
-
-def predict_gpr(model: GprModel, mu_star: float) -> GprPrediction:
-    """Posterior mean and variance at one query point: the one-GP,
-    one-query case of :func:`predict_stack`."""
-    means, variances = predict_stack(stack_gprs([model]), [mu_star])
-    return GprPrediction(mean=float(means[0, 0]),
-                         variance=float(variances[0, 0]))
-
-
-class GprStack(NamedTuple):
-    """GPs on shared training inputs, their cached solves stacked by GP.
-
-    Arrays put the training-point axes first and the GP axis after them,
-    with a trailing unit axis that broadcasts over query points.
-    """
-
-    inputs: np.ndarray            # (n,)
-    chol_factor: np.ndarray       # (n, n, m, 1): [i, j] holds every L[i, j]
-    alpha: np.ndarray             # (n, m, 1)
-    mean_constant: np.ndarray     # (m, 1)
-    signal_variance: np.ndarray   # (m, 1)
-    two_ls2: np.ndarray           # (m, 1): 2 * length_scale**2
-    noise_jitter: np.ndarray      # (m, 1)
-
-
-def stack_gprs(models) -> GprStack:
-    """Stack GPs that share their training inputs for :func:`predict_stack`."""
-    models = tuple(models)
-    if not models:
-        raise ConfigurationError("need at least one GP to stack")
-    inputs = models[0].train_inputs
-    if any(not np.array_equal(g.train_inputs, inputs) for g in models[1:]):
-        raise ConfigurationError("stacked GPs must share their training inputs")
-
-    def column(values):
-        return np.array(values, dtype=np.float64)[:, None]
-
-    chol = np.stack([g.chol_factor for g in models], axis=-1)
-    return GprStack(
-        inputs=inputs,
-        chol_factor=np.ascontiguousarray(chol[..., None]),
-        alpha=np.stack([g.alpha for g in models], axis=-1)[..., None],
-        mean_constant=column([g.mean_constant for g in models]),
-        signal_variance=column([g.kernel.signal_variance for g in models]),
-        two_ls2=column([2.0 * g.kernel.length_scale**2 for g in models]),
-        noise_jitter=column([g.noise_jitter for g in models]),
-    )
-
-
-def predict_stack(stack: GprStack, mu_star) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances of every stacked GP at every query.
+def predict_gpr(model: GprModel, mu_star) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances of every GP at every query point.
 
     GPML Alg. 2.1 for all GPs and all points at once. ``v = L^-1 k*`` comes
     from forward substitution on the stacked factors (no inverse is formed)
@@ -523,52 +460,62 @@ def predict_stack(stack: GprStack, mu_star) -> tuple[np.ndarray, np.ndarray]:
     two ``(m, q)`` arrays for ``q`` queries.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64).ravel()
-    diff = stack.inputs[:, None] - mu_star[None, :]
-    k_star = stack.signal_variance * np.exp(
-        -(diff**2)[:, None, :] / stack.two_ls2)                 # (n, m, q)
-    means = stack.mean_constant + (k_star * stack.alpha).sum(axis=0)
-    chol = stack.chol_factor
+    signal_variance = model.signal_variance[:, None]
+    diff = model.train_inputs[:, None] - mu_star[None, :]
+    k_star = signal_variance * np.exp(
+        -(diff**2)[:, None, :] / model.two_ls2[:, None])       # (n, m, q)
+    means = model.mean_constant[:, None] + (k_star * model.alpha).sum(axis=0)
+    chol = model.chol_factor
     v = k_star
-    for i in range(stack.inputs.shape[0]):
+    for i in range(model.n_train):
         v[i] /= chol[i, i]
         v[i + 1:] -= chol[i + 1:, i] * v[i]
-    variances = stack.signal_variance + stack.noise_jitter - (v * v).sum(axis=0)
+    variances = (signal_variance + model.noise_jitter[:, None]
+                 - (v * v).sum(axis=0))
     return means, np.maximum(variances, 0.0)
 
 
-def fit_decision(model: GprModel, jitter: float | None = None) -> dict:
-    """What the fit decided for one GP, as a JSON-ready record.
+def fit_decision(model: GprModel, jitter: float | None = None) -> list[dict]:
+    """What the fit decided for each GP, as one JSON-ready record per row.
 
     ``jitter`` is the value the fit was asked for (``None``: the default
-    ratio of the target variance). The record holds the hyperparameters,
+    ratio of the target variance). A record holds the hyperparameters,
     the final jitter and whether :func:`make_gpr` escalated it, the log
     marginal likelihood, and whether a hyperparameter sits on a search
     bound (within 1e-9 in log space).
     """
-    targets = model.train_targets[None, :]
-    requested = _requested_jitters(targets, jitter)[0]
+    targets = model.train_targets
+    requested = _requested_jitters(targets, jitter)
     sv_box, ls_box = _search_boxes(model.train_inputs, np.var(targets, axis=1))
-    logs = (math.log(model.kernel.signal_variance),
-            math.log(model.kernel.length_scale))
-    bounds = ((sv_box[0, 0] - SEARCH_MARGIN, sv_box[0, 1] + SEARCH_MARGIN),
-              (ls_box[0] - SEARCH_MARGIN, ls_box[1] + SEARCH_MARGIN))
-    return {
-        "signal_variance": model.kernel.signal_variance,
-        "length_scale": model.kernel.length_scale,
-        "jitter": model.noise_jitter,
-        # escalation multiplies the jitter by ten at a time
-        "jitter_escalated": bool(model.noise_jitter > 2.0 * requested),
-        "lml": log_marginal_likelihood(model),
-        "at_bound": any(abs(v - b) <= 1e-9
-                        for v, pair in zip(logs, bounds) for b in pair),
-    }
+    lml = log_marginal_likelihood(model)
+    records = []
+    for j, (sv, ls, jit) in enumerate(zip(model.signal_variance.tolist(),
+                                          model.length_scale.tolist(),
+                                          model.noise_jitter.tolist())):
+        bounds = ((sv_box[j, 0] - SEARCH_MARGIN, sv_box[j, 1] + SEARCH_MARGIN),
+                  (ls_box[0] - SEARCH_MARGIN, ls_box[1] + SEARCH_MARGIN))
+        records.append({
+            "signal_variance": sv,
+            "length_scale": ls,
+            "jitter": jit,
+            # escalation multiplies the jitter by ten at a time
+            "jitter_escalated": bool(jit > 2.0 * requested[j]),
+            "lml": float(lml[j]),
+            "at_bound": any(abs(v - b) <= 1e-9 for v, pair in
+                            zip((math.log(sv), math.log(ls)), bounds)
+                            for b in pair),
+        })
+    return records
 
 
-def log_marginal_likelihood(model: GprModel) -> float:
-    """Log marginal likelihood of the training data, from the cached factor."""
-    resid = model.train_targets - model.mean_constant
-    return float(
-        -0.5 * resid @ model.alpha
-        - np.sum(np.log(np.diag(model.chol_factor)))
-        - 0.5 * model.n_train * _LOG_2PI
-    )
+def log_marginal_likelihood(model: GprModel) -> np.ndarray:
+    """Each GP's log marginal likelihood of its training data, ``(m,)``,
+    from the cached factors."""
+    resid = model.train_targets - model.mean_constant[:, None]
+    # contiguous rows, as one GP's arrays would be: a dot product or a sum
+    # over a strided axis rounds differently
+    quad = np.array([(-0.5 * r) @ np.ascontiguousarray(a)
+                     for r, a in zip(resid, model.alpha[:, :, 0].T)])
+    diagonals = np.ascontiguousarray(np.diagonal(model.chol_factor[..., 0]))
+    log_det = np.log(diagonals).sum(axis=1)
+    return quad - log_det - 0.5 * model.n_train * _LOG_2PI

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, ShapeError
-from .gpr import predict_stack
+from .gpr import predict_gpr
 from .rom import CI95_FACTOR, PodGprRom
 
 __all__ = [
@@ -274,8 +274,7 @@ def emit_coefficient_plot(rom: PodGprRom, dts, first_k: int, path
             f"first_k must be in [1, {rom.rank}], got {first_k}"
         )
     dts = [float(dt) for dt in dts]
-    means, variances = predict_stack(rom.gpr_stack,
-                                     rom.input_norm.apply(np.array(dts)))
+    means, variances = predict_gpr(rom.gp, rom.input_norm.apply(np.array(dts)))
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_suffix(".csv")
@@ -301,7 +300,7 @@ def emit_coefficient_plot(rom: PodGprRom, dts, first_k: int, path
         mean = np.array([r[1 + 3 * j] for r in rows])
         lo = np.array([r[2 + 3 * j] for r in rows])
         hi = np.array([r[3 + 3 * j] for r in rows])
-        train_y = np.asarray(rom.gprs[j].train_targets)
+        train_y = rom.gp.train_targets[j]
         xs = np.concatenate([x, train_x]) if x.size else train_x
         ys = np.concatenate([lo, hi, train_y]) if x.size else train_y
         panel = _Panel(j * _PANEL_H, _bounds(xs), _bounds(ys),

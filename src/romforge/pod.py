@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,18 +49,16 @@ class PodBasis:
     singular_values : (m,) ndarray
         All singular values of the centered snapshot matrix, descending.
     reference : (n_nodes,) ndarray
-        Field subtracted before projection (the snapshot mean, or zeros).
-    rank : int
-        Number of retained modes.
+        Field subtracted before projection: the snapshot mean.
     energy_captured : float
-        Fraction of squared singular values captured by the retained modes.
+        Fraction of squared singular values captured by the retained modes,
+        derived at construction.
     """
 
     modes: np.ndarray
     singular_values: np.ndarray
     reference: np.ndarray
-    rank: int
-    energy_captured: float
+    energy_captured: float = field(init=False)
 
     def __post_init__(self):
         modes = np.asarray(self.modes, dtype=np.float64)
@@ -68,14 +66,15 @@ class PodBasis:
         ref = np.asarray(self.reference, dtype=np.float64)
         if modes.ndim != 2:
             raise ShapeError("modes must be a 2-D array")
-        if modes.shape != (ref.shape[0], self.rank):
+        rank = modes.shape[1]
+        if modes.shape[0] != ref.shape[0]:
             raise ShapeError(
                 f"modes shape {modes.shape} inconsistent with reference length "
-                f"{ref.shape[0]} and rank {self.rank}"
+                f"{ref.shape[0]}"
             )
-        if not 1 <= self.rank <= sv.shape[0]:
+        if not 1 <= rank <= sv.shape[0]:
             raise ConfigurationError(
-                f"rank must be in [1, {sv.shape[0]}], got {self.rank}"
+                f"rank must be in [1, {sv.shape[0]}], got {rank}"
             )
         if not np.all(sv >= 0.0) or np.any(np.diff(sv) > 0.0):
             raise ConfigurationError(
@@ -86,6 +85,13 @@ class PodBasis:
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "energy_captured",
+                           energy_fraction(sv, rank))
+
+    @property
+    def rank(self) -> int:
+        """Number of retained modes."""
+        return self.modes.shape[1]
 
     @property
     def n_nodes(self) -> int:
@@ -112,8 +118,7 @@ def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
     return modes * signs
 
 
-def compute_pod(snapshots: np.ndarray, energy_threshold: float,
-                center: bool = True) -> PodBasis:
+def compute_pod(snapshots: np.ndarray, energy_threshold: float) -> PodBasis:
     """Compute a truncated POD basis of the given snapshot matrix.
 
     Parameters
@@ -123,9 +128,6 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float,
     energy_threshold : float
         Retain the smallest rank whose cumulative squared-singular-value
         fraction reaches this value, in (0, 1].
-    center : bool
-        Subtract the column mean before decomposing (default). With
-        ``center=False`` the reference field is zero.
 
     Returns
     -------
@@ -136,7 +138,7 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float,
     ConfigurationError
         Empty input or threshold outside (0, 1].
     DegenerateBasisError
-        The (centered) snapshot matrix is identically zero.
+        The centered snapshot matrix is identically zero.
     """
     snapshots = np.asarray(snapshots, dtype=np.float64)
     if snapshots.ndim != 2:
@@ -151,7 +153,7 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float,
             f"energy_threshold must be in (0, 1], got {energy_threshold}"
         )
 
-    reference = snapshots.mean(axis=1) if center else np.zeros(n_nodes)
+    reference = snapshots.mean(axis=1)
     centered = snapshots - reference[:, None]
 
     gram = centered.T @ centered
@@ -169,7 +171,7 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float,
         )
     n_effective = int(np.count_nonzero(sigma > _sigma_floor(m) * sigma[0]))
 
-    energy = np.cumsum(sigma**2) / np.sum(sigma**2)
+    energy = _cumulative_energy(sigma)
     reachable = np.nonzero(energy[:n_effective] >= energy_threshold)[0]
     if reachable.size:
         rank = int(reachable[0]) + 1
@@ -182,14 +184,8 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float,
         )
 
     modes = centered @ (eigvecs[:, :rank] / sigma[:rank])
-    modes = _fix_mode_signs(modes)
-    return PodBasis(
-        modes=modes,
-        singular_values=sigma,
-        reference=reference,
-        rank=rank,
-        energy_captured=float(energy[rank - 1]),
-    )
+    return PodBasis(modes=_fix_mode_signs(modes), singular_values=sigma,
+                    reference=reference)
 
 
 def project(basis: PodBasis, field: np.ndarray) -> np.ndarray:
@@ -212,8 +208,18 @@ def reconstruct(basis: PodBasis, coefficients: np.ndarray) -> np.ndarray:
     return basis.reference + basis.modes @ coefficients
 
 
+def _cumulative_energy(singular_values: np.ndarray) -> np.ndarray:
+    """Squared-singular-value fraction of the first 1, 2, ... values."""
+    squares = singular_values**2
+    total = np.sum(squares)
+    if total == 0.0:
+        raise DegenerateBasisError("singular values are all zero")
+    return np.cumsum(squares) / total
+
+
 def energy_fraction(singular_values: np.ndarray, r: int) -> float:
-    """Cumulative squared-singular-value fraction of the first ``r`` values.
+    """Cumulative squared-singular-value fraction of the first ``r`` values:
+    the fraction :func:`compute_pod` ranks by.
 
     All-zero singular values are a :class:`DegenerateBasisError`.
     """
@@ -222,7 +228,4 @@ def energy_fraction(singular_values: np.ndarray, r: int) -> float:
         raise IndexError(
             f"r must be in [1, {singular_values.shape[0]}], got {r}"
         )
-    total = np.sum(singular_values**2)
-    if total == 0.0:
-        raise DegenerateBasisError("singular values are all zero")
-    return float(np.sum(singular_values[:r] ** 2) / total)
+    return float(_cumulative_energy(singular_values)[r - 1])

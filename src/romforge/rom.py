@@ -4,16 +4,15 @@ Training computes one POD basis over every snapshot of every training
 parameter, projects each parameter's final-step field onto it, and fits one
 independent GP per retained mode over the normalized dwell time
 (:class:`~romforge.dataset.InputNormalization`); every mode shares those
-inputs, so one batched hyperparameter search fits them all.
-Prediction evaluates the r GPs at once through their stacked Cholesky
-factors, reconstructs the mean fields, and propagates the per-mode posterior
+inputs, so one :class:`~romforge.gpr.GprModel` holds all r GPs and one
+batched hyperparameter search fits them. Prediction evaluates the r GPs at
+once, reconstructs the mean fields, and propagates the per-mode posterior
 variances linearly to per-node 95% bands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +24,8 @@ from .dataset import (
     write_snapshot_bin,
 )
 from .errors import ConfigurationError, archive_values, read_json, write_json
-from .gpr import (
-    GprModel,
-    GprStack,
-    RbfKernel,
-    fit_gprs,
-    make_gpr,
-    predict_stack,
-    stack_gprs,
-)
-# perfbench's tracer wraps romforge.rom.fit_gpr, so the name stays bound
-from .gpr import fit_gpr  # noqa: F401
-from .pod import PodBasis, compute_pod, energy_fraction, project
+from .gpr import GprModel, fit_gpr, make_gpr, predict_gpr
+from .pod import PodBasis, compute_pod, project
 
 __all__ = [
     "FieldPrediction",
@@ -72,37 +61,31 @@ class FieldPrediction:
 
 @dataclass(frozen=True)
 class PodGprRom:
-    """Deployable surrogate: basis, one GP per mode over the normalized
-    training dwell times, and the normalization derived from them."""
+    """Deployable surrogate: basis, one GP per mode (row ``j`` of ``gp``
+    for mode ``j``) over the normalized training dwell times, and the
+    normalization derived from them."""
 
     basis: PodBasis
-    gprs: tuple[GprModel, ...]
+    gp: GprModel
     training_dwell_times: tuple[float, ...]
     input_norm: InputNormalization = field(init=False, repr=False,
                                            compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gprs", tuple(self.gprs))
         norm = InputNormalization(self.training_dwell_times)
         object.__setattr__(self, "training_dwell_times", norm.dwell_times)
         object.__setattr__(self, "input_norm", norm)
-        if len(self.gprs) != self.basis.rank:
+        n_gps = self.gp.train_targets.shape[0]
+        if n_gps != self.basis.rank:
             raise ConfigurationError(
-                f"{len(self.gprs)} GPs for a rank-{self.basis.rank} basis"
-            )
-        inputs = norm.training_inputs
-        if any(not np.array_equal(g.train_inputs, inputs) for g in self.gprs):
-            raise ConfigurationError("every GP's inputs must be the "
-                                     "normalized training dwell times")
+                f"{n_gps} GPs for a rank-{self.basis.rank} basis")
+        if not np.array_equal(self.gp.train_inputs, norm.training_inputs):
+            raise ConfigurationError("the GP inputs must be the normalized "
+                                     "training dwell times")
 
     @property
     def rank(self) -> int:
         return self.basis.rank
-
-    @cached_property
-    def gpr_stack(self) -> GprStack:
-        """The mode GPs stacked for batched posteriors (built on first use)."""
-        return stack_gprs(self.gprs)
 
 
 def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
@@ -111,7 +94,7 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
     """Train the POD-GPR surrogate on a snapshot tensor.
 
     The basis spans all deposition steps of all training parameters; the GPs
-    see only each parameter's final-step coefficients. One :func:`fit_gprs`
+    see only each parameter's final-step coefficients. One :func:`fit_gpr`
     call fits every mode; ``restarts`` and ``seed`` set the seeded length
     scales its scan adds, shared by all modes.
     """
@@ -124,25 +107,23 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
     coeffs = np.column_stack(
         [project(basis, m.final_field) for m in train.matrices]
     )  # (rank, n_mu)
-    gprs = fit_gprs(norm.training_inputs, coeffs, jitter=jitter,
-                    restarts=restarts, seed=seed)
-    return PodGprRom(basis=basis, gprs=gprs,
-                     training_dwell_times=norm.dwell_times)
+    gp = fit_gpr(norm.training_inputs, coeffs, jitter=jitter,
+                 restarts=restarts, seed=seed)
+    return PodGprRom(basis=basis, gp=gp, training_dwell_times=norm.dwell_times)
 
 
 def predict_distortion_many(rom: PodGprRom, dwell_times
                             ) -> list[FieldPrediction]:
     """Predict the final-layer fields at several dwell times, with 95% bands.
 
-    One stacked posterior evaluates every mode at every dwell time. The
+    One posterior evaluates every mode at every dwell time. The
     per-node variance sums the independent mode posteriors through the
     linear reconstruction, ``var_i = sum_j modes[i, j]^2 var_j``. A
     prediction extrapolates where its dwell time lies outside the training
     range.
     """
     dts = [float(dt) for dt in dwell_times]
-    means, variances = predict_stack(rom.gpr_stack,
-                                     rom.input_norm.apply(np.array(dts)))
+    means, variances = predict_gpr(rom.gp, rom.input_norm.apply(np.array(dts)))
     basis = rom.basis
     fields = means.T @ basis.modes.T + basis.reference         # (q, n_nodes)
     halves = CI95_FACTOR * np.sqrt(variances.T @ basis.squared_modes.T)
@@ -179,7 +160,7 @@ def save_rom(rom: PodGprRom, path) -> None:
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    basis = rom.basis
+    basis, gp = rom.basis, rom.gp
     write_json(path / "manifest.json", {
         "version": ROM_VERSION,
         "model": "pod-gpr",
@@ -187,12 +168,14 @@ def save_rom(rom: PodGprRom, path) -> None:
         "singular_values": basis.singular_values.tolist(),
         "modes": [
             {
-                "signal_variance": g.kernel.signal_variance,
-                "length_scale": g.kernel.length_scale,
-                "jitter": g.noise_jitter,
-                "train_targets": g.train_targets.tolist(),
+                "signal_variance": sv,
+                "length_scale": ls,
+                "jitter": jitter,
+                "train_targets": targets,
             }
-            for g in rom.gprs
+            for sv, ls, jitter, targets in zip(
+                gp.signal_variance.tolist(), gp.length_scale.tolist(),
+                gp.noise_jitter.tolist(), gp.train_targets.tolist())
         ],
     })
     write_snapshot_bin(np.column_stack([basis.reference, basis.modes]),
@@ -210,18 +193,15 @@ def load_rom(path) -> PodGprRom:
     with archive_values(path):
         manifest = read_json(path / "manifest.json", ROM_VERSION)
         columns = read_snapshot_bin(path / "basis.bin")
-        sigma = np.array(manifest["singular_values"], dtype=np.float64)
-        rank = columns.shape[1] - 1
-        basis = PodBasis(modes=columns[:, 1:], singular_values=sigma,
-                         reference=columns[:, 0], rank=rank,
-                         energy_captured=energy_fraction(sigma, rank))
+        basis = PodBasis(modes=columns[:, 1:],
+                         singular_values=manifest["singular_values"],
+                         reference=columns[:, 0])
         norm = InputNormalization(manifest["training_dwell_times"])
-        inputs = norm.training_inputs
-        gprs = tuple(
-            make_gpr(inputs, mode["train_targets"],
-                     RbfKernel(mode["signal_variance"], mode["length_scale"]),
-                     mode["jitter"])
-            for mode in manifest["modes"]
-        )
-        return PodGprRom(basis=basis, gprs=gprs,
+        modes = manifest["modes"]
+        gp = make_gpr(norm.training_inputs,
+                      [mode["train_targets"] for mode in modes],
+                      [mode["signal_variance"] for mode in modes],
+                      [mode["length_scale"] for mode in modes],
+                      [mode["jitter"] for mode in modes])
+        return PodGprRom(basis=basis, gp=gp,
                          training_dwell_times=norm.dwell_times)

@@ -15,7 +15,6 @@ from romforge.gpr import (
     DEFAULT_JITTER_RATIO,
     LENGTH_SCALE_BOX,
     SIGNAL_VARIANCE_BOX,
-    RbfKernel,
     make_gpr,
 )
 
@@ -74,4 +73,4 @@ def lbfgs_fit(inputs, targets, *, jitter=None, restarts=8, seed=0):
         if best is None or result.fun < best.fun:
             best = result
     sv, ls = np.exp(best.x)
-    return make_gpr(inputs, targets, RbfKernel(sv, ls), jitter)
+    return make_gpr(inputs, targets, sv, ls, jitter)

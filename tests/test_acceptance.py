@@ -36,7 +36,6 @@ from romforge.gca import (
     save_gca,
 )
 from romforge.gpr import (
-    RbfKernel,
     fit_gpr,
     log_marginal_likelihood,
     make_gpr,
@@ -145,16 +144,16 @@ def test_criterion_03_gpr_matches_dense_oracle():
         # keep the dense reference itself well-conditioned
         ls = float(10.0 ** rng.uniform(-1.0, -0.5))
         jitter = 1e-8
-        model = make_gpr(x, y, RbfKernel(sv, ls), jitter)
+        model = make_gpr(x, y, sv, ls, jitter)
         gram = sv * np.exp(-0.5 * (x[:, None] - x[None, :])**2 / ls**2)
         regularized = gram + jitter * np.eye(n)
         alpha = np.linalg.solve(regularized, y - y.mean())
         for q in rng.uniform(-0.5, 1.5, size=7):
             k_star = sv * np.exp(-0.5 * (q - x)**2 / ls**2)
-            pred = predict_gpr(model, q)
-            assert pred.mean == pytest.approx(
+            (mean,), (variance,) = predict_gpr(model, q)
+            assert mean[0] == pytest.approx(
                 y.mean() + k_star @ alpha, abs=1e-8)
-            assert pred.variance == pytest.approx(
+            assert variance[0] == pytest.approx(
                 sv + jitter - k_star @ np.linalg.solve(regularized, k_star),
                 abs=1e-8)
 
@@ -166,15 +165,15 @@ def test_criterion_03_gpr_matches_dense_oracle():
     )
     for y9 in families:
         for ls in (0.1, 0.2):
-            near = make_gpr(x9, y9, RbfKernel(float(np.var(y9)), ls), 1e-10)
+            near = make_gpr(x9, y9, float(np.var(y9)), ls, 1e-10)
             for xi, yi in zip(x9, y9):
-                assert abs(predict_gpr(near, xi).mean - yi) <= 1e-6
+                assert abs(predict_gpr(near, xi)[0][0, 0] - yi) <= 1e-6
 
     # posterior variance stays inside its prior bounds on a dense sweep
     fitted = fit_gpr(x9, families[0], restarts=8, seed=0)
-    cap = fitted.kernel.signal_variance + fitted.noise_jitter + 1e-10
+    cap = fitted.signal_variance[0] + fitted.noise_jitter[0] + 1e-10
     for q in np.linspace(-1.0, 2.0, 1000):
-        variance = predict_gpr(fitted, float(q)).variance
+        variance = predict_gpr(fitted, float(q))[1][0, 0]
         assert 0.0 <= variance <= cap
 
 
@@ -185,14 +184,14 @@ def test_criterion_04_fitted_likelihood_dominates_random_draws():
         x = np.sort(rng.uniform(0.0, 1.0, size=9))
         y = np.cumsum(rng.normal(size=9)) * 0.1
         fitted = fit_gpr(x, y, restarts=8, seed=ds)
-        best = log_marginal_likelihood(fitted)
+        best = log_marginal_likelihood(fitted)[0]
         var = float(np.var(y))
         draws = np.random.default_rng(100 + ds)
         for _ in range(20):
-            kernel = RbfKernel(var * 10.0 ** draws.uniform(-2.0, 2.0),
-                               10.0 ** draws.uniform(-2.0, 1.0))
-            other = make_gpr(x, y, kernel, fitted.noise_jitter)
-            assert best >= log_marginal_likelihood(other) - 1e-9
+            other = make_gpr(x, y, var * 10.0 ** draws.uniform(-2.0, 2.0),
+                             10.0 ** draws.uniform(-2.0, 1.0),
+                             fitted.noise_jitter)
+            assert best >= log_marginal_likelihood(other)[0] - 1e-9
 
 
 @criterion(5, 60.0)

@@ -23,6 +23,7 @@ from romforge.dataset import (
     load_snapshot_tensor,
     read_snapshot_bin,
     save_snapshot_tensor,
+    write_snapshot_bin,
 )
 from romforge.errors import (
     ConfigurationError,
@@ -520,6 +521,26 @@ def test_eval_requires_plots_directory(rom_dir, dataset_dir, capsys):
                           "--data", dataset_dir, "--test", "30,50")
     assert code == 2
     assert "--plots" in stderr
+
+
+def test_eval_names_both_inputs_when_node_counts_differ(rom_dir, dataset_dir,
+                                                       tmp_path, capsys):
+    # a basis one row short loads, but cannot be scored against the dataset
+    short = copy_archive(rom_dir, tmp_path / "m")
+    write_snapshot_bin(read_snapshot_bin(short / "basis.bin")[:-1],
+                       short / "basis.bin")
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "eval", "--model-dir", short,
+                               "--data", dataset_dir, "--test", "40",
+                               "--plots", tmp_path / "plots")
+    assert code == 2
+    assert stdout == ""
+    [line] = stderr.splitlines()
+    n_nodes = load_snapshot_tensor(dataset_dir).n_nodes
+    assert str(short.resolve()) in line and str(dataset_dir.resolve()) in line
+    assert f"predicts {n_nodes - 1} nodes" in line
+    assert f"has {n_nodes}" in line
+    assert not (tmp_path / "plots").exists()
 
 
 # ------------------------------------------------------------------ config ---

@@ -168,7 +168,7 @@ def test_coefficient_plot_csv_matches_predictions(rom, tmp_path):
     markers = [e for e in root.iter(f"{SVG_NS}circle")]
     assert len(bands) == first_k
     # one training marker per GP training point per panel
-    assert len(markers) == first_k * rom.gprs[0].n_train
+    assert len(markers) == first_k * rom.gp.n_train
 
 
 def test_coefficient_plot_rejects_bad_mode_count(rom, tmp_path):
@@ -185,7 +185,7 @@ def test_coefficient_plot_with_no_sweep_points(rom, tmp_path):
     assert rows == []
     root = assert_valid_svg(svg_path)
     # training markers still appear even without a prediction sweep
-    assert len(list(root.iter(f"{SVG_NS}circle"))) == 2 * rom.gprs[0].n_train
+    assert len(list(root.iter(f"{SVG_NS}circle"))) == 2 * rom.gp.n_train
 
 
 def test_max_displacement_plot_round_trip(tmp_path):

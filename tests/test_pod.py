@@ -12,9 +12,9 @@ from romforge.errors import (
 from romforge.pod import compute_pod, energy_fraction, project, reconstruct
 
 
-def svd_oracle(snapshots, center=True):
+def svd_oracle(snapshots):
     """Modes and singular values from a direct SVD of the centered matrix."""
-    reference = snapshots.mean(axis=1) if center else np.zeros(snapshots.shape[0])
+    reference = snapshots.mean(axis=1)
     u, s, _ = np.linalg.svd(snapshots - reference[:, None], full_matrices=False)
     # align signs with the library convention: largest-|entry| positive
     for j in range(u.shape[1]):
@@ -25,20 +25,23 @@ def svd_oracle(snapshots, center=True):
 
 
 def test_two_column_axis_matrix_without_centering():
-    # columns 3*e1 and 1*e2: sigma = {3, 1}, E_1 = 0.9
-    snapshots = np.zeros((5, 2))
-    snapshots[0, 0] = 3.0
-    snapshots[1, 1] = 1.0
-    basis = compute_pod(snapshots, 0.95, center=False)
+    # zero-mean columns 3*e1, -3*e1, e2 and -e2, which centering leaves as
+    # they are: sigma = {3 sqrt 2, sqrt 2, 0, 0}, E_1 = 0.9
+    snapshots = np.zeros((5, 4))
+    snapshots[0, :2] = 3.0, -3.0
+    snapshots[1, 2:] = 1.0, -1.0
+    basis = compute_pod(snapshots, 0.95)
     assert basis.rank == 2
-    np.testing.assert_allclose(basis.singular_values, [3.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(basis.singular_values,
+                               [3.0 * np.sqrt(2.0), np.sqrt(2.0), 0.0, 0.0],
+                               atol=1e-12)
     np.testing.assert_allclose(basis.modes[:, 0],
                                [1, 0, 0, 0, 0], atol=1e-12)
     np.testing.assert_allclose(basis.modes[:, 1],
                                [0, 1, 0, 0, 0], atol=1e-12)
     assert np.array_equal(basis.reference, np.zeros(5))
-    # threshold below 0.9 keeps only the first mode
-    assert compute_pod(snapshots, 0.9, center=False).rank == 1
+    # a threshold of 0.9 keeps only the first mode
+    assert compute_pod(snapshots, 0.9).rank == 1
 
 
 def test_identical_columns_degenerate_after_centering():
@@ -163,7 +166,7 @@ def test_threshold_unreachable_warns_and_keeps_effective_modes():
     low_rank = np.outer(rng.normal(size=20), rng.normal(size=5))
     low_rank += np.outer(rng.normal(size=20), rng.normal(size=5))
     with pytest.warns(UserWarning):
-        basis = compute_pod(low_rank, 1.0, center=False)
+        basis = compute_pod(low_rank, 1.0)
     assert basis.rank == 2
 
 
