@@ -28,19 +28,10 @@ from .dataset import (
     write_snapshot_bin,
 )
 from .errors import (
-    ConditioningError,
     ConfigurationError,
-    CorruptionError,
     DataError,
-    DegenerateBasisError,
-    DegenerateMetricError,
-    DivergenceError,
-    DuplicateParameterError,
-    FormatError,
+    NumericalError,
     RomforgeError,
-    ShapeError,
-    SplitError,
-    UnknownParameterError,
 )
 from .gca import (
     GcaArchitecture,
@@ -97,19 +88,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CYLINDER_RADIUS_MM",
     "LAYER_THICKNESS_MM",
-    "ConditioningError",
     "ConfigurationError",
-    "CorruptionError",
     "DataError",
-    "DegenerateBasisError",
-    "DegenerateMetricError",
-    "DivergenceError",
-    "DuplicateParameterError",
     "EpochRecord",
     "EvalReport",
     "EvalRow",
     "FieldPrediction",
-    "FormatError",
     "GcaArchitecture",
     "GcaModel",
     "GcaTrainConfig",
@@ -117,16 +101,14 @@ __all__ = [
     "Graph",
     "InputNormalization",
     "MeshGeometry",
+    "NumericalError",
     "ParameterPoint",
     "PodBasis",
     "PodGprRom",
     "RomforgeError",
-    "ShapeError",
     "SnapshotMatrix",
     "SnapshotTensor",
-    "SplitError",
     "TimingResult",
-    "UnknownParameterError",
     "adamw_step",
     "build_graph",
     "compute_pod",

@@ -1,9 +1,10 @@
 """Command-line front end: generate data, train, predict, evaluate.
 
 Contract: every run prints exactly one JSON summary line to stdout;
-diagnostics go to stderr. Exit codes: 0 success, 2 configuration error,
-3 I/O error, 4 numerical failure. A JSON config file passed via --config
-supplies defaults that explicit flags override; unknown keys are rejected.
+diagnostics go to stderr. Exit codes: 0 success, else the error's
+``exit_code``: 2 configuration, 3 I/O or data, 4 numerical failure. A JSON
+config file passed via --config supplies defaults that explicit flags
+override; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -26,20 +27,7 @@ from .dataset import (
     split_dataset,
     write_snapshot_bin,
 )
-from .errors import (
-    ConditioningError,
-    ConfigurationError,
-    CorruptionError,
-    DataError,
-    DegenerateBasisError,
-    DegenerateMetricError,
-    DivergenceError,
-    DuplicateParameterError,
-    FormatError,
-    ShapeError,
-    SplitError,
-    UnknownParameterError,
-)
+from .errors import ConfigurationError, DataError, NumericalError, RomforgeError
 from .gca import build_graph, load_gca, predict_gca, save_gca
 from .gpr import fit_decision
 from .metrics import (
@@ -54,13 +42,6 @@ from .rom import load_rom, predict_distortion_many, save_rom, train_pod_gpr
 from .training import GcaTrainConfig, train_gca, write_history_csv
 
 __all__ = ["main", "parse_dwell_times"]
-
-_CONFIG_ERRORS = (ConfigurationError, SplitError, UnknownParameterError,
-                  DuplicateParameterError, ShapeError)
-_NUMERICAL_ERRORS = (ConditioningError, DivergenceError, DegenerateBasisError,
-                     DegenerateMetricError, np.linalg.LinAlgError)
-_IO_ERRORS = (FormatError, CorruptionError, DataError, OSError)
-
 
 def parse_dwell_times(raw) -> list[float]:
     """Parse `start:stop:step` (stop inclusive when aligned) or a comma list."""
@@ -82,6 +63,8 @@ def parse_dwell_times(raw) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigurationError(f"non-numeric dwell-time range {text!r}")
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigurationError(f"non-finite dwell-time range {text!r}")
         if step <= 0.0 or stop < start:
             raise ConfigurationError(
                 "need step > 0 and stop >= start in dwell-time range"
@@ -110,7 +93,7 @@ def _dumps(payload, **kwargs) -> str:
     try:
         return json.dumps(payload, sort_keys=True, allow_nan=False, **kwargs)
     except ValueError as exc:
-        raise DegenerateMetricError(f"non-finite value in output: {exc}") from None
+        raise NumericalError(f"non-finite value in output: {exc}") from None
 
 
 # Subcommand handlers =========================================================
@@ -210,14 +193,14 @@ def _load_any_model(model_dir: Path):
     ``predict(dts)`` returns one mean field per dwell time and a matching
     list of extrapolation flags. ``model`` is the loaded :class:`PodGprRom`
     or :class:`GcaModel`. A directory that holds both layouts is a
-    :class:`FormatError`: neither archive can be trusted to be the current
+    :class:`DataError`: neither archive can be trusted to be the current
     one.
     """
     rom_manifest = model_dir / "manifest.json"
     gca_manifest = model_dir / "gca.json"
     if rom_manifest.is_file() and gca_manifest.is_file():
-        raise FormatError(f"{model_dir} holds two model archives, "
-                          f"{rom_manifest} and {gca_manifest}")
+        raise DataError(f"{model_dir} holds two model archives, "
+                        f"{rom_manifest} and {gca_manifest}")
     if rom_manifest.is_file():
         rom = load_rom(model_dir)
 
@@ -234,8 +217,8 @@ def _load_any_model(model_dir: Path):
             return ([predict_gca(model, graph, dt) for dt in dts],
                     model.input_norm.extrapolates(dts))
         return "gca", model, predict
-    raise FormatError(f"{model_dir} holds no model archive: expected "
-                      f"{rom_manifest} or {gca_manifest}")
+    raise DataError(f"{model_dir} holds no model archive: expected "
+                    f"{rom_manifest} or {gca_manifest}")
 
 
 def cmd_predict(ns: SimpleNamespace) -> dict:
@@ -245,6 +228,8 @@ def cmd_predict(ns: SimpleNamespace) -> dict:
     out = _resolve(ns.out)
     kind, _, predict = _load_any_model(model_dir)
     (field,), (extrapolation,) = predict([dt])
+    if not np.all(np.isfinite(field)):
+        raise NumericalError(f"predicted field at dt={dt} is not finite")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_snapshot_bin(field[:, None], out)
     sidecar = {"dt": dt, "max_displacement": float(field.max()),
@@ -418,7 +403,7 @@ def _merge_config(args: argparse.Namespace) -> SimpleNamespace:
         try:
             text = config_path.read_text()
         except OSError:
-            raise FormatError(f"cannot read config file {config_path}")
+            raise DataError(f"cannot read config file {config_path}")
         try:
             loaded = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -443,15 +428,15 @@ def main(argv=None) -> int:
     try:
         ns = _merge_config(args)
         line = _dumps(args._handler(ns))
-    except _CONFIG_ERRORS as exc:
-        print(f"romforge: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"romforge: numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except _IO_ERRORS as exc:
-        print(f"romforge: {exc}", file=sys.stderr)
-        return 3
+    except (RomforgeError, OSError, np.linalg.LinAlgError) as exc:
+        # an unreadable or unwritable path is a data error, a failed
+        # factorization a numerical one
+        code = (exc.exit_code if isinstance(exc, RomforgeError)
+                else DataError.exit_code if isinstance(exc, OSError)
+                else NumericalError.exit_code)
+        kind = "numerical failure: " if code == NumericalError.exit_code else ""
+        print(f"romforge: {kind}{exc}", file=sys.stderr)
+        return code
     print(line)
     return 0
 

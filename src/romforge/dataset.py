@@ -19,13 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    CorruptionError,
     DataError,
-    DuplicateParameterError,
-    FormatError,
-    ShapeError,
-    SplitError,
-    UnknownParameterError,
     archive_values,
     read_json,
     write_json,
@@ -124,10 +118,10 @@ class MeshGeometry:
         layers = np.asarray(self.layer_index, dtype=np.int64)
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if coords.ndim != 2 or coords.shape[1] != 3:
-            raise ShapeError(f"node_coords must be (n, 3), got {coords.shape}")
+            raise ConfigurationError(f"node_coords must be (n, 3), got {coords.shape}")
         n = coords.shape[0]
         if layers.shape != (n,):
-            raise ShapeError("layer_index length must equal the node count")
+            raise ConfigurationError("layer_index length must equal the node count")
         if np.any(layers < 0):
             raise ConfigurationError("layer_index values must be >= 0")
         if edges.size:
@@ -160,7 +154,7 @@ class SnapshotMatrix:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
-            raise ShapeError(f"values must be a 2-D array, got ndim={values.ndim}")
+            raise ConfigurationError(f"values must be a 2-D array, got ndim={values.ndim}")
         if not np.all(np.isfinite(values)):
             raise DataError("snapshot values must all be finite")
         object.__setattr__(self, "values", _frozen(values))
@@ -182,16 +176,16 @@ class SnapshotTensor:
         object.__setattr__(self, "matrices", tuple(self.matrices))
         shapes = {m.values.shape for m in self.matrices}
         if len(shapes) > 1:
-            raise ShapeError(f"snapshot matrices disagree in shape: {shapes}")
+            raise ConfigurationError(f"snapshot matrices disagree in shape: {shapes}")
         for m in self.matrices:
             if m.values.shape[0] != self.mesh.n_nodes:
-                raise ShapeError(
+                raise ConfigurationError(
                     f"matrix has {m.values.shape[0]} rows, mesh has "
                     f"{self.mesh.n_nodes} nodes"
                 )
         dts = [m.parameter.dwell_time for m in self.matrices]
         if len(set(dts)) != len(dts):
-            raise DuplicateParameterError(f"dwell times are not distinct: {dts}")
+            raise ConfigurationError(f"dwell times are not distinct: {dts}")
         if self.matrices and np.any(
             self.mesh.layer_index >= self.matrices[0].values.shape[1]
         ):
@@ -218,7 +212,7 @@ class SnapshotTensor:
         for m in self.matrices:
             if m.parameter.dwell_time == dwell_time:
                 return m
-        raise UnknownParameterError(f"no snapshot matrix for dwell time {dwell_time}")
+        raise ConfigurationError(f"no snapshot matrix for dwell time {dwell_time}")
 
     def final_fields(self) -> np.ndarray:
         """Stack the final-step fields into an (n_nodes, n_mu) array."""
@@ -315,9 +309,11 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
     if not dwell_times:
         raise ConfigurationError("dwell_times must be non-empty")
     if len(set(dwell_times)) != len(dwell_times):
-        raise DuplicateParameterError(f"dwell times are not distinct: {dwell_times}")
+        raise ConfigurationError(f"dwell times are not distinct: {dwell_times}")
     if noise_sigma < 0.0:
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
     mesh = _cylinder_mesh(n_radial, n_theta, n_layers)
     height = LAYER_THICKNESS_MM * n_layers
@@ -362,21 +358,20 @@ def write_snapshot_bin(values: np.ndarray, path) -> None:
 def read_snapshot_bin(path) -> np.ndarray:
     """Read an SNPT binary file back into a 2-D float64 array.
 
-    A bad magic or version is a :class:`FormatError`, a size that disagrees
-    with the header a :class:`CorruptionError`, and a NaN or infinite value
-    a :class:`DataError`.
+    A bad magic or version, a size that disagrees with the header, or a NaN
+    or infinite value is a :class:`DataError`.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != SNAP_MAGIC:
-        raise FormatError(f"{path}: bad magic, not an SNPT file")
+        raise DataError(f"{path}: bad magic, not an SNPT file")
     if len(raw) < _SNAP_HEADER.size:
-        raise CorruptionError(f"{path}: truncated header")
+        raise DataError(f"{path}: truncated header")
     _, version, n_nodes, n_steps = _SNAP_HEADER.unpack_from(raw)
     if version != SNAP_VERSION:
-        raise FormatError(f"{path}: unsupported SNPT version {version}")
+        raise DataError(f"{path}: unsupported SNPT version {version}")
     expected = _SNAP_HEADER.size + 8 * n_nodes * n_steps
     if len(raw) != expected:
-        raise CorruptionError(
+        raise DataError(
             f"{path}: payload holds {len(raw) - _SNAP_HEADER.size} bytes, "
             f"header declares {8 * n_nodes * n_steps}"
         )
@@ -421,10 +416,9 @@ def save_snapshot_tensor(tensor: SnapshotTensor, path) -> None:
 def load_snapshot_tensor(path) -> SnapshotTensor:
     """Load a tensor saved by :func:`save_snapshot_tensor`, validating headers.
 
-    A missing file, malformed JSON or an unknown version is a
-    :class:`FormatError`; a missing key or an unusable value, including
-    snapshot files that disagree with each other or with the mesh, a
-    :class:`CorruptionError`.
+    A missing file, malformed JSON, an unknown version, a missing key or an
+    unusable value, including snapshot files that disagree with each other
+    or with the mesh, is a :class:`DataError`.
     """
     path = Path(path)
     with archive_values(path):
@@ -445,7 +439,7 @@ def split_dataset(tensor: SnapshotTensor, train, test):
     test = [float(dt) for dt in test]
     overlap = set(train) & set(test)
     if overlap:
-        raise SplitError(f"train and test dwell times overlap: {sorted(overlap)}")
+        raise ConfigurationError(f"train and test dwell times overlap: {sorted(overlap)}")
     train_t = SnapshotTensor(tuple(tensor.matrix_for(dt) for dt in train), tensor.mesh)
     test_t = SnapshotTensor(tuple(tensor.matrix_for(dt) for dt in test), tensor.mesh)
     return train_t, test_t

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all romforge modules.
+"""Exception hierarchy shared by all romforge modules: one class per CLI
+exit status, which each class carries as ``exit_code``.
 
 Also the archives' canonical JSON writer and the readers' helpers that map
 malformed content onto the hierarchy.
@@ -10,55 +11,30 @@ from pathlib import Path
 
 
 class RomforgeError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class of the package's errors; each subclass sets ``exit_code``."""
+
+    exit_code: int
 
 
 class ConfigurationError(RomforgeError, ValueError):
-    """Invalid sizes, ranges, or option combinations."""
+    """Invalid options, sizes, shapes or ranges: mismatched array
+    dimensions, overlapping splits, repeated or unknown dwell times."""
 
-
-class DuplicateParameterError(ConfigurationError):
-    """Two snapshot matrices carry the same dwell time."""
-
-
-class ShapeError(RomforgeError, ValueError):
-    """Array dimensions do not match the operation's contract."""
-
-
-class UnknownParameterError(RomforgeError, KeyError):
-    """A requested dwell time does not exist in the dataset."""
-
-
-class SplitError(RomforgeError, ValueError):
-    """Train and test dwell-time lists overlap."""
-
-
-class FormatError(RomforgeError, ValueError):
-    """A file does not start with the expected magic bytes or version."""
-
-
-class CorruptionError(RomforgeError, ValueError):
-    """A file is internally inconsistent (truncated, dimension mismatch)."""
+    exit_code = 2
 
 
 class DataError(RomforgeError, ValueError):
-    """Payload values are unusable (NaN or Inf)."""
+    """Unusable input data: a file that is missing, malformed, of another
+    version or internally inconsistent, or values that are not finite."""
+
+    exit_code = 3
 
 
-class DegenerateBasisError(RomforgeError, ValueError):
-    """The centered snapshot matrix has no energy; no modes exist."""
+class NumericalError(RomforgeError, ArithmeticError):
+    """A computation failed: an unfactorizable kernel, a diverging loss, a
+    snapshot set with no energy, or an undefined metric."""
 
-
-class ConditioningError(RomforgeError, ArithmeticError):
-    """Cholesky factorization failed even after jitter escalation."""
-
-
-class DivergenceError(RomforgeError, ArithmeticError):
-    """Training produced a non-finite loss."""
-
-
-class DegenerateMetricError(RomforgeError, ValueError):
-    """A metric is undefined for the given inputs (e.g. zero-norm truth)."""
+    exit_code = 4
 
 
 def write_json(path: Path, doc) -> None:
@@ -70,36 +46,36 @@ def write_json(path: Path, doc) -> None:
 def read_json(path: Path, version: int) -> dict:
     """Parse a JSON archive file whose ``version`` key must equal ``version``.
 
-    A missing or malformed file, or another version, is a FormatError.
+    A missing or malformed file, or another version, is a DataError.
     """
     if not path.is_file():
-        raise FormatError(f"{path} is missing")
+        raise DataError(f"{path} is missing")
     try:
         doc = json.loads(path.read_bytes())
     except ValueError as exc:  # JSONDecodeError and undecodable bytes
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
     if doc.get("version") != version:
-        raise FormatError(f"{path}: unsupported version {doc.get('version')}")
+        raise DataError(f"{path}: unsupported version {doc.get('version')}")
     return doc
 
 
 @contextmanager
 def archive_values(path):
-    """Report a malformed archive value as a CorruptionError naming ``path``.
+    """Report a malformed archive value as a DataError naming ``path``.
 
     Missing keys, wrong JSON types and out-of-range values surface as
     KeyError, TypeError, AttributeError, IndexError or ValueError (romforge's
-    own validation errors included); FormatError, CorruptionError and
-    DataError pass through unchanged. A ConditioningError counts too: saved
-    hyperparameters factorized when they were saved, so one that fails on
-    load was edited.
+    own validation errors included); a DataError passes through unchanged.
+    An ArithmeticError counts too: saved hyperparameters factorized when
+    they were saved, so one that fails on load was edited, and an edited
+    value can overflow.
     """
     try:
         yield
-    except (FormatError, CorruptionError, DataError):
+    except DataError:
         raise
     except (KeyError, TypeError, AttributeError, IndexError, ValueError,
-            ConditioningError) as exc:
-        raise CorruptionError(
+            ArithmeticError) as exc:
+        raise DataError(
             f"{path}: malformed archive ({type(exc).__name__}: {exc})"
         ) from None

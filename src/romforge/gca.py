@@ -31,7 +31,13 @@ from .dataset import (
     read_snapshot_bin,
     write_snapshot_bin,
 )
-from .errors import CorruptionError, archive_values, read_json, write_json
+from .errors import (
+    ConfigurationError,
+    DataError,
+    archive_values,
+    read_json,
+    write_json,
+)
 
 __all__ = [
     "Graph",
@@ -97,6 +103,14 @@ class GcaArchitecture:
     enc_widths: tuple[int, int] = (16, 32)
     latent_dim: int = 12
     fc_width: int = 32
+
+    def __post_init__(self):
+        widths = (self.n_nodes, *self.enc_widths, self.latent_dim,
+                  self.fc_width)
+        if len(self.enc_widths) != 2 or not all(
+                isinstance(w, (int, np.integer)) and w >= 1 for w in widths):
+            raise ConfigurationError("layer widths and the node count must be "
+                                     f"positive integers, got {self}")
 
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         h1, h2 = self.enc_widths
@@ -331,9 +345,8 @@ def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
 def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
     """Load a checkpoint written by :func:`save_gca`.
 
-    A missing file, malformed JSON or an unknown version is a
-    :class:`FormatError`; a missing key or an unusable value a
-    :class:`CorruptionError`; a NaN or infinite weight a :class:`DataError`.
+    A missing file, malformed JSON, an unknown version, a missing key, an
+    unusable value or a NaN or infinite weight is a :class:`DataError`.
     """
     path = Path(path)
     with archive_values(path):
@@ -348,7 +361,7 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
         weights = read_snapshot_bin(path / "gca_weights.bin")
         n_params = sum(int(np.prod(shape)) for _, shape in arch.param_shapes())
         if weights.shape != (n_params, 1):
-            raise CorruptionError(
+            raise DataError(
                 f"{path / 'gca_weights.bin'} holds shape {weights.shape}, "
                 f"manifest implies ({n_params}, 1)"
             )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ConditioningError, ShapeError
+from .errors import ConfigurationError, NumericalError
 
 __all__ = [
     "GprModel",
@@ -97,8 +97,8 @@ class GprModel:
                     "alpha": (n, m, 1)}
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
-                raise ShapeError(f"{name} has shape "
-                                 f"{getattr(self, name).shape}, not {shape}")
+                raise ConfigurationError(
+                    f"{name} has shape {getattr(self, name).shape}, not {shape}")
         if np.any(self.noise_jitter < 0.0):
             raise ConfigurationError("noise_jitter must be >= 0")
         object.__setattr__(self, "mean_constant",
@@ -130,8 +130,8 @@ def _target_rows(inputs: np.ndarray, targets) -> np.ndarray:
         targets = targets[None, :]
     n = inputs.shape[0]
     if targets.ndim != 2 or targets.shape[1] != n or targets.shape[0] < 1:
-        raise ShapeError("targets must have shape (n,) or (m, n) for "
-                         f"n = {n} inputs, got {targets.shape}")
+        raise ConfigurationError("targets must have shape (n,) or (m, n) "
+                                 f"for n = {n} inputs, got {targets.shape}")
     if n < 1:
         raise ConfigurationError("need at least one training point")
     return targets
@@ -144,7 +144,7 @@ def _per_gp(name: str, value, m: int, positive: bool) -> np.ndarray:
     if values.ndim == 0:
         values = np.full(m, values)
     if values.shape != (m,):
-        raise ShapeError(f"{name} must be a scalar or have shape ({m},)")
+        raise ConfigurationError(f"{name} must be a scalar or have shape ({m},)")
     low = values <= 0.0 if positive else values < 0.0
     if not np.isfinite(values).all() or low.any():
         raise ConfigurationError(f"{name} must be finite and "
@@ -191,12 +191,12 @@ def make_gpr(inputs, targets, signal_variance, length_scale,
                 break
             except np.linalg.LinAlgError:
                 if jit <= 0.0:
-                    raise ConditioningError(
+                    raise NumericalError(
                         f"{row}kernel matrix is singular and jitter is 0 "
                         "(duplicate or near-duplicate inputs?)"
                     ) from None
                 if jit * 10.0 > cap:
-                    raise ConditioningError(
+                    raise NumericalError(
                         f"{row}Cholesky failed even at jitter {jit:.3e} "
                         f"(cap {cap:.3e})"
                     ) from None
@@ -424,6 +424,8 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
         raise ConfigurationError("training inputs must be distinct")
     if restarts < 1:
         raise ConfigurationError("restarts must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
     target_vars = np.var(targets, axis=1)
     jitters = _requested_jitters(targets, jitter)

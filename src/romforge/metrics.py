@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateMetricError, ShapeError
+from .errors import ConfigurationError, NumericalError
 from .gpr import predict_gpr
 from .rom import CI95_FACTOR, PodGprRom
 
@@ -40,10 +40,10 @@ def relative_l2(pred: np.ndarray, truth: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=np.float64).ravel()
     truth = np.asarray(truth, dtype=np.float64).ravel()
     if pred.shape != truth.shape:
-        raise ShapeError(f"length mismatch: {pred.shape} vs {truth.shape}")
+        raise ConfigurationError(f"length mismatch: {pred.shape} vs {truth.shape}")
     denom = float(np.linalg.norm(truth))
     if denom == 0.0:
-        raise DegenerateMetricError("truth field has zero norm")
+        raise NumericalError("truth field has zero norm")
     return float(np.linalg.norm(pred - truth)) / denom
 
 
@@ -53,7 +53,7 @@ def max_displacement_error(pred: np.ndarray, truth: np.ndarray
     pred = np.asarray(pred, dtype=np.float64).ravel()
     truth = np.asarray(truth, dtype=np.float64).ravel()
     if pred.shape != truth.shape:
-        raise ShapeError(f"length mismatch: {pred.shape} vs {truth.shape}")
+        raise ConfigurationError(f"length mismatch: {pred.shape} vs {truth.shape}")
     max_pred = float(pred.max())
     max_true = float(truth.max())
     return {"delta": abs(max_pred - max_true),
@@ -72,9 +72,9 @@ class EvalRow:
         vals = (self.dt, self.max_disp_true, self.max_disp_pred,
                 self.max_abs_node_error, self.relative_l2)
         if not all(math.isfinite(v) for v in vals):
-            raise DegenerateMetricError("evaluation row contains non-finite values")
+            raise NumericalError("evaluation row contains non-finite values")
         if self.relative_l2 < 0.0:
-            raise DegenerateMetricError("relative_l2 must be non-negative")
+            raise NumericalError("relative_l2 must be non-negative")
 
 
 @dataclass(frozen=True)

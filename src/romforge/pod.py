@@ -15,12 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DataError,
-    DegenerateBasisError,
-    ShapeError,
-)
+from .errors import ConfigurationError, DataError, NumericalError
 
 __all__ = [
     "PodBasis",
@@ -65,10 +60,10 @@ class PodBasis:
         sv = np.asarray(self.singular_values, dtype=np.float64)
         ref = np.asarray(self.reference, dtype=np.float64)
         if modes.ndim != 2:
-            raise ShapeError("modes must be a 2-D array")
+            raise ConfigurationError("modes must be a 2-D array")
         rank = modes.shape[1]
         if modes.shape[0] != ref.shape[0]:
-            raise ShapeError(
+            raise ConfigurationError(
                 f"modes shape {modes.shape} inconsistent with reference length "
                 f"{ref.shape[0]}"
             )
@@ -76,9 +71,10 @@ class PodBasis:
             raise ConfigurationError(
                 f"rank must be in [1, {sv.shape[0]}], got {rank}"
             )
-        if not np.all(sv >= 0.0) or np.any(np.diff(sv) > 0.0):
+        if not np.all(np.isfinite(sv) & (sv >= 0.0)) or np.any(
+                np.diff(sv) > 0.0):
             raise ConfigurationError(
-                "singular values must be nonnegative and descending"
+                "singular values must be finite, nonnegative and descending"
             )
         for name, arr in (("modes", modes), ("singular_values", sv),
                           ("reference", ref)):
@@ -137,12 +133,12 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float) -> PodBasis:
     ------
     ConfigurationError
         Empty input or threshold outside (0, 1].
-    DegenerateBasisError
+    NumericalError
         The centered snapshot matrix is identically zero.
     """
     snapshots = np.asarray(snapshots, dtype=np.float64)
     if snapshots.ndim != 2:
-        raise ShapeError("snapshots must be a 2-D array (n_nodes, m)")
+        raise ConfigurationError("snapshots must be a 2-D array (n_nodes, m)")
     n_nodes, m = snapshots.shape
     if m == 0 or n_nodes == 0:
         raise ConfigurationError("snapshot matrix must be non-empty")
@@ -166,7 +162,7 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float) -> PodBasis:
     sigma = np.sqrt(np.maximum(eigvals, 0.0))
 
     if sigma[0] <= 0.0:
-        raise DegenerateBasisError(
+        raise NumericalError(
             "centered snapshot matrix is zero; no modes exist"
         )
     n_effective = int(np.count_nonzero(sigma > _sigma_floor(m) * sigma[0]))
@@ -192,7 +188,7 @@ def project(basis: PodBasis, field: np.ndarray) -> np.ndarray:
     """Project a field onto the basis: coefficients of ``field - reference``."""
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (basis.n_nodes,):
-        raise ShapeError(
+        raise ConfigurationError(
             f"field has shape {field.shape}, expected ({basis.n_nodes},)"
         )
     return basis.modes.T @ (field - basis.reference)
@@ -202,7 +198,7 @@ def reconstruct(basis: PodBasis, coefficients: np.ndarray) -> np.ndarray:
     """Rebuild a field from mode coefficients: reference + modes @ coefficients."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
     if coefficients.shape != (basis.rank,):
-        raise ShapeError(
+        raise ConfigurationError(
             f"expected {basis.rank} coefficients, got shape {coefficients.shape}"
         )
     return basis.reference + basis.modes @ coefficients
@@ -210,10 +206,11 @@ def reconstruct(basis: PodBasis, coefficients: np.ndarray) -> np.ndarray:
 
 def _cumulative_energy(singular_values: np.ndarray) -> np.ndarray:
     """Squared-singular-value fraction of the first 1, 2, ... values."""
-    squares = singular_values**2
-    total = np.sum(squares)
+    with np.errstate(over="raise"):  # a FloatingPointError past float range
+        squares = singular_values**2
+        total = np.sum(squares)
     if total == 0.0:
-        raise DegenerateBasisError("singular values are all zero")
+        raise NumericalError("singular values are all zero")
     return np.cumsum(squares) / total
 
 
@@ -221,7 +218,7 @@ def energy_fraction(singular_values: np.ndarray, r: int) -> float:
     """Cumulative squared-singular-value fraction of the first ``r`` values:
     the fraction :func:`compute_pod` ranks by.
 
-    All-zero singular values are a :class:`DegenerateBasisError`.
+    All-zero singular values are a :class:`NumericalError`.
     """
     singular_values = np.asarray(singular_values, dtype=np.float64)
     if not 1 <= r <= singular_values.shape[0]:

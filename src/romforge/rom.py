@@ -185,9 +185,8 @@ def save_rom(rom: PodGprRom, path) -> None:
 def load_rom(path) -> PodGprRom:
     """Load an archive written by :func:`save_rom`.
 
-    A missing file, malformed JSON or an unknown version is a
-    :class:`FormatError`; a missing key or an unusable value is a
-    :class:`CorruptionError`.
+    A missing file, malformed JSON, an unknown version, a missing key or an
+    unusable value is a :class:`DataError`.
     """
     path = Path(path)
     with archive_values(path):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import InputNormalization, SnapshotTensor
-from .errors import ConfigurationError, DivergenceError, ShapeError
+from .errors import ConfigurationError, NumericalError
 from .gca import (
     GcaArchitecture,
     GcaModel,
@@ -64,8 +64,8 @@ class GcaTrainConfig:
             raise ConfigurationError("patience and max_epochs must be >= 1")
         if self.noise_sigma is not None and self.noise_sigma < 0.0:
             raise ConfigurationError("noise_sigma must be non-negative")
-        if self.latent_dim < 1 or self.fc_width < 1 or min(self.enc_widths) < 1:
-            raise ConfigurationError("layer widths must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ class EpochRecord:
     l_param: float
 
 
+@np.errstate(all="ignore")  # a non-finite loss is reported as it happens
 def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
               config: GcaTrainConfig = GcaTrainConfig()
               ) -> tuple[GcaModel, list[EpochRecord]]:
@@ -90,7 +91,7 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
     if train.n_mu < 1:
         raise ConfigurationError("training set is empty")
     if graph.n_nodes != train.n_nodes:
-        raise ShapeError(
+        raise ConfigurationError(
             f"graph has {graph.n_nodes} nodes, training fields {train.n_nodes}"
         )
 
@@ -101,7 +102,7 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
     has_val = val is not None and val.n_mu > 0
     if has_val:
         if val.n_nodes != train.n_nodes:
-            raise ShapeError("validation fields disagree with training fields")
+            raise ConfigurationError("validation fields disagree with training fields")
         val_fields = val.final_fields().T.copy()
         val_ts = norm.apply(np.array(val.dwell_times))
 
@@ -135,7 +136,7 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
             params, graph, noisy, fields, ts, config.lam
         )
         if not math.isfinite(loss):
-            raise DivergenceError(
+            raise NumericalError(
                 f"training loss became non-finite at epoch {epoch} (lr={lr:.3g})"
             )
         if has_val:

@@ -6,12 +6,15 @@ built once per module.
 """
 
 import dataclasses
+import fnmatch
 import json
 import math
 import re
+import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +30,9 @@ from romforge.dataset import (
 )
 from romforge.errors import (
     ConfigurationError,
-    CorruptionError,
     DataError,
-    FormatError,
+    NumericalError,
+    RomforgeError,
 )
 from romforge.gca import load_gca
 from romforge.rom import load_rom
@@ -101,7 +104,8 @@ def test_parse_dwell_times_lists():
 
 
 @pytest.mark.parametrize("bad", ["", "a,b", "1:2:3:4", "1:10:0", "10:5:1",
-                                 "1:x:2"])
+                                 "1:x:2", "1e308:1e309:1", "20:inf:10",
+                                 "nan:80:10", "20:80:nan"])
 def test_parse_dwell_times_rejects_malformed(bad):
     with pytest.raises(ConfigurationError):
         parse_dwell_times(bad)
@@ -321,6 +325,16 @@ def copy_archive(source, target):
     return target
 
 
+def reader_argv(archive, directory, rom_dir, out):
+    """CLI arguments that read ``directory``, a copy of the fixture named
+    ``archive``: predict from a model archive, or evaluate the POD-GPR
+    model on a dataset. Either writes ``out`` only on success."""
+    if archive == "dataset_dir":
+        return ["eval", "--model-dir", rom_dir, "--data", directory,
+                "--test", "30,50", "--plots", out]
+    return ["predict", "--model-dir", directory, "--dt", "45", "--out", out]
+
+
 def truncate(raw):
     return raw[: len(raw) // 2]
 
@@ -384,14 +398,45 @@ def nan_at(offset):
     pytest.param("gca_dir", "gca.json",
                  edited(lambda d: d.update(version=2)),
                  id="gca_dir-gca.json-version_2"),
+    # values past the range of a float or an integer once squared, summed
+    # or converted
+    pytest.param("rom_dir", "manifest.json",
+                 edited(lambda d: d["modes"][0].update(length_scale=1e308)),
+                 id="rom_dir-manifest.json-length_scale_1e308"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d.update(latent_dim=math.inf)),
+                 id="gca_dir-gca.json-latent_dim_inf"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d.update(fc_width=1e308)),
+                 id="gca_dir-gca.json-fc_width_1e308"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d["enc_widths"].__setitem__(0, 1e308)),
+                 id="gca_dir-gca.json-enc_widths_1e308"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d["mesh"]["edges"][0].__setitem__(
+                     0, math.inf)),
+                 id="gca_dir-gca.json-edges_inf"),
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d["mesh"]["layer_index"].__setitem__(
+                     0, 1e308)),
+                 id="gca_dir-gca.json-layer_index_1e308"),
+    pytest.param("dataset_dir", "meta.json",
+                 edited(lambda d: d["mesh"]["edges"][0].__setitem__(
+                     0, 1e308)),
+                 id="dataset_dir-meta.json-edges_1e308"),
+    pytest.param("dataset_dir", "meta.json",
+                 edited(lambda d: d["mesh"]["layer_index"].__setitem__(
+                     0, -math.inf)),
+                 id="dataset_dir-meta.json-layer_index_-inf"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_hand_edited_archive_is_io_failure(archive, name, change, request,
-                                           tmp_path, capsys):
+                                           rom_dir, tmp_path, capsys):
     broken = copy_archive(request.getfixturevalue(archive), tmp_path / "m")
     capsys.readouterr()
     (broken / name).write_bytes(change((broken / name).read_bytes()))
-    code, stdout, stderr = run(capsys, "predict", "--model-dir", broken,
-                               "--dt", "45", "--out", tmp_path / "f.bin")
+    code, stdout, stderr = run(
+        capsys, *reader_argv(archive, broken, rom_dir, tmp_path / "f.bin"))
     assert code == 3
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
@@ -411,22 +456,25 @@ def swapped_shape(raw):
     ("rom_dir", "basis.bin", load_rom),
     ("gca_dir", "gca_weights.bin", load_gca),
 ], ids=["snap_0.bin", "basis.bin", "gca_weights.bin"])
-@pytest.mark.parametrize("change, error", [
-    pytest.param(lambda raw: raw[:-8], CorruptionError, id="truncated"),
-    pytest.param(lambda raw: b"XXXX" + raw[4:], FormatError, id="bad_magic"),
-    pytest.param(lambda raw: raw[:4] + b"\x09" + raw[5:], FormatError,
-                 id="version_9"),
-    pytest.param(nan_at(_SNAP_HEADER.size), DataError, id="nan_first"),
-    pytest.param(swapped_shape, CorruptionError, id="wrong_shape"),
+@pytest.mark.parametrize("change, fragment", [
+    pytest.param(lambda raw: raw[:-8], "payload holds", id="truncated"),
+    pytest.param(lambda raw: b"XXXX" + raw[4:], "bad magic", id="bad_magic"),
+    pytest.param(lambda raw: raw[:4] + b"\x09" + raw[5:],
+                 "unsupported SNPT version 9", id="version_9"),
+    pytest.param(nan_at(_SNAP_HEADER.size), "NaN or Inf", id="nan_first"),
+    # the reader accepts the file; the archive's own checks reject it
+    pytest.param(swapped_shape, "malformed archive|holds shape",
+                 id="wrong_shape"),
 ])
-def test_corrupt_archive_binary(archive, name, load, change, error, request,
-                                tmp_path, capsys):
+def test_corrupt_archive_binary(archive, name, load, change, fragment,
+                                request, tmp_path, capsys):
     # every archive array is one SNPT file, read by one reader
     broken = copy_archive(request.getfixturevalue(archive), tmp_path / "m")
     capsys.readouterr()
     (broken / name).write_bytes(change((broken / name).read_bytes()))
-    with pytest.raises(error, match=re.escape(str(broken))):
+    with pytest.raises(DataError, match=re.escape(str(broken))) as info:
         load(broken)
+    assert re.search(fragment, str(info.value))
     if archive == "dataset_dir":
         return
     code, stdout, stderr = run(capsys, "predict", "--model-dir", broken,
@@ -461,6 +509,110 @@ def test_predict_missing_archive_is_io_failure(tmp_path, capsys):
                           "--dt", "45", "--out", tmp_path / "f.bin")
     assert code == 3
     assert "no model archive" in stderr
+
+
+# ---------------------------------------------------------- mutation sweep ---
+
+DELETE = object()
+
+# the values written over each JSON leaf, besides deleting it
+JSON_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+               "1e308": 1e308, "-1": -1, "str": "x", "list": [1.0],
+               "null": None}
+
+# edits, as fnmatch patterns over "<leaf path>:<edit>", that leave a valid
+# archive or dataset and so may exit 0: keys no reader uses, mesh
+# coordinates (no prediction reads them), and in-range values
+MAY_LOAD = {
+    "manifest.json": ["model:*", "modes.0.jitter:1e308",
+                      "modes.0.signal_variance:1e308",
+                      "modes.0.train_targets.0:-1",
+                      "singular_values.0:delete",
+                      "training_dwell_times.0:1e308",
+                      "training_dwell_times.0:-1"],
+    "gca.json": ["model:*", "seed:*", "mesh.node_coords.0.0:*",
+                 "training_dwell_times.0:delete",
+                 "training_dwell_times.0:1e308",
+                 "training_dwell_times.0:-1"],
+    "meta.json": ["mesh.node_coords.0.0:*", "dwell_times.0:delete",
+                  "dwell_times.0:1e308"],
+}
+
+
+def json_leaves(doc, path=()):
+    """The path to every leaf of a JSON document, through the first element
+    of each list."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from json_leaves(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from json_leaves(doc[0], path + (0,))
+    else:
+        yield path
+
+
+def with_leaf(raw, path, value):
+    doc = json.loads(raw)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return json.dumps(doc).encode()
+
+
+def mutations(name, raw):
+    """``(label, bytes)`` for every edit of one archive file: cuts inside
+    the SNPT header (13 bytes) and the payload, and for a JSON file every
+    leaf deleted or overwritten."""
+    for cut in sorted({0, 3, 4, 8, 12, 13, 21, len(raw) // 2, len(raw) - 1}):
+        yield f"cut:{cut}", raw[:cut]
+    if name.endswith(".json"):
+        for path in json_leaves(json.loads(raw)):
+            label = ".".join(map(str, path))
+            yield f"{label}:delete", with_leaf(raw, path, DELETE)
+            for tag, value in JSON_VALUES.items():
+                yield f"{label}:{tag}", with_leaf(raw, path, value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("archive, name", [
+    ("rom_dir", "manifest.json"), ("rom_dir", "basis.bin"),
+    ("gca_dir", "gca.json"), ("gca_dir", "gca_weights.bin"),
+    ("dataset_dir", "meta.json"),
+    *(("dataset_dir", f"snap_{i}.bin") for i in range(7)),
+])
+def test_every_archive_mutation_exits_cleanly(archive, name, request,
+                                              rom_dir, tmp_path, capsys):
+    broken = copy_archive(request.getfixturevalue(archive), tmp_path / "m")
+    out = tmp_path / "out"
+    argv = reader_argv(archive, broken, rom_dir, out)
+    capsys.readouterr()
+    wrong = []
+    for label, raw in mutations(name, (broken / name).read_bytes()):
+        (broken / name).write_bytes(raw)
+        try:
+            code, stdout, stderr = run(capsys, *argv)
+        except Exception as exc:  # a traceback, or a warning, in a real run
+            wrong.append(f"{label}: raised {type(exc).__name__}: {exc}")
+            continue
+        if code == 0:
+            json.loads(stdout, parse_constant=reject_constant)
+            if stderr or not any(fnmatch.fnmatchcase(label, pattern)
+                                 for pattern in MAY_LOAD.get(name, ())):
+                wrong.append(f"{label}: exit 0, stderr {stderr!r}")
+            if out.is_dir():
+                shutil.rmtree(out)
+            else:
+                out.unlink()
+                Path(f"{out}.json").unlink()
+        elif (code not in (2, 3, 4) or stdout or out.exists()
+              or len(stderr.splitlines()) != 1 or "Traceback" in stderr):
+            wrong.append(f"{label}: exit {code}, stderr {stderr!r}")
+    assert wrong == []
 
 
 # -------------------------------------------------------------------- eval ---
@@ -632,6 +784,97 @@ def test_config_missing_file_is_io_failure(tmp_path, capsys):
                      "--dwell-times", "40,60",
                      "--config", tmp_path / "absent.json")
     assert code == 3
+
+
+# -------------------------------------------------------------- exit codes ---
+
+
+class LaterDataError(DataError):
+    """A subclass the CLI has never heard of."""
+
+
+@pytest.mark.parametrize("error, code", [
+    pytest.param(ConfigurationError("bad option"), 2, id="configuration"),
+    pytest.param(DataError("bad file"), 3, id="data"),
+    pytest.param(NumericalError("no convergence"), 4, id="numerical"),
+    pytest.param(LaterDataError("new kind"), 3, id="subclass"),
+    pytest.param(OSError("disk full"), 3, id="os"),
+    pytest.param(np.linalg.LinAlgError("singular"), 4, id="linalg"),
+])
+def test_each_error_class_carries_its_exit_code(error, code, monkeypatch,
+                                                tmp_path, capsys):
+    def handler(ns):
+        raise error
+    monkeypatch.setattr("romforge.cli.cmd_gen", handler)
+    if isinstance(error, RomforgeError):
+        assert error.exit_code == code
+    result, stdout, stderr = run(capsys, "gen", "--out", tmp_path / "d",
+                                 *GEN_ARGS)
+    assert result == code
+    assert stdout == ""
+    prefix = "numerical failure: " if code == 4 else ""
+    assert stderr.splitlines() == [f"romforge: {prefix}{error}"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["gen", "pod-gpr", "gca"])
+def test_negative_seed_is_a_configuration_error(command, dataset_dir,
+                                                tmp_path, capsys):
+    argv = {
+        "gen": ["gen", "--out", tmp_path / "d", *GEN_ARGS],
+        "pod-gpr": ["train", "--model", "pod-gpr", "--data", dataset_dir,
+                    "--out", tmp_path / "m"],
+        "gca": ["train", "--model", "gca", "--data", dataset_dir,
+                "--out", tmp_path / "m", "--max-epochs", "2",
+                "--latent", "2"],
+    }[command]
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, *argv, "--seed=-1")
+    assert code == 2
+    assert stdout == ""
+    [line] = stderr.splitlines()
+    assert "seed must be >= 0" in line
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("option", ["dwell-times", "train", "val", "test"])
+def test_non_finite_dwell_time_range_is_a_configuration_error(
+        option, dataset_dir, rom_dir, tmp_path, capsys):
+    text = "1e308:1e309:1"
+    argv = {
+        "dwell-times": ["gen", "--out", tmp_path / "d"],
+        "train": ["train", "--model", "pod-gpr", "--data", dataset_dir,
+                  "--out", tmp_path / "m"],
+        "val": ["train", "--model", "gca", "--data", dataset_dir,
+                "--out", tmp_path / "m", "--max-epochs", "2"],
+        "test": ["eval", "--model-dir", rom_dir, "--data", dataset_dir,
+                 "--plots", tmp_path / "p"],
+    }[option]
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, *argv, f"--{option}={text}")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        f"romforge: non-finite dwell-time range {text!r}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_gca_training_reports_one_line(dataset_dir, tmp_path,
+                                                 capsys):
+    # the loss check names the epoch; NumPy's overflow warnings stay quiet
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "train", "--model", "gca",
+                               "--data", dataset_dir, "--out", tmp_path / "m",
+                               "--lr-max", "inf", "--max-epochs", "5",
+                               "--latent", "2")
+    assert code == 4
+    assert stdout == ""
+    [line] = stderr.splitlines()
+    assert line.startswith("romforge: numerical failure: training loss")
+    assert "epoch" in line
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------------- subprocess ---

@@ -24,16 +24,7 @@ from romforge.dataset import (
     synthetic_distortion,
     write_snapshot_bin,
 )
-from romforge.errors import (
-    ConfigurationError,
-    CorruptionError,
-    DataError,
-    DuplicateParameterError,
-    FormatError,
-    ShapeError,
-    SplitError,
-    UnknownParameterError,
-)
+from romforge.errors import ConfigurationError, DataError
 
 
 def oracle_field(z, r, theta, layer, step, dt, height, radius=5.0):
@@ -143,10 +134,10 @@ def test_snapshot_tensor_rejects_duplicate_parameters_and_shape_drift():
     mesh = tiny_mesh()
     a = SnapshotMatrix(np.zeros((2, 2)), ParameterPoint(20.0))
     b = SnapshotMatrix(np.zeros((2, 2)), ParameterPoint(20.0))
-    with pytest.raises(DuplicateParameterError):
+    with pytest.raises(ConfigurationError, match="not distinct"):
         SnapshotTensor((a, b), mesh)
     c = SnapshotMatrix(np.zeros((2, 3)), ParameterPoint(25.0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError, match="disagree in shape"):
         SnapshotTensor((a, c), mesh)
 
 
@@ -208,7 +199,7 @@ def test_generator_validates_sizes_noise_and_duplicates():
         generate_synthetic_dataset(2, 4, 2, [])
     with pytest.raises(ConfigurationError):
         generate_synthetic_dataset(2, 4, 2, [20.0], noise_sigma=-1.0)
-    with pytest.raises(DuplicateParameterError):
+    with pytest.raises(ConfigurationError, match="not distinct"):
         generate_synthetic_dataset(2, 4, 2, [20.0, 20.0])
 
 
@@ -271,7 +262,7 @@ def test_bad_magic_is_a_format_error(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[0] = 0x58
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="bad magic"):
         read_snapshot_bin(path)
 
 
@@ -281,7 +272,7 @@ def test_unknown_version_is_a_format_error(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 2
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="unsupported SNPT version 2"):
         read_snapshot_bin(path)
 
 
@@ -289,7 +280,7 @@ def test_truncated_snap_file_is_a_corruption_error(tmp_path):
     path = tmp_path / "field.snap"
     write_snapshot_bin(np.ones((3, 3)), path)
     path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(CorruptionError):
+    with pytest.raises(DataError, match="payload holds"):
         read_snapshot_bin(path)
 
 
@@ -297,7 +288,7 @@ def test_nan_payload_is_a_data_error(tmp_path):
     path = tmp_path / "field.snap"
     header = struct.pack("<4sBII", b"SNPT", 1, 1, 1)
     path.write_bytes(header + struct.pack("<d", math.nan))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="NaN or Inf"):
         read_snapshot_bin(path)
 
 
@@ -309,7 +300,7 @@ def test_meta_dimension_mismatch_is_a_corruption_error(tmp_path):
     for bad in (values[:, :2], values[:-1]):  # one step fewer, one node fewer
         save_snapshot_tensor(tensor, tmp_path)
         write_snapshot_bin(bad, tmp_path / "snap_1.bin")
-        with pytest.raises(CorruptionError):
+        with pytest.raises(DataError, match="malformed archive"):
             load_snapshot_tensor(tmp_path)
 
 
@@ -366,7 +357,7 @@ def test_empty_test_split_and_identity_of_matrices():
 
 def test_split_rejects_unknown_and_overlapping_dwell_times():
     tensor = generate_synthetic_dataset(2, 4, 2, [20.0, 40.0])
-    with pytest.raises(UnknownParameterError):
+    with pytest.raises(ConfigurationError, match="no snapshot matrix"):
         split_dataset(tensor, [33.0], [])
-    with pytest.raises(SplitError):
+    with pytest.raises(ConfigurationError, match="overlap"):
         split_dataset(tensor, [20.0], [20.0])

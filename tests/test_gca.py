@@ -16,7 +16,7 @@ from romforge.dataset import (
     generate_synthetic_dataset,
     read_snapshot_bin,
 )
-from romforge.errors import FormatError
+from romforge.errors import DataError
 from romforge.gca import (
     GCA_VERSION,
     GcaArchitecture,
@@ -449,7 +449,7 @@ def test_checkpoint_layout_stores_each_fact_once(irregular, tmp_path):
 
 def test_checkpoint_missing_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="gca.json is missing"):
         load_gca(tmp_path / "empty")
 
 

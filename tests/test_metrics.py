@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from romforge.dataset import generate_synthetic_dataset, split_dataset
-from romforge.errors import ConfigurationError, DegenerateMetricError, ShapeError
+from romforge.errors import ConfigurationError, NumericalError
 from romforge.metrics import (
     EvalReport,
     EvalRow,
@@ -61,9 +61,9 @@ def test_relative_l2_is_scale_invariant():
 
 
 def test_relative_l2_rejects_degenerate_inputs():
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(NumericalError, match="zero norm"):
         relative_l2(np.ones(3), np.zeros(3))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError, match="length mismatch"):
         relative_l2(np.ones(3), np.ones(4))
 
 
@@ -94,10 +94,10 @@ def test_evaluation_row_values():
 
 
 def test_eval_row_validation():
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(NumericalError, match="non-finite"):
         EvalRow(dt=1.0, max_disp_true=math.nan, max_disp_pred=0.0,
                 max_abs_node_error=0.0, relative_l2=0.0)
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(NumericalError, match="non-negative"):
         EvalRow(dt=1.0, max_disp_true=0.0, max_disp_pred=0.0,
                 max_abs_node_error=0.0, relative_l2=-0.1)
 

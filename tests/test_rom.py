@@ -20,7 +20,7 @@ from romforge.dataset import (
     read_snapshot_bin,
     split_dataset,
 )
-from romforge.errors import ConfigurationError, CorruptionError, FormatError
+from romforge.errors import ConfigurationError, DataError
 from romforge.gpr import log_marginal_likelihood
 from romforge.pod import project, reconstruct
 from romforge.rom import (
@@ -277,7 +277,7 @@ def test_version_1_archive_is_a_format_error(rom, tmp_path):
     for version in (1, 2):
         edit_json(tmp_path / "rom" / "manifest.json",
                   lambda d: d.update(version=version))
-        with pytest.raises(FormatError, match=f"version {version}"):
+        with pytest.raises(DataError, match=f"unsupported version {version}"):
             load_rom(tmp_path / "rom")
 
 
@@ -315,6 +315,8 @@ def edit_json(path, edit):
         0, float("nan"))),
     ("manifest.json", lambda d: d["singular_values"].__setitem__(
         0, float("nan"))),
+    ("manifest.json", lambda d: d["singular_values"].__setitem__(
+        0, float("inf"))),
     ("manifest.json", lambda d: d.update(
         singular_values=[0.0] * len(d["singular_values"]))),
     # fewer singular values than basis.bin has modes
@@ -324,7 +326,7 @@ def edit_json(path, edit):
 def test_bad_archive_values_are_corruption(rom, tmp_path, name, edit):
     save_rom(rom, tmp_path / "rom")
     edit_json(tmp_path / "rom" / name, edit)
-    with pytest.raises(CorruptionError):
+    with pytest.raises(DataError, match="malformed archive"):
         load_rom(tmp_path / "rom")
 
 
@@ -333,13 +335,13 @@ def test_malformed_archive_json_is_a_format_error(rom, tmp_path, name):
     save_rom(rom, tmp_path / "rom")
     text = (tmp_path / "rom" / name).read_text()
     (tmp_path / "rom" / name).write_text(text[: len(text) // 2])
-    with pytest.raises(FormatError, match=name):
+    with pytest.raises(DataError, match=f"{name} is not valid JSON"):
         load_rom(tmp_path / "rom")
 
 
 def test_missing_manifest_is_reported(tmp_path):
     (tmp_path / "rom").mkdir()
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="manifest.json is missing"):
         load_rom(tmp_path / "rom")
 
 
