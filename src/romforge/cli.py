@@ -42,6 +42,8 @@ from .rom import load_rom, predict_distortion_many, save_rom, train_pod_gpr
 from .training import GcaTrainConfig, train_gca, write_history_csv
 
 __all__ = ["main", "parse_dwell_times"]
+MAX_RANGE_COUNT = 100_000  # dwell times one start:stop:step range may hold
+
 
 def parse_dwell_times(raw) -> list[float]:
     """Parse `start:stop:step` (stop inclusive when aligned) or a comma list."""
@@ -69,8 +71,11 @@ def parse_dwell_times(raw) -> list[float]:
             raise ConfigurationError(
                 "need step > 0 and stop >= start in dwell-time range"
             )
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_RANGE_COUNT:  # an infinite span fails this too
+            raise ConfigurationError(
+                f"dwell-time range {text!r} has over {MAX_RANGE_COUNT} values")
+        return [start + i * step for i in range(int(span) + 1)]
     try:
         return [float(tok) for tok in text.split(",")]
     except ValueError:

@@ -119,6 +119,8 @@ class MeshGeometry:
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ConfigurationError(f"node_coords must be (n, 3), got {coords.shape}")
+        if not np.all(np.isfinite(coords)):
+            raise DataError("node_coords must be finite")
         n = coords.shape[0]
         if layers.shape != (n,):
             raise ConfigurationError("layer_index length must equal the node count")

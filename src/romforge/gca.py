@@ -144,6 +144,9 @@ class GcaModel:
                                            compare=False)
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:  # a bool is no seed
+            raise ConfigurationError(
+                f"seed must be a non-negative int, got {self.seed!r}")
         norm = InputNormalization(self.training_dwell_times)
         object.__setattr__(self, "training_dwell_times", norm.dwell_times)
         object.__setattr__(self, "input_norm", norm)

@@ -3,7 +3,8 @@
 The basis solves the least-squares snapshot reconstruction problem; modes are
 eigenvectors of the snapshot covariance. Instead of the (huge) node-space
 covariance we eigendecompose the small m x m Gram matrix of the centered
-snapshots, which yields identical modes at a fraction of the memory.
+snapshots, which yields identical modes at a fraction of the memory. It is
+built from blocks of node rows, so the snapshot matrix is never assembled.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = [
     "reconstruct",
     "energy_fraction",
 ]
+
+_ROW_BLOCK = 2048  # node rows gathered and centered at a time
 
 
 def _sigma_floor(m: int) -> float:
@@ -106,21 +109,19 @@ class PodBasis:
 
 def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry positive (deterministic)."""
-    if modes.size == 0:
-        return modes
     idx = np.argmax(np.abs(modes), axis=0)
     signs = np.sign(modes[idx, np.arange(modes.shape[1])])
     signs[signs == 0.0] = 1.0
     return modes * signs
 
 
-def compute_pod(snapshots: np.ndarray, energy_threshold: float) -> PodBasis:
+def compute_pod(snapshots, energy_threshold: float) -> PodBasis:
     """Compute a truncated POD basis of the given snapshot matrix.
 
     Parameters
     ----------
-    snapshots : (n_nodes, m) ndarray
-        One snapshot per column.
+    snapshots : (n_nodes, m) ndarray, or a sequence of (n_nodes, m_i) ndarrays
+        One snapshot per column; a sequence holds the matrix's column blocks.
     energy_threshold : float
         Retain the smallest rank whose cumulative squared-singular-value
         fraction reaches this value, in (0, 1].
@@ -132,27 +133,43 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float) -> PodBasis:
     Raises
     ------
     ConfigurationError
-        Empty input or threshold outside (0, 1].
+        Empty or ragged input, or threshold outside (0, 1].
+    DataError
+        A snapshot value is not finite.
     NumericalError
         The centered snapshot matrix is identically zero.
     """
-    snapshots = np.asarray(snapshots, dtype=np.float64)
-    if snapshots.ndim != 2:
-        raise ConfigurationError("snapshots must be a 2-D array (n_nodes, m)")
-    n_nodes, m = snapshots.shape
+    if isinstance(snapshots, np.ndarray):
+        snapshots = [snapshots]
+    blocks = [np.asarray(b, dtype=np.float64) for b in snapshots]
+    if not blocks or any(b.ndim != 2 or b.shape[0] != blocks[0].shape[0]
+                         for b in blocks):
+        raise ConfigurationError("snapshots must be a 2-D array (n_nodes, m) "
+                                 "or column blocks of equal row counts")
+    n_nodes, m = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
     if m == 0 or n_nodes == 0:
         raise ConfigurationError("snapshot matrix must be non-empty")
-    if not np.all(np.isfinite(snapshots)):
-        raise DataError("snapshots must be finite")
     if not 0.0 < energy_threshold <= 1.0:
         raise ConfigurationError(
             f"energy_threshold must be in (0, 1], got {energy_threshold}"
         )
 
-    reference = snapshots.mean(axis=1)
-    centered = snapshots - reference[:, None]
+    def row_blocks():  # node rows ``at`` of every block, side by side
+        for lo in range(0, n_nodes, _ROW_BLOCK):
+            at = slice(lo, min(lo + _ROW_BLOCK, n_nodes))
+            rows = buffer[:at.stop - lo]
+            np.concatenate([b[at] for b in blocks], axis=1, out=rows)
+            yield at, rows
 
-    gram = centered.T @ centered
+    buffer = np.empty((min(_ROW_BLOCK, n_nodes), m))
+    reference = np.empty(n_nodes)
+    gram = np.zeros((m, m))
+    for at, rows in row_blocks():
+        if not np.all(np.isfinite(rows)):
+            raise DataError("snapshots must be finite")
+        reference[at] = rows.mean(axis=1)
+        rows -= reference[at, None]
+        gram += rows.T @ rows
     # NumPy's LAPACK, like the Gram product: calling SciPy's as well would
     # wake a second OpenBLAS thread pool whose workers keep spinning after
     # the call, competing with the caller on a small host
@@ -179,7 +196,10 @@ def compute_pod(snapshots: np.ndarray, energy_threshold: float) -> PodBasis:
             stacklevel=2,
         )
 
-    modes = centered @ (eigvecs[:, :rank] / sigma[:rank])
+    modes = np.empty((n_nodes, rank))
+    for at, rows in row_blocks():
+        rows -= reference[at, None]
+        np.matmul(rows, eigvecs[:, :rank] / sigma[:rank], out=modes[at])
     return PodBasis(modes=_fix_mode_signs(modes), singular_values=sigma,
                     reference=reference)
 

@@ -100,8 +100,7 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
     """
     if train.n_mu < 2:
         raise ConfigurationError("training needs at least two parameters")
-    snapshots = np.hstack([m.values for m in train.matrices])
-    basis = compute_pod(snapshots, energy_threshold)
+    basis = compute_pod([m.values for m in train.matrices], energy_threshold)
 
     norm = InputNormalization(train.dwell_times)
     coeffs = np.column_stack(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from romforge.cli import main, parse_dwell_times
+from romforge.cli import MAX_RANGE_COUNT, main, parse_dwell_times
 from romforge.dataset import (
     _SNAP_HEADER,
     SnapshotTensor,
@@ -91,6 +91,7 @@ def gca_dir(tmp_path_factory, dataset_dir):
 
 def test_parse_dwell_times_range():
     assert parse_dwell_times("20:80:5") == [20.0 + 5.0 * i for i in range(13)]
+    assert len(parse_dwell_times(f"1:{MAX_RANGE_COUNT}:1")) == MAX_RANGE_COUNT
 
 
 def test_parse_dwell_times_range_with_unaligned_stop():
@@ -105,7 +106,9 @@ def test_parse_dwell_times_lists():
 
 @pytest.mark.parametrize("bad", ["", "a,b", "1:2:3:4", "1:10:0", "10:5:1",
                                  "1:x:2", "1e308:1e309:1", "20:inf:10",
-                                 "nan:80:10", "20:80:nan"])
+                                 "nan:80:10", "20:80:nan",
+                                 # too many values, counted before any is made
+                                 f"0:{MAX_RANGE_COUNT}:1", "-1e308:1e308:1"])
 def test_parse_dwell_times_rejects_malformed(bad):
     with pytest.raises(ConfigurationError):
         parse_dwell_times(bad)
@@ -521,7 +524,7 @@ JSON_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
                "null": None}
 
 # edits, as fnmatch patterns over "<leaf path>:<edit>", that leave a valid
-# archive or dataset and so may exit 0: keys no reader uses, mesh
+# archive or dataset and so may exit 0: keys no reader uses, finite mesh
 # coordinates (no prediction reads them), and in-range values
 MAY_LOAD = {
     "manifest.json": ["model:*", "modes.0.jitter:1e308",
@@ -530,12 +533,13 @@ MAY_LOAD = {
                       "singular_values.0:delete",
                       "training_dwell_times.0:1e308",
                       "training_dwell_times.0:-1"],
-    "gca.json": ["model:*", "seed:*", "mesh.node_coords.0.0:*",
+    "gca.json": ["model:*", "mesh.node_coords.0.0:-1",
+                 "mesh.node_coords.0.0:1e308",
                  "training_dwell_times.0:delete",
                  "training_dwell_times.0:1e308",
                  "training_dwell_times.0:-1"],
-    "meta.json": ["mesh.node_coords.0.0:*", "dwell_times.0:delete",
-                  "dwell_times.0:1e308"],
+    "meta.json": ["mesh.node_coords.0.0:-1", "mesh.node_coords.0.0:1e308",
+                  "dwell_times.0:delete", "dwell_times.0:1e308"],
 }
 
 

@@ -88,6 +88,10 @@ def test_mesh_rejects_self_loops_duplicates_and_bad_indices():
         MeshGeometry(coords, layers, [[0, 3]])
     with pytest.raises(ConfigurationError):
         MeshGeometry(coords, np.array([0, -1, 0]), [[0, 1]])
+    for bad in (np.nan, np.inf, -np.inf):
+        coords[1, 2] = bad
+        with pytest.raises(DataError, match="finite"):
+            MeshGeometry(coords, layers, [[0, 1]])
 
 
 def reference_cylinder_edges(n_radial, n_theta, n_layers):

@@ -16,7 +16,7 @@ from romforge.dataset import (
     generate_synthetic_dataset,
     read_snapshot_bin,
 )
-from romforge.errors import DataError
+from romforge.errors import ConfigurationError, DataError
 from romforge.gca import (
     GCA_VERSION,
     GcaArchitecture,
@@ -129,6 +129,16 @@ def test_gc_layer_single_node_identity_weights():
                      training_dwell_times=(0.0, 1.0), seed=0)
     np.testing.assert_allclose(predict_gca(model, graph, 0.5),
                                elu(elu(feats))[:1], atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True, None, "0"])
+def test_model_seed_must_be_a_non_negative_int(seed):
+    arch = GcaArchitecture(n_nodes=1, enc_widths=(2, 2), latent_dim=1,
+                           fc_width=1)
+    params = {name: np.zeros(shape) for name, shape in arch.param_shapes()}
+    with pytest.raises(ConfigurationError, match="seed"):
+        GcaModel(arch=arch, params=params, training_dwell_times=(0.0, 1.0),
+                 seed=seed)
 
 
 def test_gc_layer_zero_everything_is_zero():

@@ -1,11 +1,14 @@
 """POD via the method of snapshots, checked against dense SVD oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from romforge.dataset import generate_synthetic_dataset
-from romforge.errors import ConfigurationError, NumericalError
-from romforge.pod import compute_pod, energy_fraction, project, reconstruct
+from romforge.errors import ConfigurationError, DataError, NumericalError
+from romforge.pod import (_ROW_BLOCK, compute_pod, energy_fraction, project,
+                          reconstruct)
 
 
 def svd_oracle(snapshots):
@@ -182,3 +185,59 @@ def test_synthetic_snapshots_have_low_effective_rank():
     basis = compute_pod(snapshots, 0.999999)
     assert basis.rank <= 6
 
+
+def uneven_column_blocks(seed=11):
+    """Column blocks of 3, 1 and 5 columns over 2 row blocks plus 37 rows,
+    so the last row block is partial and no block edges line up."""
+    rng = np.random.default_rng(seed)
+    n_nodes = 2 * _ROW_BLOCK + 37
+    return [rng.normal(size=(n_nodes, k)) for k in (3, 1, 5)]
+
+
+def test_column_blocks_match_the_joined_matrix_and_dense_svd():
+    blocks = uneven_column_blocks()
+    joined = np.hstack(blocks)
+    basis = compute_pod(blocks, 1.0 - 1e-9)
+    whole = compute_pod(joined, 1.0 - 1e-9)
+    u, s, _ = svd_oracle(joined)
+    # the same row means, summed over the same contiguous values
+    assert np.array_equal(basis.reference, joined.mean(axis=1))
+    assert np.array_equal(whole.reference, basis.reference)
+    assert basis.rank == whole.rank == 8
+    np.testing.assert_allclose(basis.singular_values[:8],
+                               whole.singular_values[:8], rtol=1e-8)
+    np.testing.assert_allclose(basis.modes, whole.modes, atol=1e-8)
+    np.testing.assert_allclose(basis.singular_values[:8], s[:8], rtol=1e-8)
+    np.testing.assert_allclose(basis.modes, u[:, :8], atol=1e-8)
+
+
+def test_column_blocks_must_be_2d_with_equal_row_counts():
+    blocks = uneven_column_blocks()
+    for bad in ([], [blocks[0], blocks[1][:-1]], [blocks[0], blocks[1][:, 0]]):
+        with pytest.raises(ConfigurationError):
+            compute_pod(bad, 0.99)
+
+
+def test_non_finite_value_in_the_last_row_block_is_a_data_error():
+    blocks = uneven_column_blocks()
+    blocks[-1][-1, -1] = np.nan
+    with pytest.raises(DataError, match="finite"):
+        compute_pod(blocks, 0.99)
+
+
+def test_column_blocks_are_never_joined_or_centered_whole():
+    # ~30 MB of rank-3 snapshots in four column blocks; joining them and
+    # centering the join would trace about twice their size
+    rng = np.random.default_rng(4)
+    n_nodes, widths = 62_500, (12, 20, 8, 20)
+    shapes = rng.normal(size=(n_nodes, 3))
+    blocks = [shapes @ rng.normal(size=(3, k)) for k in widths]
+    snapshot_bytes = sum(b.nbytes for b in blocks)
+    tracemalloc.start()
+    try:
+        basis = compute_pod(blocks, 0.999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.rank == 3
+    assert peak <= 0.25 * snapshot_bytes
