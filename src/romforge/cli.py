@@ -234,7 +234,7 @@ def cmd_predict(ns: SimpleNamespace) -> dict:
     kind, _, predict = _load_any_model(model_dir)
     (field,), (extrapolation,) = predict([dt])
     if not np.all(np.isfinite(field)):
-        raise NumericalError(f"predicted field at dt={dt} is not finite")
+        raise NumericalError(f"{model_dir}: field at dt={dt} is not finite")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_snapshot_bin(field[:, None], out)
     sidecar = {"dt": dt, "max_displacement": float(field.max()),

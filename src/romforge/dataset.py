@@ -9,21 +9,19 @@ is closed-form, any test can recompute the exact ground truth.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import struct
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DataError,
-    archive_values,
-    read_json,
-    write_json,
-)
+from .errors import ConfigurationError, DataError
 
 SNAP_MAGIC = b"SNPT"
 SNAP_VERSION = 1
@@ -340,6 +338,24 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
 
 # Binary I/O ==================================================================
 
+ARCHIVE_VERSION = 4  # of every manifest: dataset, POD-GPR and GCA
+#: ``mesh_nodes`` (n, 4) holds x, y, z and layer; ``mesh_edges`` is (e, 2)
+MESH_ARRAYS = ("mesh_nodes", "mesh_edges")
+
+
+def _snpt_array(values) -> np.ndarray:
+    """The 2-D contiguous little-endian float64 array an SNPT file holds."""
+    values = np.ascontiguousarray(values, dtype="<f8")
+    return values[:, None] if values.ndim == 1 else values
+
+
+def _record(values) -> dict:
+    """A manifest's record of an array: the shape and payload CRC-32 of its
+    SNPT file, taken over a float64 array's own buffer, without a copy."""
+    values = _snpt_array(values)
+    return {"shape": list(values.shape), "crc32": zlib.crc32(values)}
+
+
 def write_snapshot_bin(values: np.ndarray, path) -> None:
     """Write a 2-D array (a 1-D one as one column) as an SNPT binary file.
 
@@ -348,9 +364,7 @@ def write_snapshot_bin(values: np.ndarray, path) -> None:
     archive stores uses this layout. A contiguous little-endian float64
     array is written straight from its buffer, without a copy.
     """
-    values = np.ascontiguousarray(values, dtype="<f8")
-    if values.ndim == 1:
-        values = values[:, None]
+    values = _snpt_array(values)
     header = _SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION, *values.shape)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -384,52 +398,119 @@ def read_snapshot_bin(path) -> np.ndarray:
     return values.astype(np.float64)
 
 
-def _mesh_to_dict(mesh: MeshGeometry) -> dict:
-    """JSON-ready form of a mesh, shared by dataset and checkpoint manifests."""
-    return {
-        "node_coords": mesh.node_coords.tolist(),
-        "layer_index": mesh.layer_index.tolist(),
-        "edges": mesh.edges.tolist(),
-    }
+def save_archive(path, manifest_name: str, doc: dict, arrays: dict) -> None:
+    """Write each array as ``<name>.bin``, then the JSON manifest: ``doc``
+    plus ``version`` and an ``arrays`` table of each array's shape and the
+    CRC-32 of its little-endian payload, with sorted keys and no spaces.
+
+    Each file goes to a sibling ``.tmp`` file and is moved into place, the
+    manifest last, so a save cut short leaves the old manifest, which binds
+    only the old arrays. Other files in the directory are left alone.
+    """
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    table = {}
+    for name, values in arrays.items():
+        table[name] = _record(values)
+        write_snapshot_bin(values, path / f"{name}.bin.tmp")
+        os.replace(path / f"{name}.bin.tmp", path / f"{name}.bin")
+    doc = {**doc, "version": ARCHIVE_VERSION, "arrays": table}
+    (path / f"{manifest_name}.tmp").write_bytes(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    os.replace(path / f"{manifest_name}.tmp", path / manifest_name)
 
 
-def _mesh_from_dict(raw: dict) -> MeshGeometry:
-    """Inverse of :func:`_mesh_to_dict`."""
-    return MeshGeometry(
-        np.array(raw["node_coords"], dtype=np.float64),
-        np.array(raw["layer_index"], dtype=np.int64),
-        np.array(raw["edges"], dtype=np.int64).reshape(-1, 2),
-    )
+@contextmanager
+def load_archive(path, manifest_name: str, names):
+    """Yield ``(doc, arrays)`` of an archive written by :func:`save_archive`
+    to a ``with`` body that builds the loaded objects from them.
+
+    The manifest must bind exactly ``names``: a list, or a function of the
+    manifest that returns one. Each array passes :func:`read_snapshot_bin`'s
+    checks, then must match the shape and CRC-32 the manifest records. Any
+    failure, the body's included, is a :class:`DataError` naming ``path``.
+    That covers a missing key, a wrong JSON type or an unusable value (a
+    KeyError, TypeError, AttributeError, IndexError or ValueError, romforge's
+    own validation errors included) and an ArithmeticError: hyperparameters
+    factorized when they were saved, and an edited value can overflow.
+    """
+    path = Path(path)
+    manifest = path / manifest_name
+    checked = False  # the codec's own DataErrors name their file
+    try:
+        if not manifest.is_file():
+            raise DataError(f"{manifest} is missing")
+        try:
+            doc = json.loads(manifest.read_bytes())
+        except ValueError as exc:  # JSONDecodeError and undecodable bytes
+            raise DataError(f"{manifest} is not valid JSON: {exc}") from None
+        if (version := doc.get("version")) != ARCHIVE_VERSION:
+            raise DataError(f"{manifest}: unsupported version {version}")
+        table = doc["arrays"]
+        expected = sorted(names(doc) if callable(names) else names)
+        if sorted(table) != expected:
+            raise DataError(f"{manifest}: malformed archive: binds arrays "
+                            f"{sorted(table)}, expected {expected}")
+        arrays = {name: read_snapshot_bin(path / f"{name}.bin")
+                  for name in expected}
+        for name, values in arrays.items():
+            found = _record(values)
+            if found != table[name]:
+                raise DataError(f"{path / name}.bin: malformed archive: holds "
+                                f"{found}, {manifest_name} records {table[name]}")
+        checked = True
+        yield doc, arrays
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError,
+            ArithmeticError) as exc:
+        if isinstance(exc, DataError) and not checked:
+            raise
+        raise DataError(
+            f"{path}: malformed archive ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def mesh_arrays(mesh: MeshGeometry) -> dict:
+    """The :data:`MESH_ARRAYS` that store ``mesh``."""
+    return {"mesh_nodes": np.column_stack([mesh.node_coords,
+                                           mesh.layer_index]),
+            "mesh_edges": mesh.edges}
+
+
+def mesh_from_arrays(arrays: dict) -> MeshGeometry:
+    """Inverse of :func:`mesh_arrays`; a layer or edge index that is not an
+    integer below 2**53 is a :class:`DataError`."""
+    nodes, edges = arrays["mesh_nodes"], arrays["mesh_edges"]
+    if nodes.shape[1] != 4 or edges.shape[1] != 2:
+        raise DataError(f"mesh arrays of shapes {nodes.shape} and "
+                        f"{edges.shape}, not (n, 4) and (e, 2)")
+    indices = nodes[:, 3], edges
+    if not all(np.all((np.abs(v) < 2.0**53) & (v == np.trunc(v)))
+               for v in indices):
+        raise DataError("a mesh layer or edge index is not an integer")
+    return MeshGeometry(nodes[:, :3], *(v.astype(np.int64) for v in indices))
 
 
 def save_snapshot_tensor(tensor: SnapshotTensor, path) -> None:
-    """Write ``meta.json`` plus one ``snap_<i>.bin`` per parameter."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    write_json(path / "meta.json", {
-        "version": SNAP_VERSION,
-        "dwell_times": tensor.dwell_times,
-        "mesh": _mesh_to_dict(tensor.mesh),
-    })
-    for i, m in enumerate(tensor.matrices):
-        write_snapshot_bin(m.values, path / f"snap_{i}.bin")
+    """Write ``meta.json``, the mesh arrays and one ``snap_<i>.bin`` of
+    shape (nodes, steps) per dwell time, in ``dwell_times`` order."""
+    save_archive(path, "meta.json", {"dwell_times": tensor.dwell_times}, {
+        **mesh_arrays(tensor.mesh),
+        **{f"snap_{i}": m.values for i, m in enumerate(tensor.matrices)}})
 
 
 def load_snapshot_tensor(path) -> SnapshotTensor:
-    """Load a tensor saved by :func:`save_snapshot_tensor`, validating headers.
+    """Load a tensor saved by :func:`save_snapshot_tensor`. Any unusable
+    file or value, including snapshot files that disagree with each other
+    or with the mesh, is a :class:`DataError`."""
+    def names(meta):
+        return [*MESH_ARRAYS,
+                *(f"snap_{i}" for i in range(len(meta["dwell_times"])))]
 
-    A missing file, malformed JSON, an unknown version, a missing key or an
-    unusable value, including snapshot files that disagree with each other
-    or with the mesh, is a :class:`DataError`.
-    """
-    path = Path(path)
-    with archive_values(path):
-        meta = read_json(path / "meta.json", SNAP_VERSION)
+    with load_archive(path, "meta.json", names) as (meta, arrays):
         matrices = tuple(
-            SnapshotMatrix(read_snapshot_bin(path / f"snap_{i}.bin"),
-                           ParameterPoint(dt))
+            SnapshotMatrix(arrays[f"snap_{i}"], ParameterPoint(dt))
             for i, dt in enumerate(meta["dwell_times"]))
-        return SnapshotTensor(matrices, _mesh_from_dict(meta["mesh"]))
+        return SnapshotTensor(matrices, mesh_from_arrays(arrays))
 
 
 def split_dataset(tensor: SnapshotTensor, train, test):

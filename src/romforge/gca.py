@@ -19,25 +19,19 @@ weight product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
+    MESH_ARRAYS,
     InputNormalization,
     MeshGeometry,
-    _mesh_from_dict,
-    _mesh_to_dict,
-    read_snapshot_bin,
-    write_snapshot_bin,
+    load_archive,
+    mesh_arrays,
+    mesh_from_arrays,
+    save_archive,
 )
-from .errors import (
-    ConfigurationError,
-    DataError,
-    archive_values,
-    read_json,
-    write_json,
-)
+from .errors import ConfigurationError, DataError
 
 __all__ = [
     "Graph",
@@ -50,8 +44,6 @@ __all__ = [
     "save_gca",
     "load_gca",
 ]
-
-GCA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -322,58 +314,42 @@ def predict_gca(model: GcaModel, graph: Graph, dwell_time: float) -> np.ndarray:
 # Checkpoint I/O ==============================================================
 
 def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
-    """Write ``gca.json`` (manifest + mesh) and ``gca_weights.bin``.
+    """Write ``gca.json``, the mesh arrays and ``gca_weights.bin``.
 
     ``gca_weights.bin`` is an SNPT array of shape (n_params, 1): every
     tensor flattened, in the architecture's parameter order.
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    write_json(path / "gca.json", {
-        "version": GCA_VERSION,
+    save_archive(path, "gca.json", {
         "model": "gca",
         "seed": model.seed,
         "latent_dim": model.arch.latent_dim,
         "enc_widths": list(model.arch.enc_widths),
         "fc_width": model.arch.fc_width,
         "training_dwell_times": list(model.training_dwell_times),
-        "mesh": _mesh_to_dict(mesh),
-    })
-    write_snapshot_bin(
-        np.concatenate([model.params[name].ravel()
-                        for name, _ in model.arch.param_shapes()]),
-        path / "gca_weights.bin")
+    }, {**mesh_arrays(mesh), "gca_weights": np.concatenate(
+        [model.params[name].ravel() for name, _ in model.arch.param_shapes()])})
 
 
 def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
-    """Load a checkpoint written by :func:`save_gca`.
-
-    A missing file, malformed JSON, an unknown version, a missing key, an
-    unusable value or a NaN or infinite weight is a :class:`DataError`.
-    """
-    path = Path(path)
-    with archive_values(path):
-        manifest = read_json(path / "gca.json", GCA_VERSION)
-        mesh = _mesh_from_dict(manifest["mesh"])
+    """Load a checkpoint written by :func:`save_gca`; any unusable file or
+    value, a NaN or infinite weight included, is a :class:`DataError`."""
+    with load_archive(path, "gca.json", ["gca_weights", *MESH_ARRAYS]
+                      ) as (manifest, arrays):
+        mesh = mesh_from_arrays(arrays)
         arch = GcaArchitecture(
             n_nodes=mesh.n_nodes,
             enc_widths=tuple(manifest["enc_widths"]),
             latent_dim=manifest["latent_dim"],
             fc_width=manifest["fc_width"],
         )
-        weights = read_snapshot_bin(path / "gca_weights.bin")
-        n_params = sum(int(np.prod(shape)) for _, shape in arch.param_shapes())
-        if weights.shape != (n_params, 1):
-            raise DataError(
-                f"{path / 'gca_weights.bin'} holds shape {weights.shape}, "
-                f"manifest implies ({n_params}, 1)"
-            )
-        params = {}
-        offset = 0
-        for name, shape in arch.param_shapes():
-            count = int(np.prod(shape))
-            params[name] = weights[offset:offset + count].reshape(shape)
-            offset += count
+        shapes = dict(arch.param_shapes())
+        sizes = [int(np.prod(shape)) for shape in shapes.values()]
+        weights = arrays["gca_weights"]
+        if weights.shape != (sum(sizes), 1):
+            raise DataError(f"gca_weights.bin holds shape {weights.shape}, "
+                            f"the architecture implies ({sum(sizes)}, 1)")
+        params = {name: part.reshape(shape) for (name, shape), part in zip(
+            shapes.items(), np.split(weights[:, 0], np.cumsum(sizes)[:-1]))}
         model = GcaModel(arch=arch, params=params,
                          training_dwell_times=manifest["training_dwell_times"],
                          seed=manifest["seed"])

@@ -107,12 +107,19 @@ class PodBasis:
         return squared
 
 
-def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive (deterministic)."""
-    idx = np.argmax(np.abs(modes), axis=0)
-    signs = np.sign(modes[idx, np.arange(modes.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return modes * signs
+def _fix_mode_signs(modes: np.ndarray) -> None:
+    """Flip columns in place so each one's largest-magnitude entry, the
+    first on a tie, is positive: one row block at a time, so no temporary
+    is as large as the modes."""
+    cols = np.arange(modes.shape[1])
+    peak = np.zeros(modes.shape[1])  # the largest-magnitude entry so far
+    for lo in range(0, modes.shape[0], _ROW_BLOCK):
+        block = modes[lo:lo + _ROW_BLOCK]
+        found = block[np.argmax(np.abs(block), axis=0), cols]
+        # a later block wins only with a strictly larger magnitude
+        wins = np.abs(found) > np.abs(peak)
+        peak[wins] = found[wins]
+    modes *= np.where(peak < 0.0, -1.0, 1.0)
 
 
 def compute_pod(snapshots, energy_threshold: float) -> PodBasis:
@@ -200,8 +207,8 @@ def compute_pod(snapshots, energy_threshold: float) -> PodBasis:
     for at, rows in row_blocks():
         rows -= reference[at, None]
         np.matmul(rows, eigvecs[:, :rank] / sigma[:rank], out=modes[at])
-    return PodBasis(modes=_fix_mode_signs(modes), singular_values=sigma,
-                    reference=reference)
+    _fix_mode_signs(modes)
+    return PodBasis(modes=modes, singular_values=sigma, reference=reference)
 
 
 def project(basis: PodBasis, field: np.ndarray) -> np.ndarray:

@@ -13,17 +13,16 @@ variances linearly to per-node 95% bands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
     InputNormalization,
     SnapshotTensor,
-    read_snapshot_bin,
-    write_snapshot_bin,
+    load_archive,
+    save_archive,
 )
-from .errors import ConfigurationError, archive_values, read_json, write_json
+from .errors import ConfigurationError
 from .gpr import GprModel, fit_gpr, make_gpr, predict_gpr
 from .pod import PodBasis, compute_pod, project
 
@@ -36,8 +35,6 @@ __all__ = [
     "save_rom",
     "load_rom",
 ]
-
-ROM_VERSION = 3
 
 #: Two-sided 95% confidence half-width in standard deviations.
 CI95_FACTOR = 1.96
@@ -157,11 +154,8 @@ def save_rom(rom: PodGprRom, path) -> None:
     modes. The GP inputs are not stored: they are the normalized training
     dwell times.
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     basis, gp = rom.basis, rom.gp
-    write_json(path / "manifest.json", {
-        "version": ROM_VERSION,
+    save_archive(path, "manifest.json", {
         "model": "pod-gpr",
         "training_dwell_times": list(rom.training_dwell_times),
         "singular_values": basis.singular_values.tolist(),
@@ -176,21 +170,14 @@ def save_rom(rom: PodGprRom, path) -> None:
                 gp.signal_variance.tolist(), gp.length_scale.tolist(),
                 gp.noise_jitter.tolist(), gp.train_targets.tolist())
         ],
-    })
-    write_snapshot_bin(np.column_stack([basis.reference, basis.modes]),
-                       path / "basis.bin")
+    }, {"basis": np.column_stack([basis.reference, basis.modes])})
 
 
 def load_rom(path) -> PodGprRom:
-    """Load an archive written by :func:`save_rom`.
-
-    A missing file, malformed JSON, an unknown version, a missing key or an
-    unusable value is a :class:`DataError`.
-    """
-    path = Path(path)
-    with archive_values(path):
-        manifest = read_json(path / "manifest.json", ROM_VERSION)
-        columns = read_snapshot_bin(path / "basis.bin")
+    """Load an archive written by :func:`save_rom`; any unusable file or
+    value is a :class:`DataError`."""
+    with load_archive(path, "manifest.json", ["basis"]) as (manifest, arrays):
+        columns = arrays["basis"]
         basis = PodBasis(modes=columns[:, 1:],
                          singular_values=manifest["singular_values"],
                          reference=columns[:, 0])

@@ -9,6 +9,7 @@ import dataclasses
 import fnmatch
 import json
 import math
+import os
 import re
 import shutil
 import struct
@@ -34,8 +35,8 @@ from romforge.errors import (
     NumericalError,
     RomforgeError,
 )
-from romforge.gca import load_gca
-from romforge.rom import load_rom
+from romforge.gca import load_gca, save_gca
+from romforge.rom import load_rom, save_rom
 
 GEN_ARGS = ["--dwell-times", "20:80:10", "--layers", "2", "--radial", "2",
             "--theta", "4", "--seed", "0"]
@@ -350,12 +351,12 @@ def edited(edit):
     return apply
 
 
-def nan_at(offset):
+def nan_at(offset, value=math.nan):
     """Overwrite the float64 starting ``offset`` bytes in (from the end when
-    negative) with NaN."""
+    negative) with NaN, or with ``value``."""
     def nan_payload(raw):
         at = offset % len(raw)
-        return raw[:at] + np.array([np.nan], "<f8").tobytes() + raw[at + 8:]
+        return raw[:at] + np.array([value], "<f8").tobytes() + raw[at + 8:]
     return nan_payload
 
 
@@ -415,22 +416,29 @@ def nan_at(offset):
     pytest.param("gca_dir", "gca.json",
                  edited(lambda d: d["enc_widths"].__setitem__(0, 1e308)),
                  id="gca_dir-gca.json-enc_widths_1e308"),
+    # the mesh arrays: the first edge index, then the first layer index
+    # (column 3 of row 0)
+    pytest.param("gca_dir", "mesh_edges.bin",
+                 nan_at(_SNAP_HEADER.size, math.inf),
+                 id="gca_dir-mesh_edges.bin-edges_inf"),
+    pytest.param("gca_dir", "mesh_nodes.bin",
+                 nan_at(_SNAP_HEADER.size + 24, 1e308),
+                 id="gca_dir-mesh_nodes.bin-layer_index_1e308"),
+    pytest.param("dataset_dir", "mesh_edges.bin",
+                 nan_at(_SNAP_HEADER.size, 1e308),
+                 id="dataset_dir-mesh_edges.bin-edges_1e308"),
+    pytest.param("dataset_dir", "mesh_nodes.bin",
+                 nan_at(_SNAP_HEADER.size + 24, -math.inf),
+                 id="dataset_dir-mesh_nodes.bin-layer_index_-inf"),
+    pytest.param("rom_dir", "manifest.json",
+                 edited(lambda d: d.update(version=3)),
+                 id="rom_dir-manifest.json-version_3"),
     pytest.param("gca_dir", "gca.json",
-                 edited(lambda d: d["mesh"]["edges"][0].__setitem__(
-                     0, math.inf)),
-                 id="gca_dir-gca.json-edges_inf"),
-    pytest.param("gca_dir", "gca.json",
-                 edited(lambda d: d["mesh"]["layer_index"].__setitem__(
-                     0, 1e308)),
-                 id="gca_dir-gca.json-layer_index_1e308"),
+                 edited(lambda d: d.update(version=3)),
+                 id="gca_dir-gca.json-version_3"),
     pytest.param("dataset_dir", "meta.json",
-                 edited(lambda d: d["mesh"]["edges"][0].__setitem__(
-                     0, 1e308)),
-                 id="dataset_dir-meta.json-edges_1e308"),
-    pytest.param("dataset_dir", "meta.json",
-                 edited(lambda d: d["mesh"]["layer_index"].__setitem__(
-                     0, -math.inf)),
-                 id="dataset_dir-meta.json-layer_index_-inf"),
+                 edited(lambda d: d.update(version=1)),
+                 id="dataset_dir-meta.json-version_1"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_hand_edited_archive_is_io_failure(archive, name, change, request,
@@ -524,8 +532,8 @@ JSON_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
                "null": None}
 
 # edits, as fnmatch patterns over "<leaf path>:<edit>", that leave a valid
-# archive or dataset and so may exit 0: keys no reader uses, finite mesh
-# coordinates (no prediction reads them), and in-range values
+# archive or dataset and so may exit 0: keys no reader uses and in-range
+# values; every edit of a binary breaks its binding to the manifest
 MAY_LOAD = {
     "manifest.json": ["model:*", "modes.0.jitter:1e308",
                       "modes.0.signal_variance:1e308",
@@ -533,13 +541,10 @@ MAY_LOAD = {
                       "singular_values.0:delete",
                       "training_dwell_times.0:1e308",
                       "training_dwell_times.0:-1"],
-    "gca.json": ["model:*", "mesh.node_coords.0.0:-1",
-                 "mesh.node_coords.0.0:1e308",
-                 "training_dwell_times.0:delete",
+    "gca.json": ["model:*", "training_dwell_times.0:delete",
                  "training_dwell_times.0:1e308",
                  "training_dwell_times.0:-1"],
-    "meta.json": ["mesh.node_coords.0.0:-1", "mesh.node_coords.0.0:1e308",
-                  "dwell_times.0:delete", "dwell_times.0:1e308"],
+    "meta.json": ["dwell_times.0:1e308"],
 }
 
 
@@ -570,10 +575,14 @@ def with_leaf(raw, path, value):
 
 def mutations(name, raw):
     """``(label, bytes)`` for every edit of one archive file: cuts inside
-    the SNPT header (13 bytes) and the payload, and for a JSON file every
-    leaf deleted or overwritten."""
+    the SNPT header (13 bytes) and the payload; for a binary, one flipped
+    byte in the row count, the first and the middle payload byte; and for a
+    JSON file every leaf deleted or overwritten."""
     for cut in sorted({0, 3, 4, 8, 12, 13, 21, len(raw) // 2, len(raw) - 1}):
         yield f"cut:{cut}", raw[:cut]
+    if name.endswith(".bin"):
+        for at in (5, 13, 13 + (len(raw) - 13) // 2):
+            yield f"flip:{at}", raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:]
     if name.endswith(".json"):
         for path in json_leaves(json.loads(raw)):
             label = ".".join(map(str, path))
@@ -586,7 +595,9 @@ def mutations(name, raw):
 @pytest.mark.parametrize("archive, name", [
     ("rom_dir", "manifest.json"), ("rom_dir", "basis.bin"),
     ("gca_dir", "gca.json"), ("gca_dir", "gca_weights.bin"),
-    ("dataset_dir", "meta.json"),
+    ("gca_dir", "mesh_nodes.bin"), ("gca_dir", "mesh_edges.bin"),
+    ("dataset_dir", "meta.json"), ("dataset_dir", "mesh_nodes.bin"),
+    ("dataset_dir", "mesh_edges.bin"),
     *(("dataset_dir", f"snap_{i}.bin") for i in range(7)),
 ])
 def test_every_archive_mutation_exits_cleanly(archive, name, request,
@@ -614,9 +625,143 @@ def test_every_archive_mutation_exits_cleanly(archive, name, request,
                 out.unlink()
                 Path(f"{out}.json").unlink()
         elif (code not in (2, 3, 4) or stdout or out.exists()
-              or len(stderr.splitlines()) != 1 or "Traceback" in stderr):
+              or len(stderr.splitlines()) != 1 or "Traceback" in stderr
+              or str(broken.resolve()) not in stderr):
             wrong.append(f"{label}: exit {code}, stderr {stderr!r}")
     assert wrong == []
+
+
+# --------------------------------------------------------- archive binding ---
+
+
+def predict_exit(capsys, model_dir, out):
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "predict", "--model-dir", model_dir,
+                               "--dt", "45", "--out", out)
+    return code, stdout, stderr
+
+
+def test_basis_one_row_short_is_io_failure(rom_dir, tmp_path, capsys):
+    # a well-formed SNPT file, but not the one the manifest binds
+    short = copy_archive(rom_dir, tmp_path / "m")
+    write_snapshot_bin(read_snapshot_bin(short / "basis.bin")[:-1],
+                       short / "basis.bin")
+    code, stdout, stderr = predict_exit(capsys, short, tmp_path / "f.bin")
+    assert (code, stdout) == (3, "")
+    assert "basis.bin" in stderr and "shape" in stderr
+    assert not (tmp_path / "f.bin").exists()
+
+
+def test_basis_from_another_archive_is_io_failure(rom_dir, dataset_dir,
+                                                  tmp_path, capsys):
+    # POD takes no seed, so another --seed alone gives the same basis.bin;
+    # another training split gives one of the same shape, other values
+    other = tmp_path / "other"
+    assert main(["train", "--model", "pod-gpr", "--data", str(dataset_dir),
+                 "--out", str(other), "--seed", "1",
+                 "--train", "20,30,40,50,60,70"]) == 0
+    mixed = copy_archive(rom_dir, tmp_path / "m")
+    theirs = read_snapshot_bin(other / "basis.bin")
+    assert theirs.shape == read_snapshot_bin(mixed / "basis.bin").shape
+    assert (other / "basis.bin").read_bytes() != (
+        mixed / "basis.bin").read_bytes()
+    (mixed / "basis.bin").write_bytes((other / "basis.bin").read_bytes())
+    code, stdout, stderr = predict_exit(capsys, mixed, tmp_path / "f.bin")
+    assert (code, stdout) == (3, "")
+    assert "basis.bin" in stderr and "crc32" in stderr
+
+
+def test_dataset_with_a_dwell_time_deleted_is_io_failure(rom_dir,
+                                                        dataset_dir,
+                                                        tmp_path, capsys):
+    # six dwell times no longer match the seven snapshots meta.json binds
+    broken = copy_archive(dataset_dir, tmp_path / "d")
+    meta = json.loads((broken / "meta.json").read_text())
+    del meta["dwell_times"][0]
+    (broken / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "eval", "--model-dir", rom_dir,
+                               "--data", broken, "--test", "40",
+                               "--plots", tmp_path / "plots")
+    assert (code, stdout) == (3, "")
+    assert "meta.json" in stderr and "snap_6" in stderr
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("archive", ["rom_dir", "gca_dir", "dataset_dir"])
+def test_load_then_save_is_byte_identical(archive, request, tmp_path):
+    source = request.getfixturevalue(archive)
+    copy = tmp_path / "copy"
+    if archive == "rom_dir":
+        save_rom(load_rom(source), copy)
+    elif archive == "gca_dir":
+        save_gca(*load_gca(source), copy)
+    else:
+        save_snapshot_tensor(load_snapshot_tensor(source), copy)
+    saved = dir_bytes(copy)
+    assert saved == {name: blob for name, blob in dir_bytes(source).items()
+                     if name in saved}
+    assert set(saved) == set(dir_bytes(source)) - {"history.csv"}
+
+
+def failing_replace(fail_at):
+    """An ``os.replace`` whose ``fail_at``-th call (from 1) raises, as if
+    the process were killed there."""
+    calls = []
+    real = os.replace
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == fail_at:
+            raise OSError(f"killed before moving {src} to {dst}")
+        real(src, dst)
+    return replace
+
+
+@pytest.mark.parametrize("fail_at", [1, 2], ids=["basis", "manifest"])
+def test_interrupted_retrain_never_loads_a_mix(fail_at, rom_dir, dataset_dir,
+                                               tmp_path, capsys, monkeypatch):
+    archive = copy_archive(rom_dir, tmp_path / "m")
+    code, _, _ = predict_exit(capsys, archive, tmp_path / "old.bin")
+    assert code == 0
+    old = (tmp_path / "old.bin").read_bytes()
+    monkeypatch.setattr(os, "replace", failing_replace(fail_at))
+    code, _, _ = run(capsys, "train", "--model", "pod-gpr", "--data",
+                     dataset_dir, "--out", archive, "--seed", "1",
+                     "--train", "20,30,40,50,60,70")
+    monkeypatch.undo()
+    assert code == 3
+    code, _, stderr = predict_exit(capsys, archive, tmp_path / "f.bin")
+    if code == 0:
+        assert (tmp_path / "f.bin").read_bytes() == old
+    else:
+        assert code == 3 and "basis.bin" in stderr
+    # the new basis.bin is in place only once its manifest write begins
+    assert code == (0 if fail_at == 1 else 3)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+def test_interrupted_dataset_save_never_loads_a_mix(fail_at, dataset_dir,
+                                                    rom_dir, tmp_path,
+                                                    capsys, monkeypatch):
+    # the second dataset has another mesh and fewer dwell times; the
+    # replaces run mesh_nodes, mesh_edges, snap_0, snap_1, meta.json
+    data = copy_archive(dataset_dir, tmp_path / "d")
+    old = load_snapshot_tensor(data)
+    monkeypatch.setattr(os, "replace", failing_replace(fail_at))
+    code, _, _ = run(capsys, "gen", "--out", data, *GEN_ARGS,
+                     "--radial", "3", "--dwell-times", "30,40")
+    monkeypatch.undo()
+    assert code == 3
+    try:
+        loaded = load_snapshot_tensor(data)
+    except DataError as exc:
+        assert str(data) in str(exc)
+        return
+    assert loaded.dwell_times == old.dwell_times
+    assert np.array_equal(loaded.mesh.edges, old.mesh.edges)
+    for got, want in zip(loaded.matrices, old.matrices):
+        assert np.array_equal(got.values, want.values)
 
 
 # -------------------------------------------------------------------- eval ---
@@ -679,22 +824,26 @@ def test_eval_requires_plots_directory(rom_dir, dataset_dir, capsys):
     assert "--plots" in stderr
 
 
-def test_eval_names_both_inputs_when_node_counts_differ(rom_dir, dataset_dir,
+def test_eval_names_both_inputs_when_node_counts_differ(dataset_dir,
                                                        tmp_path, capsys):
-    # a basis one row short loads, but cannot be scored against the dataset
-    short = copy_archive(rom_dir, tmp_path / "m")
-    write_snapshot_bin(read_snapshot_bin(short / "basis.bin")[:-1],
-                       short / "basis.bin")
+    # a model of another mesh loads, but cannot be scored against the
+    # dataset
+    other_data, other = tmp_path / "d", tmp_path / "m"
+    assert main(["gen", "--out", str(other_data), *GEN_ARGS,
+                 "--radial", "3"]) == 0
+    assert main(["train", "--model", "pod-gpr", "--data", str(other_data),
+                 "--out", str(other)]) == 0
     capsys.readouterr()
-    code, stdout, stderr = run(capsys, "eval", "--model-dir", short,
+    code, stdout, stderr = run(capsys, "eval", "--model-dir", other,
                                "--data", dataset_dir, "--test", "40",
                                "--plots", tmp_path / "plots")
     assert code == 2
     assert stdout == ""
     [line] = stderr.splitlines()
     n_nodes = load_snapshot_tensor(dataset_dir).n_nodes
-    assert str(short.resolve()) in line and str(dataset_dir.resolve()) in line
-    assert f"predicts {n_nodes - 1} nodes" in line
+    n_other = load_snapshot_tensor(other_data).n_nodes
+    assert str(other.resolve()) in line and str(dataset_dir.resolve()) in line
+    assert f"predicts {n_other} nodes" in line
     assert f"has {n_nodes}" in line
     assert not (tmp_path / "plots").exists()
 

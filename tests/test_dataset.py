@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from romforge.dataset import (
+    ARCHIVE_VERSION,
     CYLINDER_RADIUS_MM,
     LAYER_THICKNESS_MM,
     InputNormalization,
@@ -309,31 +312,68 @@ def test_meta_dimension_mismatch_is_a_corruption_error(tmp_path):
 
 
 def test_meta_is_valid_json_with_declared_dimensions(tmp_path):
-    # the dwell-time list, the mesh and the SNPT headers declare every
-    # dimension once
+    # the dwell-time list and the SNPT headers declare every dimension
+    # once; the manifest binds each array by shape and CRC-32
     tensor = generate_synthetic_dataset(2, 4, 2, [20.0, 30.0])
     save_snapshot_tensor(tensor, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "meta.json", "snap_0.bin", "snap_1.bin"]
+        "mesh_edges.bin", "mesh_nodes.bin", "meta.json", "snap_0.bin",
+        "snap_1.bin"]
     meta = json.loads((tmp_path / "meta.json").read_text())
-    assert set(meta) == {"version", "dwell_times", "mesh"}
-    assert set(meta["mesh"]) == {"node_coords", "layer_index", "edges"}
+    assert set(meta) == {"version", "dwell_times", "arrays"}
+    assert meta["version"] == ARCHIVE_VERSION == 4
     assert meta["dwell_times"] == [20.0, 30.0]
-    assert len(meta["mesh"]["node_coords"]) == tensor.n_nodes
+    for name, record in meta["arrays"].items():
+        values = read_snapshot_bin(tmp_path / f"{name}.bin")
+        assert record == {"shape": list(values.shape),
+                          "crc32": zlib.crc32(values)}
 
 
-def test_meta_with_the_old_dimension_keys_still_loads(tmp_path):
-    tensor = generate_synthetic_dataset(2, 4, 2, [20.0, 30.0])
+def test_mesh_is_stored_as_two_arrays(tmp_path):
+    tensor = generate_synthetic_dataset(2, 4, 2, [20.0])
     save_snapshot_tensor(tensor, tmp_path)
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    assert not {"n_mu", "n_h", "n_t"} & set(meta)
-    # the form of older datasets, which also stored their dimensions
-    meta.update(n_mu=2, n_h=tensor.n_nodes, n_t=2)
-    (tmp_path / "meta.json").write_text(json.dumps(meta))
-    loaded = load_snapshot_tensor(tmp_path)
-    assert loaded.dwell_times == [20.0, 30.0]
-    for got, want in zip(loaded.matrices, tensor.matrices):
-        assert np.array_equal(got.values, want.values)
+    nodes = read_snapshot_bin(tmp_path / "mesh_nodes.bin")
+    np.testing.assert_array_equal(nodes[:, :3], tensor.mesh.node_coords)
+    np.testing.assert_array_equal(nodes[:, 3], tensor.mesh.layer_index)
+    np.testing.assert_array_equal(read_snapshot_bin(
+        tmp_path / "mesh_edges.bin"), tensor.mesh.edges)
+
+
+def rebind(directory, manifest_name, name, values):
+    """Rewrite array ``name`` and record its new shape and CRC-32 in the
+    manifest, as a consistent hand edit would."""
+    write_snapshot_bin(values, directory / f"{name}.bin")
+    path = directory / manifest_name
+    doc = json.loads(path.read_text())
+    doc["arrays"][name] = {"shape": list(np.shape(values)),
+                           "crc32": zlib.crc32(np.ascontiguousarray(values))}
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name, at, value", [
+    ("mesh_nodes", (0, 3), 0.5), ("mesh_nodes", (0, 3), 1e308),
+    ("mesh_nodes", (0, 3), -1.0), ("mesh_edges", (0, 1), 1.5),
+    ("mesh_edges", (0, 0), 2.0**60), ("mesh_edges", (0, 1), 1e9),
+])
+def test_rebound_mesh_index_must_be_a_valid_integer(tmp_path, name, at,
+                                                     value):
+    save_snapshot_tensor(generate_synthetic_dataset(2, 4, 2, [20.0]),
+                         tmp_path)
+    values = read_snapshot_bin(tmp_path / f"{name}.bin")
+    values[at] = value
+    rebind(tmp_path, "meta.json", name, values)
+    with pytest.raises(DataError,
+                       match=f"^{re.escape(str(tmp_path))}: malformed archive"):
+        load_snapshot_tensor(tmp_path)
+
+
+def test_saving_leaves_other_files_and_no_temporaries(tmp_path):
+    (tmp_path / "notes.txt").write_text("kept")
+    save_snapshot_tensor(zeros_tensor(), tmp_path)
+    save_snapshot_tensor(zeros_tensor(), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "mesh_edges.bin", "mesh_nodes.bin", "meta.json", "notes.txt",
+        "snap_0.bin"]
 
 
 # Splits ----------------------------------------------------------------------

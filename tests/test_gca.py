@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from romforge.dataset import (
+    ARCHIVE_VERSION,
     MeshGeometry,
     generate_synthetic_dataset,
     read_snapshot_bin,
 )
 from romforge.errors import ConfigurationError, DataError
 from romforge.gca import (
-    GCA_VERSION,
     GcaArchitecture,
     GcaModel,
     _decode,
@@ -444,12 +444,14 @@ def test_checkpoint_layout_stores_each_fact_once(irregular, tmp_path):
                      training_dwell_times=(20.0, 50.0, 80.0), seed=2)
     save_gca(model, mesh, tmp_path / "ckpt")
     assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
-        "gca.json", "gca_weights.bin"]
+        "gca.json", "gca_weights.bin", "mesh_edges.bin", "mesh_nodes.bin"]
     manifest = json.loads((tmp_path / "ckpt" / "gca.json").read_text())
     assert set(manifest) == {"version", "model", "seed", "latent_dim",
                              "enc_widths", "fc_width",
-                             "training_dwell_times", "mesh"}
-    assert manifest["version"] == GCA_VERSION == 3
+                             "training_dwell_times", "arrays"}
+    assert manifest["version"] == ARCHIVE_VERSION == 4
+    assert sorted(manifest["arrays"]) == ["gca_weights", "mesh_edges",
+                                          "mesh_nodes"]
     assert manifest["training_dwell_times"] == [20.0, 50.0, 80.0]
     # gca_weights.bin is one SNPT column: every tensor, flattened in order
     weights = read_snapshot_bin(tmp_path / "ckpt" / "gca_weights.bin")

@@ -7,8 +7,8 @@ import pytest
 
 from romforge.dataset import generate_synthetic_dataset
 from romforge.errors import ConfigurationError, DataError, NumericalError
-from romforge.pod import (_ROW_BLOCK, compute_pod, energy_fraction, project,
-                          reconstruct)
+from romforge.pod import (_ROW_BLOCK, _fix_mode_signs, compute_pod,
+                          energy_fraction, project, reconstruct)
 
 
 def svd_oracle(snapshots):
@@ -241,3 +241,33 @@ def test_column_blocks_are_never_joined_or_centered_whole():
         tracemalloc.stop()
     assert basis.rank == 3
     assert peak <= 0.25 * snapshot_bytes
+
+
+def test_mode_signs_follow_the_first_largest_magnitude_entry():
+    # ties within a row block and across row blocks go to the first entry;
+    # an all-zero column keeps its sign
+    n_nodes = 2 * _ROW_BLOCK + 37
+    modes = np.random.default_rng(5).uniform(-0.5, 0.5, size=(n_nodes, 5))
+    modes[[3, _ROW_BLOCK + 9], 0] = [-2.0, 2.0]
+    modes[[10, 2 * _ROW_BLOCK + 1], 1] = [2.0, -2.0]
+    modes[[7, 8], 2] = [-3.0, 3.0]
+    modes[-1, 3] = -4.0
+    modes[:, 4] = 0.0
+    # the whole-matrix rule the row blocks must reproduce bit for bit
+    peak = modes[np.argmax(np.abs(modes), axis=0), np.arange(5)]
+    expected = modes * np.where(peak < 0.0, -1.0, 1.0)
+    _fix_mode_signs(modes)
+    assert np.array_equal(modes, expected)
+    assert list(modes[[3, 10, 7, -1], [0, 1, 2, 3]]) == [2.0, 2.0, 3.0, 4.0]
+    assert not np.signbit(modes[:, 4]).any()
+
+
+def test_mode_signs_add_no_modes_sized_temporary():
+    modes = np.random.default_rng(6).normal(size=(40_000, 20))
+    tracemalloc.start()
+    try:
+        _fix_mode_signs(modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * modes.nbytes

@@ -6,6 +6,7 @@ looser than observed errors.
 """
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from lbfgs_oracle import lbfgs_fit
 
 from romforge.dataset import (
+    ARCHIVE_VERSION,
     SnapshotMatrix,
     SnapshotTensor,
     generate_synthetic_dataset,
@@ -24,7 +26,6 @@ from romforge.errors import ConfigurationError, DataError
 from romforge.gpr import log_marginal_likelihood
 from romforge.pod import project, reconstruct
 from romforge.rom import (
-    ROM_VERSION,
     PodGprRom,
     load_rom,
     predict_distortion,
@@ -254,8 +255,8 @@ def test_archive_contents_are_enumerable(rom, tmp_path):
     assert names == ["basis.bin", "manifest.json"]
     manifest = json.loads((tmp_path / "rom" / "manifest.json").read_text())
     assert set(manifest) == {"version", "model", "training_dwell_times",
-                             "singular_values", "modes"}
-    assert manifest["version"] == ROM_VERSION == 3
+                             "singular_values", "modes", "arrays"}
+    assert manifest["version"] == ARCHIVE_VERSION == 4
     assert manifest["model"] == "pod-gpr"
     assert manifest["training_dwell_times"] == TRAIN_DTS
     assert manifest["singular_values"] == rom.basis.singular_values.tolist()
@@ -269,12 +270,16 @@ def test_archive_contents_are_enumerable(rom, tmp_path):
     assert columns.shape == (rom.basis.n_nodes, rom.rank + 1)
     np.testing.assert_array_equal(columns[:, 0], rom.basis.reference)
     np.testing.assert_array_equal(columns[:, 1:], rom.basis.modes)
+    # the manifest binds it by shape and CRC-32
+    assert manifest["arrays"] == {"basis": {
+        "shape": [rom.basis.n_nodes, rom.rank + 1],
+        "crc32": zlib.crc32(columns)}}
 
 
 def test_version_1_archive_is_a_format_error(rom, tmp_path):
-    # neither the first layout nor the PODB/hex one is read
+    # no earlier layout is read
     save_rom(rom, tmp_path / "rom")
-    for version in (1, 2):
+    for version in (1, 2, 3):
         edit_json(tmp_path / "rom" / "manifest.json",
                   lambda d: d.update(version=version))
         with pytest.raises(DataError, match=f"unsupported version {version}"):
