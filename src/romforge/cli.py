@@ -28,18 +28,8 @@ from .dataset import (
     write_snapshot_bin,
 )
 from .errors import ConfigurationError, DataError, NumericalError, RomforgeError
-from .gca import build_graph, load_gca, predict_gca, save_gca
 from .gpr import fit_decision
-from .metrics import (
-    EvalReport,
-    emit_coefficient_plot,
-    emit_max_displacement_plot,
-    evaluation_row,
-    report_to_dict,
-    time_predict,
-)
 from .rom import load_rom, predict_distortion_many, save_rom, train_pod_gpr
-from .training import GcaTrainConfig, train_gca, write_history_csv
 
 __all__ = ["main", "parse_dwell_times"]
 MAX_RANGE_COUNT = 100_000  # dwell times one start:stop:step range may hold
@@ -158,10 +148,18 @@ def cmd_train(ns: SimpleNamespace) -> dict:
         # the archive
         gpr_fit = [{"mode": j, **record}
                    for j, record in enumerate(fit_decision(rom.gp, jitter))]
+        energy = rom.basis.energy_captured
         return {"model": "pod-gpr", "out": str(out), "rank": rom.rank,
-                "energy_captured": rom.basis.energy_captured,
+                "energy_captured": energy,
+                "energy_threshold_reached":
+                    energy >= float(ns.energy_threshold),
                 "n_train": train_t.n_mu, "train_seconds": train_seconds,
                 "gpr_fit": gpr_fit}
+
+    # imported here, not at module top, so a POD-GPR run never loads the
+    # GCA stack
+    from .gca import build_graph, save_gca
+    from .training import GcaTrainConfig, train_gca, write_history_csv
 
     val_dts = parse_dwell_times(ns.val) if ns.val is not None else []
     train_t, val_t = split_dataset(tensor, train_dts, val_dts)
@@ -215,6 +213,8 @@ def _load_any_model(model_dir: Path):
                     [p.extrapolation for p in preds])
         return "pod-gpr", rom, predict
     if gca_manifest.is_file():
+        from .gca import build_graph, load_gca, predict_gca
+
         model, mesh = load_gca(model_dir)
         graph = build_graph(mesh)
 
@@ -251,6 +251,10 @@ _EVAL_DEFAULTS = {
 
 
 def cmd_eval(ns: SimpleNamespace) -> dict:
+    from .metrics import (EvalReport, emit_coefficient_plot,
+                          emit_max_displacement_plot, evaluation_row,
+                          report_to_dict, time_predict)
+
     _require(ns, "model_dir", "data", "test", "plots")
     model_dir = _resolve(ns.model_dir)
     data = _resolve(ns.data)
@@ -271,7 +275,7 @@ def cmd_eval(ns: SimpleNamespace) -> dict:
     predict_seconds = None
     if ns.timing:
         predict_seconds = time_predict(lambda dt: predict([dt]), test_dts,
-                                       int(ns.repeats)).mean_seconds
+                                       int(ns.repeats))
     report = EvalReport(rows=tuple(rows), predict_seconds_mean=predict_seconds)
 
     plots.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import zlib
 from contextlib import contextmanager
@@ -405,10 +406,12 @@ def save_archive(path, manifest_name: str, doc: dict, arrays: dict) -> None:
 
     Each file goes to a sibling ``.tmp`` file and is moved into place, the
     manifest last, so a save cut short leaves the old manifest, which binds
-    only the old arrays. Other files in the directory are left alone.
+    only the old arrays. Once the new manifest is in place, the arrays that
+    the old one alone bound are removed; other files are left alone.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    stale = _bound_arrays(path / manifest_name) - set(arrays)
     table = {}
     for name, values in arrays.items():
         table[name] = _record(values)
@@ -418,6 +421,21 @@ def save_archive(path, manifest_name: str, doc: dict, arrays: dict) -> None:
     (path / f"{manifest_name}.tmp").write_bytes(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
     os.replace(path / f"{manifest_name}.tmp", path / manifest_name)
+    for name in stale:
+        (path / f"{name}.bin").unlink(missing_ok=True)
+
+
+def _bound_arrays(manifest: Path) -> set[str]:
+    """The array names an existing manifest binds, or none when it cannot be
+    read. A name that is not a plain stem could point outside the archive
+    directory, so it is skipped."""
+    try:
+        table = json.loads(manifest.read_bytes())["arrays"]
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return set()
+    if not isinstance(table, dict):
+        return set()
+    return {name for name in table if re.fullmatch(r"[A-Za-z0-9_]+", name)}
 
 
 @contextmanager

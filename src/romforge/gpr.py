@@ -464,8 +464,9 @@ def predict_gpr(model: GprModel, mu_star) -> tuple[np.ndarray, np.ndarray]:
     mu_star = np.asarray(mu_star, dtype=np.float64).ravel()
     signal_variance = model.signal_variance[:, None]
     diff = model.train_inputs[:, None] - mu_star[None, :]
-    k_star = signal_variance * np.exp(
-        -(diff**2)[:, None, :] / model.two_ls2[:, None])       # (n, m, q)
+    with np.errstate(over="ignore"):  # a far query: exp(-inf) is exactly 0
+        k_star = signal_variance * np.exp(
+            -(diff**2)[:, None, :] / model.two_ls2[:, None])   # (n, m, q)
     means = model.mean_constant[:, None] + (k_star * model.alpha).sum(axis=0)
     chol = model.chol_factor
     v = k_star

@@ -23,12 +23,10 @@ from .rom import CI95_FACTOR, PodGprRom
 __all__ = [
     "EvalRow",
     "EvalReport",
-    "TimingResult",
     "relative_l2",
     "max_displacement_error",
     "evaluation_row",
     "report_to_dict",
-    "report_from_dict",
     "emit_coefficient_plot",
     "emit_max_displacement_plot",
     "time_predict",
@@ -112,12 +110,6 @@ def report_to_dict(report: EvalReport) -> dict:
     if report.predict_seconds_mean is not None:
         out["predict_seconds_mean"] = report.predict_seconds_mean
     return out
-
-
-def report_from_dict(data: dict) -> EvalReport:
-    rows = tuple(EvalRow(**row) for row in data["rows"])
-    return EvalReport(rows=rows,
-                      predict_seconds_mean=data.get("predict_seconds_mean"))
 
 
 # SVG emission ================================================================
@@ -341,18 +333,12 @@ def emit_max_displacement_plot(rows, path) -> tuple[Path, Path]:
     return csv_path, svg_path
 
 
-@dataclass(frozen=True)
-class TimingResult:
-    mean_seconds: float
-    min_seconds: float
-
-
-def time_predict(predict, dts, repeats: int) -> TimingResult:
-    """Per-call prediction latency over `repeats` sweeps of `dts`.
+def time_predict(predict, dts, repeats: int) -> float:
+    """Mean seconds per call over `repeats` sweeps of `dts`.
 
     ``predict`` is any one-dwell-time predictor, ``dt -> prediction``. One
     untimed warm-up sweep runs first. Each sweep is timed as a whole and
-    divided by the number of dwell times; statistics are over sweeps.
+    divided by the number of dwell times; the mean is over sweeps.
     """
     if repeats < 1:
         raise ConfigurationError("repeats must be at least 1")
@@ -367,5 +353,4 @@ def time_predict(predict, dts, repeats: int) -> TimingResult:
         for dt in dts:
             predict(dt)
         samples.append((time.perf_counter() - start) / len(dts))
-    return TimingResult(mean_seconds=float(np.mean(samples)),
-                        min_seconds=float(min(samples)))
+    return float(np.mean(samples))

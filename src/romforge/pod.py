@@ -10,7 +10,6 @@ built from blocks of node rows, so the snapshot matrix is never assembled.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -131,7 +130,9 @@ def compute_pod(snapshots, energy_threshold: float) -> PodBasis:
         One snapshot per column; a sequence holds the matrix's column blocks.
     energy_threshold : float
         Retain the smallest rank whose cumulative squared-singular-value
-        fraction reaches this value, in (0, 1].
+        fraction reaches this value, in (0, 1]. When no numerically nonzero
+        mode reaches it, every such mode is retained and the basis's
+        ``energy_captured`` stays below the threshold.
 
     Returns
     -------
@@ -197,11 +198,6 @@ def compute_pod(snapshots, energy_threshold: float) -> PodBasis:
         rank = int(reachable[0]) + 1
     else:
         rank = n_effective
-        warnings.warn(
-            f"energy threshold {energy_threshold} unreachable with "
-            f"{n_effective} effective modes; returning all of them",
-            stacklevel=2,
-        )
 
     modes = np.empty((n_nodes, rank))
     for at, rows in row_blocks():

@@ -143,6 +143,34 @@ def test_gen_same_seed_is_byte_identical(tmp_path, capsys):
     assert dir_bytes(tmp_path / "a") != dir_bytes(tmp_path / "c")
 
 
+@pytest.mark.parametrize("arrays, removed", [
+    ("as saved", {f"d/snap_{i}.bin" for i in range(2, 7)}),
+    ("missing", set()), ("not JSON", set()), ([], set()),
+    # a name that is not a plain stem is never a path to remove
+    ({"../outside": {}, "snap_6": {}}, {"d/snap_6.bin"})])
+def test_gen_over_an_older_dataset_removes_only_its_stale_arrays(
+        arrays, removed, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run(capsys, "gen", "--out", out, *GEN_ARGS)[0] == 0
+    # no manifest binds these three
+    (out / "notes.txt").write_text("kept\n")
+    shutil.copyfile(out / "snap_0.bin", out / "snap_9.bin")
+    (tmp_path / "outside.bin").write_bytes(b"x")
+    meta = out / "meta.json"
+    if arrays == "missing":
+        meta.unlink()
+    elif arrays == "not JSON":
+        meta.write_text("{not json")
+    elif arrays != "as saved":
+        meta.write_text(json.dumps({**json.loads(meta.read_text()),
+                                    "arrays": arrays}))
+    before = set(dir_bytes(tmp_path))
+    assert run(capsys, "gen", "--out", out, *GEN_ARGS,
+               "--dwell-times", "30,40")[0] == 0
+    assert before - set(dir_bytes(tmp_path)) == removed
+    assert load_snapshot_tensor(out).dwell_times == [30.0, 40.0]
+
+
 def test_gen_missing_required_flag(capsys, tmp_path):
     code, stdout, stderr = run(capsys, "gen", "--out", tmp_path / "x")
     assert code == 2
@@ -188,6 +216,24 @@ def test_train_summary_records_the_fit_decision(rom_dir, dataset_dir,
     # the decision record stays out of the archive
     manifest = (rom_dir.parent / "rom_fit" / "manifest.json").read_text()
     assert "lml" not in manifest and "at_bound" not in manifest
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_reports_whether_the_energy_threshold_was_reached(
+        dataset_dir, tmp_path, capsys):
+    # the test data has two effective modes; 1.0 is beyond their energy
+    code, stdout, stderr = run(capsys, "train", "--model", "pod-gpr",
+                               "--data", dataset_dir, "--out",
+                               tmp_path / "all", "--energy-threshold", "1.0")
+    assert (code, stderr) == (0, "")
+    summary = summary_of(stdout)
+    assert summary["energy_threshold_reached"] is False
+    assert summary["rank"] == 2 and summary["energy_captured"] < 1.0
+    code, stdout, stderr = run(capsys, "train", "--model", "pod-gpr",
+                               "--data", dataset_dir, "--out",
+                               tmp_path / "default")
+    assert (code, stderr) == (0, "")
+    assert summary_of(stdout)["energy_threshold_reached"] is True
 
 
 def test_train_subset_of_dwell_times(dataset_dir, tmp_path, capsys):
@@ -1045,14 +1091,29 @@ def test_module_entry_point(tmp_path):
     assert (out / "meta.json").is_file()
 
 
+def test_predict_far_from_the_training_range_prints_no_warning(rom_dir,
+                                                               tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "romforge.cli", "predict", "--model-dir",
+         str(rom_dir), "--dt", "1e200", "--out", str(tmp_path / "f.bin")],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert summary_of(proc.stdout)["extrapolation"] is True
+
+
 def test_cli_import_leaves_scipy_optimize_out(tmp_path):
     # importing the CLI and running a POD-GPR gen/train/predict/eval chain
-    # never loads SciPy; only the GCA graph needs it
+    # never loads SciPy, which only the GCA graph needs, nor the GCA
+    # modules; the metrics module loads with eval
     data, rom = tmp_path / "data", tmp_path / "rom"
     script = f"""
 import json, sys
 import romforge.cli
-seen = [["import", 0, "scipy" in sys.modules]]
+LAZY = ["gca", "training", "optim", "metrics"]
+def loaded():
+    return [m for m in LAZY if "romforge." + m in sys.modules]
+seen = [["import", 0, "scipy" in sys.modules, loaded()]]
 for argv in (
     ["gen", "--out", {str(data)!r}, *{GEN_ARGS!r}],
     ["train", "--model", "pod-gpr", "--data", {str(data)!r},
@@ -1062,12 +1123,13 @@ for argv in (
     ["eval", "--model-dir", {str(rom)!r}, "--data", {str(data)!r},
      "--test", "30,60", "--plots", {str(tmp_path / "plots")!r}, "--time"],
 ):
-    seen.append([argv[0], romforge.cli.main(argv), "scipy" in sys.modules])
+    seen.append([argv[0], romforge.cli.main(argv), "scipy" in sys.modules,
+                 loaded()])
 print(json.dumps(seen))
 """
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [
-        [step, 0, False]
+        [step, 0, False, ["metrics"] if step == "eval" else []]
         for step in ("import", "gen", "train", "predict", "eval")]

@@ -22,7 +22,6 @@ from romforge.metrics import (
     evaluation_row,
     max_displacement_error,
     relative_l2,
-    report_from_dict,
     report_to_dict,
     time_predict,
 )
@@ -108,19 +107,19 @@ def test_eval_row_validation():
 def test_report_round_trip_without_timing():
     rows = (EvalRow(dt=45.0, max_disp_true=0.1, max_disp_pred=0.11,
                     max_abs_node_error=0.01, relative_l2=0.05),)
-    report = EvalReport(rows=rows)
-    data = report_to_dict(report)
-    assert "predict_seconds_mean" not in data
-    assert report_from_dict(data) == report
+    assert report_to_dict(EvalReport(rows=rows)) == {"rows": [
+        {"dt": 45.0, "max_disp_true": 0.1, "max_disp_pred": 0.11,
+         "max_abs_node_error": 0.01, "relative_l2": 0.05}]}
 
 
 def test_report_round_trip_with_timing():
     rows = (EvalRow(dt=45.0, max_disp_true=0.1, max_disp_pred=0.11,
                     max_abs_node_error=0.01, relative_l2=0.05),)
-    report = EvalReport(rows=rows, predict_seconds_mean=0.003)
-    data = report_to_dict(report)
-    assert data["predict_seconds_mean"] == 0.003
-    assert report_from_dict(data) == report
+    data = report_to_dict(EvalReport(rows=rows, predict_seconds_mean=0.003))
+    assert data == {"rows": [
+        {"dt": 45.0, "max_disp_true": 0.1, "max_disp_pred": 0.11,
+         "max_abs_node_error": 0.01, "relative_l2": 0.05}],
+        "predict_seconds_mean": 0.003}
 
 
 # ------------------------------------------------------------------- plots ---
@@ -216,14 +215,7 @@ def test_max_displacement_plot_requires_rows(tmp_path):
 def test_time_predict_single_repeat_statistics(rom):
     result = time_predict(lambda dt: predict_distortion(rom, dt),
                           [30.0, 55.0], repeats=1)
-    assert result.mean_seconds == result.min_seconds
-    assert result.mean_seconds > 0.0
-
-
-def test_time_predict_mean_dominates_min(rom):
-    result = time_predict(lambda dt: predict_distortion(rom, dt),
-                          [30.0, 55.0], repeats=3)
-    assert result.mean_seconds >= result.min_seconds > 0.0
+    assert isinstance(result, float) and result > 0.0
 
 
 def test_time_predict_times_any_predictor():
@@ -231,7 +223,7 @@ def test_time_predict_times_any_predictor():
     result = time_predict(calls.append, [30.0, 55.0], repeats=2)
     # one warm-up sweep plus two timed sweeps
     assert calls == [30.0, 55.0] * 3
-    assert result.mean_seconds >= result.min_seconds > 0.0
+    assert result > 0.0
 
 
 def test_time_predict_validates_inputs(rom):
