@@ -410,12 +410,11 @@ def _merge_config(args: argparse.Namespace) -> SimpleNamespace:
     if args.config is not None:
         config_path = Path(args.config).expanduser()
         try:
-            text = config_path.read_text()
+            loaded = json.loads(config_path.read_bytes())
         except OSError:
             raise DataError(f"cannot read config file {config_path}")
-        try:
-            loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, undecodable bytes and nesting too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise ConfigurationError(f"config file {config_path}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must hold a JSON object")

@@ -460,7 +460,8 @@ def load_archive(path, manifest_name: str, names):
             raise DataError(f"{manifest} is missing")
         try:
             doc = json.loads(manifest.read_bytes())
-        except ValueError as exc:  # JSONDecodeError and undecodable bytes
+        # JSONDecodeError, undecodable bytes and nesting too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{manifest} is not valid JSON: {exc}") from None
         if (version := doc.get("version")) != ARCHIVE_VERSION:
             raise DataError(f"{manifest}: unsupported version {version}")

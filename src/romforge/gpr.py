@@ -9,9 +9,9 @@ correlation matrix per scanned length scale gives every GP's LML in closed
 form with the signal variance profiled out (Rasmussen & Williams, *GPML*
 2006, sec. 5.4). From each GP's best scan point, one projected Newton
 polish of all GPs on the same eigen-form LML lands on a stationary point.
-:func:`make_gpr` caches each GP's Cholesky factor and dual weights, and
-:func:`predict_gpr` evaluates every GP at many points at once (GPML
-Alg. 2.1).
+:func:`make_gpr` caches each GP's Cholesky factor ``L``, ``L^-1`` and dual
+weights, so :func:`predict_gpr` evaluates every GP at many points in a fixed
+number of array operations (GPML Alg. 2.1; Pleiss et al., ICML 2018).
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ SIGNAL_VARIANCE_BOX = (0.1, 10.0)
 #: The search bounds widen the start box by this many e-folds each side.
 SEARCH_MARGIN = 14.0
 
+#: Most seeded length scales one fit may add to its scan.
+MAX_RESTARTS = 10_000
+
 # Log spacing of the length-scale scan and of the signal-variance grid that
 # seeds each profile; iteration counts of the profile Newton solve and of
 # the polish.
@@ -68,8 +71,10 @@ class GprModel:
 
     Per-GP arrays put the GP axis first. The cached solves put the
     training-point axes first and the GP axis after them, with a trailing
-    unit axis that broadcasts over query points. The last two fields are
-    derived at construction.
+    unit axis that broadcasts over query points. The last three fields are
+    derived at construction; ``chol_inverse_t[j, i]`` holds every
+    ``L^-1[i, j]``, by forward substitution of the identity. ``K^-1``, whose
+    condition number is the square of ``L``'s, is never formed.
     """
 
     train_inputs: np.ndarray      # (n,)
@@ -81,6 +86,7 @@ class GprModel:
     alpha: np.ndarray             # (n, m, 1)
     mean_constant: np.ndarray = field(init=False)            # (m,)
     two_ls2: np.ndarray = field(init=False, repr=False)      # (m,)
+    chol_inverse_t: np.ndarray = field(init=False, repr=False)  # (n, n, m, 1)
 
     def __post_init__(self):
         for name in ("train_inputs", "train_targets", "signal_variance",
@@ -107,6 +113,12 @@ class GprModel:
         # rounds l**2 unlike l * l about once in a thousand
         object.__setattr__(self, "two_ls2", _frozen(
             [2.0 * ls**2 for ls in self.length_scale.tolist()]))
+        inverse = np.eye(n)[:, :, None, None] * np.ones((m, 1))  # L X = I
+        for i in range(n):
+            inverse[i] /= self.chol_factor[i, i]
+            inverse[i + 1:] -= self.chol_factor[i + 1:, i, None] * inverse[i]
+        object.__setattr__(self, "chol_inverse_t",
+                           _frozen(inverse.transpose(1, 0, 2, 3)))
 
     @property
     def n_train(self) -> int:
@@ -414,7 +426,8 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
         Diagonal conditioning term. Defaults to ``1e-8 * var(targets[j])``
         for each row ``j``.
     restarts : int
-        Number of seeded length scales added to the scan, >= 1.
+        Number of seeded length scales added to the scan, from 1 to
+        ``MAX_RESTARTS``.
     seed : int
         Seed for those draws; fits are deterministic given a seed.
     """
@@ -422,8 +435,9 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
     targets = _target_rows(inputs, targets)
     if np.unique(inputs).size != inputs.shape[0]:
         raise ConfigurationError("training inputs must be distinct")
-    if restarts < 1:
-        raise ConfigurationError("restarts must be >= 1")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ConfigurationError(
+            f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
@@ -453,13 +467,14 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
 def predict_gpr(model: GprModel, mu_star) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of every GP at every query point.
 
-    GPML Alg. 2.1 for all GPs and all points at once. ``v = L^-1 k*`` comes
-    from forward substitution on the stacked factors (no inverse is formed)
-    and the variance is ``k(mu*, mu*) + jitter - |v|^2``, clamped at zero
-    (the clamp only absorbs rounding noise of order 1e-10 x signal
-    variance). Every step is elementwise or a sum over training
-    points, so each query's result does not depend on the others. Returns
-    two ``(m, q)`` arrays for ``q`` queries.
+    GPML Alg. 2.1 for all GPs and all points at once. ``v = L^-1 k*`` is a
+    product with the model's cached inverse factors, with no loop over
+    training points, and the variance is ``k(mu*, mu*) + jitter - |v|^2``,
+    clamped at zero (the clamp only absorbs rounding noise of order 1e-10 x
+    signal variance). Every step is elementwise or a sum over training
+    points, not a BLAS product, whose rounding could depend on the batch;
+    so each query's result does not depend on the others. Returns two
+    ``(m, q)`` arrays for ``q`` queries.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64).ravel()
     signal_variance = model.signal_variance[:, None]
@@ -468,11 +483,7 @@ def predict_gpr(model: GprModel, mu_star) -> tuple[np.ndarray, np.ndarray]:
         k_star = signal_variance * np.exp(
             -(diff**2)[:, None, :] / model.two_ls2[:, None])   # (n, m, q)
     means = model.mean_constant[:, None] + (k_star * model.alpha).sum(axis=0)
-    chol = model.chol_factor
-    v = k_star
-    for i in range(model.n_train):
-        v[i] /= chol[i, i]
-        v[i + 1:] -= chol[i + 1:, i] * v[i]
+    v = (model.chol_inverse_t * k_star[:, None]).sum(axis=0)
     variances = (signal_variance + model.noise_jitter[:, None]
                  - (v * v).sum(axis=0))
     return means, np.maximum(variances, 0.0)

@@ -333,6 +333,10 @@ def emit_max_displacement_plot(rows, path) -> tuple[Path, Path]:
     return csv_path, svg_path
 
 
+#: Most predictor calls :func:`time_predict` may time.
+MAX_TIMED_CALLS = 100_000
+
+
 def time_predict(predict, dts, repeats: int) -> float:
     """Mean seconds per call over `repeats` sweeps of `dts`.
 
@@ -345,6 +349,9 @@ def time_predict(predict, dts, repeats: int) -> float:
     dts = [float(dt) for dt in dts]
     if not dts:
         raise ConfigurationError("need at least one dwell time to benchmark")
+    if repeats * len(dts) > MAX_TIMED_CALLS:
+        raise ConfigurationError(f"repeats {repeats} x {len(dts)} dwell times "
+                                 f"is over {MAX_TIMED_CALLS} timed calls")
     for dt in dts:  # warm-up, excluded from stats
         predict(dt)
     samples = []

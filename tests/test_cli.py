@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import struct
 import subprocess
@@ -397,6 +398,11 @@ def edited(edit):
     return apply
 
 
+def nested(raw):
+    """JSON nested deeper than the parser's recursion limit."""
+    return b"[" * 100_000
+
+
 def nan_at(offset, value=math.nan):
     """Overwrite the float64 starting ``offset`` bytes in (from the end when
     negative) with NaN, or with ``value``."""
@@ -485,6 +491,9 @@ def nan_at(offset, value=math.nan):
     pytest.param("dataset_dir", "meta.json",
                  edited(lambda d: d.update(version=1)),
                  id="dataset_dir-meta.json-version_1"),
+    ("rom_dir", "manifest.json", nested),
+    ("gca_dir", "gca.json", nested),
+    ("dataset_dir", "meta.json", nested),
 ])
 @pytest.mark.filterwarnings("error")
 def test_hand_edited_archive_is_io_failure(archive, name, change, request,
@@ -498,6 +507,7 @@ def test_hand_edited_archive_is_io_failure(archive, name, change, request,
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
     assert "Traceback" not in stderr
+    assert str(broken) in stderr
     assert not (tmp_path / "f.bin").exists()
 
 
@@ -934,6 +944,23 @@ def test_config_must_hold_an_object(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"[" * 100_000, id="nested"),
+    pytest.param(b"\xff\xfe" + json.dumps({"seed": 1}).encode(),
+                 id="undecodable"),
+])
+def test_unparsable_config_names_the_file(raw, tmp_path, capsys):
+    config = tmp_path / "gen.json"
+    config.write_bytes(raw)
+    code, stdout, stderr = run(capsys, "gen", "--out", tmp_path / "d",
+                               "--config", config)
+    assert code == 2
+    assert stdout == ""
+    [line] = stderr.splitlines()
+    assert str(config) in line
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("command, config", [
     ("predict", {"dt": "abc"}),
     ("predict", {"dt": [45]}),
@@ -1100,6 +1127,40 @@ def test_predict_far_from_the_training_range_prints_no_warning(rom_dir,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert summary_of(proc.stdout)["extrapolation"] is True
+
+
+def run_limited(*argv):
+    """Run the CLI in a child process with 1.5 GB of address space and a
+    60 s timeout; an unbounded size knob shows as a MemoryError traceback
+    or a TimeoutExpired failure, not as a hung or swapping suite."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "romforge.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit)
+
+
+def test_oversized_restarts_exit_before_allocating(dataset_dir, tmp_path):
+    proc = run_limited("train", "--model", "pod-gpr", "--data", dataset_dir,
+                       "--out", tmp_path / "r", "--restarts", "1000000000")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert "restarts" in line
+    assert not (tmp_path / "r").exists()
+
+
+def test_oversized_timing_repeats_exit_before_timing(rom_dir, dataset_dir,
+                                                     tmp_path):
+    proc = run_limited("eval", "--model-dir", rom_dir, "--data", dataset_dir,
+                       "--test", "30", "--plots", tmp_path / "p", "--time",
+                       "--repeats", "1000000000000")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert "repeats" in line
+    assert not (tmp_path / "p").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_out(tmp_path):

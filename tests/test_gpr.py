@@ -12,6 +12,7 @@ import pytest
 from lbfgs_oracle import lbfgs_fit
 from romforge.errors import ConfigurationError, NumericalError
 from romforge.gpr import (
+    MAX_RESTARTS,
     SEARCH_MARGIN,
     GprModel,
     fit_decision,
@@ -292,6 +293,8 @@ def test_model_arrays_are_frozen(wiggly):
     assert isinstance(model, GprModel)
     with pytest.raises(ValueError):
         model.train_inputs[0] = 99.0
+    with pytest.raises(ValueError):
+        model.chol_inverse_t[0, 0, 0, 0] = 99.0
 
 
 # ------------------------------------------------ batched fit vs oracle ---
@@ -352,6 +355,21 @@ def test_fit_gpr_validates_target_rows(wiggly):
         fit_gpr(x, np.vstack([y, y])[:, :-1])
     with pytest.raises(ConfigurationError, match="restarts"):
         fit_gpr(x, y[None, :], restarts=0)
+
+
+def test_fit_gpr_bounds_restarts(wiggly, monkeypatch):
+    # the bound is checked before any length scale is drawn
+    import romforge.gpr as gpr
+
+    def no_draw(seed):
+        raise AssertionError("drew length scales")
+
+    x, y = wiggly
+    monkeypatch.setattr(gpr.np.random, "default_rng", no_draw)
+    with pytest.raises(ConfigurationError, match=str(MAX_RESTARTS)):
+        fit_gpr(x, y, restarts=MAX_RESTARTS + 1)
+    monkeypatch.undo()
+    assert fit_gpr(x, y, restarts=MAX_RESTARTS, seed=0).length_scale[0] > 0.0
     with pytest.raises(ConfigurationError, match="distinct"):
         fit_gpr(np.zeros(9), y[None, :])
 
@@ -422,8 +440,33 @@ def test_stacked_posterior_matches_per_model_posterior(wiggly):
             mean, variance = posterior(single, q)
             assert means[j, i] == pytest.approx(mean, abs=1e-9 * scale)
             assert variances[j, i] == pytest.approx(variance, abs=1e-12 * sv)
-    # each query's answer does not depend on the others
+    # each query's answer does not depend on the others, in a batch of 41
+    # or of 1,000
+    many = np.linspace(-0.5, 1.5, 1000)
+    many_means, many_variances = predict_gpr(model, many)
     for i in (0, 17, 40):
         alone = predict_gpr(model, queries[i:i + 1])
         np.testing.assert_array_equal(alone[0][:, 0], means[:, i])
         np.testing.assert_array_equal(alone[1][:, 0], variances[:, i])
+    for i in (0, 1, 333, 999):
+        alone = predict_gpr(model, many[i:i + 1])
+        np.testing.assert_array_equal(alone[0][:, 0], many_means[:, i])
+        np.testing.assert_array_equal(alone[1][:, 0], many_variances[:, i])
+
+
+def test_posterior_variance_matches_forward_substitution(wiggly):
+    # v = L^-1 k* by column forward substitution on each cached Cholesky
+    # factor, one query at a time, against the cached inverse factors
+    x, y = wiggly
+    model = fit_gpr(x, np.vstack([y, np.cos(3.0 * x), 0.01 * x**3]), seed=0)
+    queries = np.linspace(-0.5, 1.5, 41)
+    _, variances = predict_gpr(model, queries)
+    for j, sv in enumerate(model.signal_variance):
+        chol = model.chol_factor[:, :, j, 0]
+        for i, q in enumerate(queries):
+            v = sv * np.exp(-((x - q) ** 2) / (2.0 * model.length_scale[j]**2))
+            for k in range(x.size):
+                v[k] /= chol[k, k]
+                v[k + 1:] -= chol[k + 1:, k] * v[k]
+            expected = max(sv + model.noise_jitter[j] - v @ v, 0.0)
+            assert abs(variances[j, i] - expected) <= 1e-10 * sv

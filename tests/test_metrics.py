@@ -15,6 +15,7 @@ import pytest
 from romforge.dataset import generate_synthetic_dataset, split_dataset
 from romforge.errors import ConfigurationError, NumericalError
 from romforge.metrics import (
+    MAX_TIMED_CALLS,
     EvalReport,
     EvalRow,
     emit_coefficient_plot,
@@ -233,3 +234,13 @@ def test_time_predict_validates_inputs(rom):
         time_predict(predict, [30.0], repeats=0)
     with pytest.raises(ConfigurationError):
         time_predict(predict, [], repeats=1)
+
+
+def test_time_predict_bounds_the_timed_calls():
+    # the bound is checked before the warm-up sweep calls the predictor
+    calls = []
+    with pytest.raises(ConfigurationError, match=str(MAX_TIMED_CALLS)):
+        time_predict(calls.append, [30.0], repeats=MAX_TIMED_CALLS + 1)
+    assert calls == []
+    time_predict(calls.append, [30.0, 55.0], repeats=MAX_TIMED_CALLS // 2)
+    assert len(calls) == MAX_TIMED_CALLS + 2
