@@ -1,10 +1,11 @@
 """Command-line front end: generate data, train, predict, evaluate.
 
-Contract: every run prints exactly one JSON summary line to stdout;
-diagnostics go to stderr. Exit codes: 0 success, else the error's
-``exit_code``: 2 configuration, 3 I/O or data, 4 numerical failure. A JSON
-config file passed via --config supplies defaults that explicit flags
-override; unknown keys are rejected.
+Contract: every run prints exactly one JSON summary line to stdout and any
+diagnostic to stderr as one line (``--help`` alone prints help, exit 0).
+Exit codes: 0 success, else the error's ``exit_code``: 2 configuration
+(usage errors and out-of-memory included), 3 I/O or data, 4 numerical
+failure. :data:`COMMANDS` declares each option once; a flag overrides its
+``--config`` key, which overrides the default. Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -72,15 +74,48 @@ def parse_dwell_times(raw) -> list[float]:
         raise ConfigurationError(f"non-numeric dwell-time list {text!r}")
 
 
-def _require(ns: SimpleNamespace, *names: str) -> None:
-    missing = [n for n in names if getattr(ns, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise ConfigurationError(f"missing required options: {flags}")
+# Converters ==================================================================
+# each turns a flag's text or a config file's JSON value into a typed value;
+# ``name`` is the value's source, for the error message.
+
+def _scalar(kind, expected: str):
+    """A JSON number or a string, never a bool, read by ``kind``."""
+    def convert(value, name: str):
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            try:
+                return kind(str(value))
+            except ValueError:
+                pass
+        raise ConfigurationError(f"{name}: expected {expected}, got {value!r}")
+    return convert
 
 
-def _resolve(value) -> Path:
-    return Path(value).expanduser().resolve()
+def _only(types, expected: str, read=lambda value: value):
+    """A value of ``types`` only, which ``read`` converts."""
+    def convert(value, name: str):
+        if not isinstance(value, types):
+            raise ConfigurationError(
+                f"{name}: expected {expected}, got {value!r}")
+        return read(value)
+    return convert
+
+
+_int = _scalar(int, "an integer")
+_float = _scalar(float, "a number")
+_path = _only(str, "a path", lambda value: Path(value).expanduser().resolve())
+_dwell_times = _only((str, list), "a dwell-time list", parse_dwell_times)
+_switch = _only(bool, "true or false")  # an on/off flag
+
+
+def _dwell_time(value, name: str) -> float:
+    """Finite and > 0, so a bad one fails before a model loads."""
+    return ParameterPoint(_float(value, name)).dwell_time
+
+
+def _model_kind(value, name: str) -> str:
+    if value not in ("pod-gpr", "gca"):
+        raise ConfigurationError(f"unknown model {value!r} (pod-gpr or gca)")
+    return value
 
 
 def _dumps(payload, **kwargs) -> str:
@@ -92,67 +127,37 @@ def _dumps(payload, **kwargs) -> str:
 
 
 # Subcommand handlers =========================================================
-
-_GEN_DEFAULTS = {
-    "out": None, "dwell_times": None, "layers": 8, "radial": 5, "theta": 24,
-    "noise": 0.0, "seed": 0,
-}
-
+# Each gets its options typed, as attributes named by their config keys.
 
 def cmd_gen(ns: SimpleNamespace) -> dict:
-    _require(ns, "out", "dwell_times")
-    out = _resolve(ns.out)
-    dts = parse_dwell_times(ns.dwell_times)
     tensor = generate_synthetic_dataset(
-        n_radial=int(ns.radial), n_theta=int(ns.theta),
-        n_layers=int(ns.layers), dwell_times=dts,
-        noise_sigma=float(ns.noise), seed=int(ns.seed),
-    )
-    save_snapshot_tensor(tensor, out)
-    return {"out": str(out), "n_mu": tensor.n_mu, "n_h": tensor.n_nodes,
+        n_radial=ns.radial, n_theta=ns.theta, n_layers=ns.layers,
+        dwell_times=ns.dwell_times, noise_sigma=ns.noise, seed=ns.seed)
+    save_snapshot_tensor(tensor, ns.out)
+    return {"out": str(ns.out), "n_mu": tensor.n_mu, "n_h": tensor.n_nodes,
             "n_t": tensor.n_steps}
 
 
-_TRAIN_DEFAULTS = {
-    "model": None, "data": None, "out": None, "train": None, "seed": 0,
-    # pod-gpr options
-    "energy_threshold": 0.9999, "jitter": None, "restarts": 8,
-    # gca options
-    "val": None, "lam": 0.5, "lr_max": 1e-3, "lr_min": 1e-5, "t0": 50,
-    "mult": 2, "patience": 50, "noise_sigma": None, "max_epochs": 2000,
-    "latent": 12,
-}
-
-
 def cmd_train(ns: SimpleNamespace) -> dict:
-    _require(ns, "model", "data", "out")
-    if ns.model not in ("pod-gpr", "gca"):
-        raise ConfigurationError(f"unknown model {ns.model!r} (pod-gpr or gca)")
-    data = _resolve(ns.data)
-    out = _resolve(ns.out)
-    tensor = load_snapshot_tensor(data)
-    train_dts = (parse_dwell_times(ns.train) if ns.train is not None
-                 else tensor.dwell_times)
+    tensor = load_snapshot_tensor(ns.data)
+    train_dts = tensor.dwell_times if ns.train is None else ns.train
 
     if ns.model == "pod-gpr":
         train_t, _ = split_dataset(tensor, train_dts, [])
-        jitter = None if ns.jitter is None else float(ns.jitter)
         started = time.perf_counter()
         rom = train_pod_gpr(
-            train_t, energy_threshold=float(ns.energy_threshold),
-            jitter=jitter, restarts=int(ns.restarts), seed=int(ns.seed),
-        )
+            train_t, energy_threshold=ns.energy_threshold, jitter=ns.jitter,
+            restarts=ns.restarts, seed=ns.seed)
         train_seconds = time.perf_counter() - started
-        save_rom(rom, out)
+        save_rom(rom, ns.out)
         # what the fitter decided, per mode: reported here only, never in
         # the archive
         gpr_fit = [{"mode": j, **record}
-                   for j, record in enumerate(fit_decision(rom.gp, jitter))]
+                   for j, record in enumerate(fit_decision(rom.gp, ns.jitter))]
         energy = rom.basis.energy_captured
-        return {"model": "pod-gpr", "out": str(out), "rank": rom.rank,
+        return {"model": "pod-gpr", "out": str(ns.out), "rank": rom.rank,
                 "energy_captured": energy,
-                "energy_threshold_reached":
-                    energy >= float(ns.energy_threshold),
+                "energy_threshold_reached": energy >= ns.energy_threshold,
                 "n_train": train_t.n_mu, "train_seconds": train_seconds,
                 "gpr_fit": gpr_fit}
 
@@ -161,33 +166,26 @@ def cmd_train(ns: SimpleNamespace) -> dict:
     from .gca import build_graph, save_gca
     from .training import GcaTrainConfig, train_gca, write_history_csv
 
-    val_dts = parse_dwell_times(ns.val) if ns.val is not None else []
-    train_t, val_t = split_dataset(tensor, train_dts, val_dts)
+    train_t, val_t = split_dataset(tensor, train_dts, ns.val or [])
     config = GcaTrainConfig(
-        lam=float(ns.lam), lr_max=float(ns.lr_max), lr_min=float(ns.lr_min),
-        warm_restart_t0=int(ns.t0), warm_restart_mult=int(ns.mult),
-        patience=int(ns.patience),
-        noise_sigma=None if ns.noise_sigma is None else float(ns.noise_sigma),
-        max_epochs=int(ns.max_epochs), seed=int(ns.seed),
-        latent_dim=int(ns.latent),
-    )
+        lam=ns.lam, lr_max=ns.lr_max, lr_min=ns.lr_min,
+        warm_restart_t0=ns.t0, warm_restart_mult=ns.mult,
+        patience=ns.patience, noise_sigma=ns.noise_sigma,
+        max_epochs=ns.max_epochs, seed=ns.seed, latent_dim=ns.latent)
     graph = build_graph(tensor.mesh)
     started = time.perf_counter()
     model, history = train_gca(train_t, val_t if val_t.n_mu else None,
                                graph, config)
     train_seconds = time.perf_counter() - started
-    save_gca(model, tensor.mesh, out)
-    history_path = out / "history.csv"
+    save_gca(model, tensor.mesh, ns.out)
+    history_path = ns.out / "history.csv"
     write_history_csv(history, history_path)
     val_losses = [r.val_loss for r in history if math.isfinite(r.val_loss)]
-    return {"model": "gca", "out": str(out), "epochs": len(history),
+    return {"model": "gca", "out": str(ns.out), "epochs": len(history),
             "history": str(history_path),
             "best_val_loss": min(val_losses) if val_losses else None,
             "final_train_loss": history[-1].train_loss,
             "train_seconds": train_seconds}
-
-
-_PREDICT_DEFAULTS = {"model_dir": None, "dt": None, "out": None}
 
 
 def _load_any_model(model_dir: Path):
@@ -227,27 +225,18 @@ def _load_any_model(model_dir: Path):
 
 
 def cmd_predict(ns: SimpleNamespace) -> dict:
-    _require(ns, "model_dir", "dt", "out")
-    dt = ParameterPoint(float(ns.dt)).dwell_time
-    model_dir = _resolve(ns.model_dir)
-    out = _resolve(ns.out)
-    kind, _, predict = _load_any_model(model_dir)
-    (field,), (extrapolation,) = predict([dt])
+    kind, _, predict = _load_any_model(ns.model_dir)
+    (field,), (extrapolation,) = predict([ns.dt])
     if not np.all(np.isfinite(field)):
-        raise NumericalError(f"{model_dir}: field at dt={dt} is not finite")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_snapshot_bin(field[:, None], out)
-    sidecar = {"dt": dt, "max_displacement": float(field.max()),
+        raise NumericalError(
+            f"{ns.model_dir}: field at dt={ns.dt} is not finite")
+    ns.out.parent.mkdir(parents=True, exist_ok=True)
+    write_snapshot_bin(field[:, None], ns.out)
+    sidecar = {"dt": ns.dt, "max_displacement": float(field.max()),
                "extrapolation": extrapolation, "model": kind}
-    sidecar_path = Path(str(out) + ".json")
+    sidecar_path = Path(str(ns.out) + ".json")
     sidecar_path.write_text(_dumps(sidecar) + "\n")
-    return {**sidecar, "out": str(out), "sidecar": str(sidecar_path)}
-
-
-_EVAL_DEFAULTS = {
-    "model_dir": None, "data": None, "test": None, "plots": None,
-    "report": None, "first_k": 4, "timing": None, "repeats": 3,
-}
+    return {**sidecar, "out": str(ns.out), "sidecar": str(sidecar_path)}
 
 
 def cmd_eval(ns: SimpleNamespace) -> dict:
@@ -255,187 +244,160 @@ def cmd_eval(ns: SimpleNamespace) -> dict:
                           emit_max_displacement_plot, evaluation_row,
                           report_to_dict, time_predict)
 
-    _require(ns, "model_dir", "data", "test", "plots")
-    model_dir = _resolve(ns.model_dir)
-    data = _resolve(ns.data)
-    plots = _resolve(ns.plots)
-    test_dts = parse_dwell_times(ns.test)
-    if not test_dts:
+    if not ns.test:
         raise ConfigurationError("empty test list")
-    tensor = load_snapshot_tensor(data)
-    kind, model, predict = _load_any_model(model_dir)
-    fields, _ = predict(test_dts)
+    tensor = load_snapshot_tensor(ns.data)
+    kind, model, predict = _load_any_model(ns.model_dir)
+    fields, _ = predict(ns.test)
     if fields[0].shape[0] != tensor.n_nodes:
         raise ConfigurationError(
-            f"model {model_dir} predicts {fields[0].shape[0]} nodes but "
-            f"dataset {data} has {tensor.n_nodes}")
+            f"model {ns.model_dir} predicts {fields[0].shape[0]} nodes but "
+            f"dataset {ns.data} has {tensor.n_nodes}")
     rows = [evaluation_row(dt, field, tensor.matrix_for(dt).final_field)
-            for dt, field in zip(test_dts, fields)]
+            for dt, field in zip(ns.test, fields)]
 
-    predict_seconds = None
-    if ns.timing:
-        predict_seconds = time_predict(lambda dt: predict([dt]), test_dts,
-                                       int(ns.repeats))
+    predict_seconds = (time_predict(lambda dt: predict([dt]), ns.test,
+                                    ns.repeats) if ns.timing else None)
     report = EvalReport(rows=tuple(rows), predict_seconds_mean=predict_seconds)
 
-    plots.mkdir(parents=True, exist_ok=True)
+    ns.plots.mkdir(parents=True, exist_ok=True)
     if kind == "pod-gpr":
-        emit_coefficient_plot(model, test_dts, min(int(ns.first_k), model.rank),
-                              plots / "coefficients")
-    emit_max_displacement_plot(rows, plots / "max_displacement")
+        emit_coefficient_plot(model, ns.test, min(ns.first_k, model.rank),
+                              ns.plots / "coefficients")
+    emit_max_displacement_plot(rows, ns.plots / "max_displacement")
 
-    report_path = (_resolve(ns.report) if ns.report is not None
-                   else plots / "report.json")
+    report_path = ns.report or ns.plots / "report.json"
     payload = report_to_dict(report)
     report_path.write_text(_dumps(payload, separators=(",", ":")) + "\n")
-    return {"model": kind, "report": str(report_path), "plots": str(plots),
+    return {"model": kind, "report": str(report_path), "plots": str(ns.plots),
             **payload}
 
 
-# Parser ======================================================================
+# Options =====================================================================
 
-def _add_command(sub, name: str, help_text: str, defaults: dict, handler,
-                 configure) -> None:
-    cmd = sub.add_parser(name, help=help_text)
-    configure(cmd)
-    cmd.add_argument("--config", default=None,
-                     help="JSON file with defaults for this subcommand")
-    cmd.set_defaults(_handler=handler, _defaults=defaults,
-                     _options={a.dest: a for a in cmd._actions})
+REQUIRED = object()  # the default of an option that has none
+
+# an option; its flag is ``--`` and its key with dashes, or ``--<flag>``
+Option = namedtuple("Option", "convert default help flag",
+                    defaults=(None, None, None))
+
+
+# subcommand x -> (help text, options by config key); x runs ``cmd_x``
+COMMANDS = {
+    "gen": ("generate a synthetic snapshot dataset", {
+        "out": Option(_path, REQUIRED, "output dataset directory"),
+        "dwell_times": Option(_dwell_times, REQUIRED,
+                              "comma list or start:stop:step range, seconds"),
+        "layers": Option(_int, 8, "deposition layer count"),
+        "radial": Option(_int, 5, "radial node count"),
+        "theta": Option(_int, 24, "circumferential node count"),
+        "noise": Option(_float, 0.0, "Gaussian noise sigma, mm"),
+        "seed": Option(_int, 0),
+    }),
+    "train": ("train a surrogate on a dataset", {
+        "model": Option(_model_kind, REQUIRED, "pod-gpr or gca"),
+        "data": Option(_path, REQUIRED, "dataset directory from gen"),
+        "out": Option(_path, REQUIRED, "output archive directory"),
+        "train": Option(_dwell_times, None,
+                        "training dwell times (default: all)"),
+        "seed": Option(_int, 0),
+        "energy_threshold": Option(_float, 0.9999, "POD energy to retain"),
+        "jitter": Option(_float, None, "GPR diagonal jitter"),
+        "restarts": Option(_int, 8, "seeded GPR length scales added to the "
+                                    "hyperparameter scan (>= 1)"),
+        "val": Option(_dwell_times, None, "validation dwell times (gca)"),
+        "lam": Option(_float, 0.5, "latent-loss weight (gca)"),
+        "lr_max": Option(_float, 1e-3),
+        "lr_min": Option(_float, 1e-5),
+        "t0": Option(_int, 50, "first warm-restart period"),
+        "mult": Option(_int, 2, "warm-restart period factor"),
+        "patience": Option(_int, 50),
+        "noise_sigma": Option(_float, None, "denoising noise sigma (gca)"),
+        "max_epochs": Option(_int, 2000),
+        "latent": Option(_int, 12, "latent dimension (gca)"),
+    }),
+    "predict": ("predict one field from a trained archive", {
+        "model_dir": Option(_path, REQUIRED),
+        "dt": Option(_dwell_time, REQUIRED, "dwell time, seconds"),
+        "out": Option(_path, REQUIRED, "output field file"),
+    }),
+    "eval": ("evaluate a trained archive on a test split", {
+        "model_dir": Option(_path, REQUIRED),
+        "data": Option(_path, REQUIRED),
+        "test": Option(_dwell_times, REQUIRED, "test dwell times"),
+        "plots": Option(_path, REQUIRED, "directory for CSV/SVG plots"),
+        "report": Option(_path, None,
+                         "report JSON path (default: <plots>/report.json)"),
+        "first_k": Option(_int, 4, "modes in the coefficient plot"),
+        "timing": Option(_switch, False, "time the predictions", flag="time"),
+        "repeats": Option(_int, 3, "timing sweep count"),
+    }),
+}
+
+
+def _flag(key: str, option: Option) -> str:
+    return "--" + (option.flag or key.replace("_", "-"))
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # every usage error: one line, exit 2
+        raise ConfigurationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="romforge",
-        description="Reduced-order distortion surrogates for powder-bed parts",
-    )
+    """A parser that only splits the command line: it holds no defaults."""
+    parser = _Parser(prog="romforge", description="Reduced-order distortion "
+                     "surrogates for powder-bed parts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def gen_opts(p):
-        p.add_argument("--out", help="output dataset directory")
-        p.add_argument("--dwell-times", dest="dwell_times",
-                       help="comma list or start:stop:step range, seconds")
-        p.add_argument("--layers", type=int, help="deposition layer count")
-        p.add_argument("--radial", type=int, help="radial node count")
-        p.add_argument("--theta", type=int, help="circumferential node count")
-        p.add_argument("--noise", type=float, help="Gaussian noise sigma, mm")
-        p.add_argument("--seed", type=int)
-
-    def train_opts(p):
-        p.add_argument("--model", choices=("pod-gpr", "gca"))
-        p.add_argument("--data", help="dataset directory from gen")
-        p.add_argument("--out", help="output archive directory")
-        p.add_argument("--train", help="training dwell times (default: all)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--energy-threshold", dest="energy_threshold",
-                       type=float, help="POD energy fraction to retain")
-        p.add_argument("--jitter", type=float, help="GPR diagonal jitter")
-        p.add_argument("--restarts", type=int,
-                       help="seeded GPR length scales added to the "
-                            "hyperparameter scan (>= 1)")
-        p.add_argument("--val", help="validation dwell times (gca)")
-        p.add_argument("--lam", type=float, help="latent-loss weight (gca)")
-        p.add_argument("--lr-max", dest="lr_max", type=float)
-        p.add_argument("--lr-min", dest="lr_min", type=float)
-        p.add_argument("--t0", type=int, help="first warm-restart period")
-        p.add_argument("--mult", type=int, help="warm-restart period factor")
-        p.add_argument("--patience", type=int)
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                       help="denoising corruption sigma (gca)")
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
-        p.add_argument("--latent", type=int, help="latent dimension (gca)")
-
-    def predict_opts(p):
-        p.add_argument("--model-dir", dest="model_dir")
-        p.add_argument("--dt", type=float, help="dwell time, seconds")
-        p.add_argument("--out", help="output field file")
-
-    def eval_opts(p):
-        p.add_argument("--model-dir", dest="model_dir")
-        p.add_argument("--data")
-        p.add_argument("--test", help="test dwell times")
-        p.add_argument("--plots", help="directory for CSV/SVG plots")
-        p.add_argument("--report", help="report JSON path "
-                                        "(default: <plots>/report.json)")
-        p.add_argument("--first-k", dest="first_k", type=int,
-                       help="modes in the coefficient plot")
-        p.add_argument("--time", dest="timing", action="store_true",
-                       default=None, help="include prediction timing")
-        p.add_argument("--repeats", type=int, help="timing sweep count")
-
-    _add_command(sub, "gen", "generate a synthetic snapshot dataset",
-                 _GEN_DEFAULTS, cmd_gen, gen_opts)
-    _add_command(sub, "train", "train a surrogate on a dataset",
-                 _TRAIN_DEFAULTS, cmd_train, train_opts)
-    _add_command(sub, "predict", "predict one field from a trained archive",
-                 _PREDICT_DEFAULTS, cmd_predict, predict_opts)
-    _add_command(sub, "eval", "evaluate a trained archive on a test split",
-                 _EVAL_DEFAULTS, cmd_eval, eval_opts)
+    for command, (help_text, options) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text,
+                             argument_default=argparse.SUPPRESS)
+        for key, option in options.items():
+            cmd.add_argument(_flag(key, option), dest=key, help=option.help,
+                             **({"action": "store_true"}
+                                if option.convert is _switch else {}))
+        cmd.add_argument("--config", help="JSON file of option defaults")
     return parser
 
 
-# options that take a dwell-time list, which a config file may give as a
-# JSON array
-_DWELL_LIST_OPTIONS = ("dwell_times", "train", "val", "test")
-
-
-def _config_value(option: argparse.Action, key: str, value):
-    """A config-file value, checked and converted as argparse does its flag."""
-    if value is None:
-        return None
-    if option.type is not None:
-        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            try:
-                return option.type(str(value))
-            except ValueError:
-                pass
-        raise ConfigurationError(
-            f"config key {key!r}: expected {option.type.__name__}, "
-            f"got {value!r}")
-    if option.nargs == 0:  # an on/off flag such as --time
-        if isinstance(value, bool):
-            return value
-        raise ConfigurationError(
-            f"config key {key!r}: expected true or false, got {value!r}")
-    if isinstance(value, str) or (key in _DWELL_LIST_OPTIONS
-                                  and isinstance(value, list)):
-        return value
-    raise ConfigurationError(
-        f"config key {key!r}: expected a string, got {value!r}")
-
-
-def _merge_config(args: argparse.Namespace) -> SimpleNamespace:
-    defaults = args._defaults
-    merged = dict(defaults)
-    if args.config is not None:
-        config_path = Path(args.config).expanduser()
+def _option_values(args: argparse.Namespace, options: dict) -> SimpleNamespace:
+    """Typed values: a flag over its config key (null: unset) over default."""
+    flags = {key: option.convert(getattr(args, key), _flag(key, option))
+             for key, option in options.items() if key in args}
+    values = {key: option.default for key, option in options.items()}
+    if "config" in args:
+        path = Path(args.config).expanduser()
         try:
-            loaded = json.loads(config_path.read_bytes())
+            config = json.loads(path.read_bytes())
         except OSError:
-            raise DataError(f"cannot read config file {config_path}")
+            raise DataError(f"cannot read config file {path}")
         # JSONDecodeError, undecodable bytes and nesting too deep to parse
         except (ValueError, RecursionError) as exc:
-            raise ConfigurationError(f"config file {config_path}: {exc}")
-        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config file {path}: {exc}")
+        if not isinstance(config, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
+        unknown = sorted(set(config) - set(options))
         if unknown:
             raise ConfigurationError(f"unknown config keys: {unknown}")
-        merged.update({key: _config_value(args._options[key], key, value)
-                       for key, value in loaded.items()})
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return SimpleNamespace(**merged)
+        values.update({key: options[key].convert(value, f"config key {key!r}")
+                       for key, value in config.items() if value is not None})
+    values.update(flags)
+    missing = [_flag(k, options[k]) for k, v in values.items() if v is REQUIRED]
+    if missing:
+        raise ConfigurationError(
+            f"missing required options: {', '.join(missing)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        ns = _merge_config(args)
-        line = _dumps(args._handler(ns))
+        args = build_parser().parse_args(argv)
+        ns = _option_values(args, COMMANDS[args.command][1])
+        line = _dumps(globals()["cmd_" + args.command](ns))
+    except MemoryError as exc:
+        # a request too large for this machine, like an oversized option
+        print(f"romforge: out of memory: {exc}", file=sys.stderr)
+        return ConfigurationError.exit_code
     except (RomforgeError, OSError, np.linalg.LinAlgError) as exc:
         # an unreadable or unwritable path is a data error, a failed
         # factorization a numerical one

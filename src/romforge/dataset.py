@@ -31,6 +31,8 @@ _SNAP_HEADER = struct.Struct("<4sBII")  # magic, version, rows, columns
 #: Geometry constants of the synthetic cylinder (mm).
 CYLINDER_RADIUS_MM = 5.0
 LAYER_THICKNESS_MM = 0.5
+#: Nodes x steps x dwell times one synthetic dataset may hold.
+MAX_DATASET_VALUES = 10**9
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -289,7 +291,8 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
     ----------
     n_radial, n_theta : int
         Polar-grid resolution of each node level (``n_radial >= 2``,
-        ``n_theta >= 4``).
+        ``n_theta >= 4``). The dataset may hold at most
+        ``MAX_DATASET_VALUES`` nodes x steps x dwell times.
     n_layers : int
         Number of deposition layers; equals the number of time steps. The
         mesh has ``n_layers + 1`` node levels.
@@ -315,6 +318,13 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    size = n_radial * n_theta * (n_layers + 1) * n_layers * len(dwell_times)
+    if size > MAX_DATASET_VALUES:
+        raise ConfigurationError(
+            f"n_radial {n_radial} x n_theta {n_theta} x {n_layers + 1} node "
+            f"levels x n_layers {n_layers} steps x {len(dwell_times)} dwell "
+            f"times is {size} values, over MAX_DATASET_VALUES "
+            f"{MAX_DATASET_VALUES}")
 
     mesh = _cylinder_mesh(n_radial, n_theta, n_layers)
     height = LAYER_THICKNESS_MM * n_layers

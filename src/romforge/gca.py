@@ -18,6 +18,7 @@ weight product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +88,14 @@ def _elu_grad(act: np.ndarray) -> np.ndarray:
     return np.add(grad, 1.0, out=grad)
 
 
+#: Trainable parameters one autoencoder may hold.
+MAX_PARAMETERS = 10**9
+
+
 @dataclass(frozen=True)
 class GcaArchitecture:
-    """Layer widths, tied to a mesh size by the decoder's seed layer."""
+    """Layer widths, tied to a mesh size by the decoder's seed layer; at
+    most ``MAX_PARAMETERS`` parameters."""
 
     n_nodes: int
     enc_widths: tuple[int, int] = (16, 32)
@@ -103,6 +109,10 @@ class GcaArchitecture:
                 isinstance(w, (int, np.integer)) and w >= 1 for w in widths):
             raise ConfigurationError("layer widths and the node count must be "
                                      f"positive integers, got {self}")
+        count = sum(math.prod(shape) for _, shape in self.param_shapes())
+        if count > MAX_PARAMETERS:
+            raise ConfigurationError(f"{self} has {count} parameters, over "
+                                     f"MAX_PARAMETERS {MAX_PARAMETERS}")
 
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         h1, h2 = self.enc_widths

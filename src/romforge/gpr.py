@@ -240,6 +240,14 @@ def _search_boxes(inputs: np.ndarray, target_vars: np.ndarray):
     return sv_box, ls_box
 
 
+def _search_bounds(inputs: np.ndarray, targets: np.ndarray):
+    """Lower and upper ``(m, 2)`` bounds on each GP's log sv and log ls:
+    the start boxes widened by ``SEARCH_MARGIN``."""
+    sv_box, ls_box = _search_boxes(inputs, np.var(targets, axis=1))
+    boxes = np.stack([sv_box, np.broadcast_to(ls_box, sv_box.shape)], axis=1)
+    return boxes[:, :, 0] - SEARCH_MARGIN, boxes[:, :, 1] + SEARCH_MARGIN
+
+
 def _profile_lml(log_sv, lam, z2, jitter):
     """LML, less its constant, of kernels ``sv Q diag(lam) Q^T + jitter I``.
 
@@ -441,11 +449,10 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
-    target_vars = np.var(targets, axis=1)
     jitters = _requested_jitters(targets, jitter)
-    sv_box, ls_box = _search_boxes(inputs, target_vars)
-    s_lo, s_hi = sv_box[:, 0] - SEARCH_MARGIN, sv_box[:, 1] + SEARCH_MARGIN
-    t_lo, t_hi = ls_box[0] - SEARCH_MARGIN, ls_box[1] + SEARCH_MARGIN
+    _, ls_box = _search_boxes(inputs, np.var(targets, axis=1))
+    lo, hi = _search_bounds(inputs, targets)
+    t_lo, t_hi = lo[0, 1], hi[0, 1]
     resid = targets - targets.mean(axis=1, keepdims=True)
     sqd = _sq_dists(inputs, inputs)
 
@@ -454,12 +461,10 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
     grid = np.unique(np.concatenate([np.linspace(t_lo, t_hi, count), seeded]))
     lam, vecs = _spectrum(grid, sqd)
     z2 = np.einsum("gji,mj->igm", vecs, resid) ** 2
-    lml, log_sv = _profile(lam.T[:, :, None], z2, jitters, s_lo, s_hi)
+    lml, log_sv = _profile(lam.T[:, :, None], z2, jitters, lo[:, 0], hi[:, 0])
     rows = np.arange(targets.shape[0])
     best = np.argmax(lml, axis=0)
     start = np.column_stack([log_sv[best, rows], grid[best]])
-    lo = np.column_stack([s_lo, np.full_like(s_lo, t_lo)])
-    hi = np.column_stack([s_hi, np.full_like(s_hi, t_hi)])
     fitted = np.exp(_polish(start, lo, hi, resid, sqd, jitters))
     return make_gpr(inputs, targets, fitted[:, 0], fitted[:, 1], jitters)
 
@@ -482,10 +487,14 @@ def predict_gpr(model: GprModel, mu_star) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):  # a far query: exp(-inf) is exactly 0
         k_star = signal_variance * np.exp(
             -(diff**2)[:, None, :] / model.two_ls2[:, None])   # (n, m, q)
-    means = model.mean_constant[:, None] + (k_star * model.alpha).sum(axis=0)
+    # cumsum adds the training points in order; sum would add them pairwise
+    # when they lie contiguous in memory (one GP, one query), so a single
+    # query would differ from the same query in a batch
+    means = (model.mean_constant[:, None]
+             + np.cumsum(k_star * model.alpha, axis=0)[-1])
     v = (model.chol_inverse_t * k_star[:, None]).sum(axis=0)
     variances = (signal_variance + model.noise_jitter[:, None]
-                 - (v * v).sum(axis=0))
+                 - np.cumsum(v * v, axis=0)[-1])
     return means, np.maximum(variances, 0.0)
 
 
@@ -500,14 +509,13 @@ def fit_decision(model: GprModel, jitter: float | None = None) -> list[dict]:
     """
     targets = model.train_targets
     requested = _requested_jitters(targets, jitter)
-    sv_box, ls_box = _search_boxes(model.train_inputs, np.var(targets, axis=1))
+    lo, hi = _search_bounds(model.train_inputs, targets)
     lml = log_marginal_likelihood(model)
     records = []
     for j, (sv, ls, jit) in enumerate(zip(model.signal_variance.tolist(),
                                           model.length_scale.tolist(),
                                           model.noise_jitter.tolist())):
-        bounds = ((sv_box[j, 0] - SEARCH_MARGIN, sv_box[j, 1] + SEARCH_MARGIN),
-                  (ls_box[0] - SEARCH_MARGIN, ls_box[1] + SEARCH_MARGIN))
+        bounds = tuple(zip(lo[j].tolist(), hi[j].tolist()))
         records.append({
             "signal_variance": sv,
             "length_scale": ls,

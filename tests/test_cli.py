@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import romforge.cli as cli
 from romforge.cli import MAX_RANGE_COUNT, main, parse_dwell_times
 from romforge.dataset import (
     _SNAP_HEADER,
@@ -261,11 +262,14 @@ def test_train_gca_smoke(dataset_dir, tmp_path, capsys):
     assert (out / "gca.json").is_file()
 
 
-def test_train_rejects_unknown_model_choice(dataset_dir, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--model", "bogus", "--data", str(dataset_dir),
-              "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+def test_train_rejects_unknown_model_choice(dataset_dir, tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "train", "--model", "bogus",
+                               "--data", dataset_dir, "--out", tmp_path / "x")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        "romforge: unknown model 'bogus' (pod-gpr or gca)"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_degenerate_dataset_is_numerical_failure(dataset_dir, tmp_path,
@@ -468,6 +472,10 @@ def nan_at(offset, value=math.nan):
     pytest.param("gca_dir", "gca.json",
                  edited(lambda d: d["enc_widths"].__setitem__(0, 1e308)),
                  id="gca_dir-gca.json-enc_widths_1e308"),
+    # past gca.MAX_PARAMETERS: rejected before any weight is read
+    pytest.param("gca_dir", "gca.json",
+                 edited(lambda d: d.update(latent_dim=100_000_000)),
+                 id="gca_dir-gca.json-latent_dim_1e8"),
     # the mesh arrays: the first edge index, then the first layer index
     # (column 3 of row 0)
     pytest.param("gca_dir", "mesh_edges.bin",
@@ -1012,6 +1020,90 @@ def test_config_missing_file_is_io_failure(tmp_path, capsys):
     assert code == 3
 
 
+# ------------------------------------------------------------ option table ---
+
+# per converter: the flag's text (None: an on/off flag), a config value
+# that needs converting, and the typed value both must give, which differs
+# from every default
+SAMPLES = {
+    cli._int: ("7", "7", 7),
+    cli._float: ("1", 1, 1.0),
+    cli._path: ("some/where", "some/where", None),  # resolved in the test
+    cli._dwell_times: ("30,40", [30, 40], [30.0, 40.0]),
+    cli._dwell_time: ("45", 45, 45.0),
+    cli._model_kind: ("gca", "gca", "gca"),
+    cli._switch: (None, True, True),
+}
+
+
+def option_argv(key, option):
+    text = SAMPLES[option.convert][0]
+    flag = cli._flag(key, option)
+    return [flag] if text is None else [f"{flag}={text}"]
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, options) in cli.COMMANDS.items()
+    for key in options])
+def test_every_option_is_a_flag_and_a_config_key(command, key, monkeypatch,
+                                                  tmp_path, capsys):
+    # the option reaches the handler as the same typed value either way
+    options = cli.COMMANDS[command][1]
+    option = options[key]
+    seen = []
+    monkeypatch.setattr(f"romforge.cli.cmd_{command}",
+                        lambda ns: seen.append(vars(ns)) or {})
+    monkeypatch.chdir(tmp_path)
+    required = [arg for other, o in options.items()
+                if o.default is cli.REQUIRED and other != key
+                for arg in option_argv(other, o)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: SAMPLES[option.convert][1]}))
+    assert run(capsys, command, *required, *option_argv(key, option)) == (
+        0, "{}\n", "")
+    assert run(capsys, command, *required, "--config", config) == (
+        0, "{}\n", "")
+    via_flag, via_config = seen
+    typed = SAMPLES[option.convert][2]
+    if option.convert is cli._path:
+        typed = tmp_path.resolve() / "some" / "where"
+    assert repr(via_flag[key]) == repr(via_config[key]) == repr(typed)
+    assert via_flag == via_config
+    assert typed != option.default
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--out", "d", "--dwell-times", "30", "--radial",
+                  "abc"], id="bad_int"),
+    pytest.param(["gen", "--out", "d", "--dwell-times", "30", "--noise",
+                  "abc"], id="bad_float"),
+    pytest.param(["train", "--model", "bogus", "--data", "d", "--out", "m"],
+                 id="bad_choice"),
+    pytest.param(["gen", "--out", "d", "--dwell-times"], id="missing_value"),
+    pytest.param(["gen", "--out", "d", "--dwell-times", "30", "--bogus"],
+                 id="unknown_flag"),
+    pytest.param(["bogus"], id="unknown_subcommand"),
+    pytest.param([], id="no_subcommand"),
+])
+def test_usage_error_is_one_line(argv, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    [line] = stderr.splitlines()
+    assert line.startswith("romforge: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_prints_to_stdout_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert "--energy-threshold" in captured.out and "--config" in captured.out
+    assert captured.err == ""
+
+
 # -------------------------------------------------------------- exit codes ---
 
 
@@ -1026,6 +1118,7 @@ class LaterDataError(DataError):
     pytest.param(LaterDataError("new kind"), 3, id="subclass"),
     pytest.param(OSError("disk full"), 3, id="os"),
     pytest.param(np.linalg.LinAlgError("singular"), 4, id="linalg"),
+    pytest.param(MemoryError("cannot allocate 671 GiB"), 2, id="memory"),
 ])
 def test_each_error_class_carries_its_exit_code(error, code, monkeypatch,
                                                 tmp_path, capsys):
@@ -1038,7 +1131,8 @@ def test_each_error_class_carries_its_exit_code(error, code, monkeypatch,
                                  *GEN_ARGS)
     assert result == code
     assert stdout == ""
-    prefix = "numerical failure: " if code == 4 else ""
+    prefix = ("out of memory: " if isinstance(error, MemoryError)
+              else "numerical failure: " if code == 4 else "")
     assert stderr.splitlines() == [f"romforge: {prefix}{error}"]
 
 
@@ -1161,6 +1255,26 @@ def test_oversized_timing_repeats_exit_before_timing(rom_dir, dataset_dir,
     [line] = proc.stderr.splitlines()
     assert "repeats" in line
     assert not (tmp_path / "p").exists()
+
+
+def test_oversized_dataset_exits_before_allocating(tmp_path):
+    proc = run_limited("gen", "--out", tmp_path / "d", "--dwell-times",
+                       "20:80:10", "--radial", "100000", "--theta", "100000")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert "n_radial 100000" in line and "MAX_DATASET_VALUES" in line
+    assert not (tmp_path / "d").exists()
+
+
+def test_oversized_gca_latent_exits_before_allocating(dataset_dir, tmp_path):
+    proc = run_limited("train", "--model", "gca", "--data", dataset_dir,
+                       "--out", tmp_path / "m", "--latent", "100000000")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert "latent_dim=100000000" in line and "MAX_PARAMETERS" in line
+    assert not (tmp_path / "m").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_out(tmp_path):

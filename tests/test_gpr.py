@@ -454,6 +454,21 @@ def test_stacked_posterior_matches_per_model_posterior(wiggly):
         np.testing.assert_array_equal(alone[1][:, 0], many_variances[:, i])
 
 
+
+@pytest.mark.parametrize("n", range(8, 20))
+def test_one_gp_query_alone_equals_its_batch(n):
+    # with one GP and one query the training points lie contiguous in
+    # memory, where a plain sum would add them pairwise, not in order
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    model = make_gpr(x, rng.normal(size=n), 1.3, 0.2, 1e-6)
+    queries = rng.uniform(-0.5, 1.5, 50)
+    means, variances = predict_gpr(model, queries)
+    for i, q in enumerate(queries):
+        alone = predict_gpr(model, [q])
+        assert alone[0][0, 0] == means[0, i]
+        assert alone[1][0, 0] == variances[0, i]
+
 def test_posterior_variance_matches_forward_substitution(wiggly):
     # v = L^-1 k* by column forward substitution on each cached Cholesky
     # factor, one query at a time, against the cached inverse factors
