@@ -314,8 +314,9 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
         raise ConfigurationError("dwell_times must be non-empty")
     if len(set(dwell_times)) != len(dwell_times):
         raise ConfigurationError(f"dwell times are not distinct: {dwell_times}")
-    if noise_sigma < 0.0:
-        raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ConfigurationError(
+            f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     size = n_radial * n_theta * (n_layers + 1) * n_layers * len(dwell_times)

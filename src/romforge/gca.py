@@ -7,13 +7,13 @@ vector back to a per-node field through a dense head, node broadcast, and two
 graph convolutions. Training, validation and :func:`predict_gca` all run
 through these two functions; prediction decodes the parameter branch's latent
 and skips the encoder. All forward/backward passes are hand-written numpy; no
-autograd. Graph features are node-major, ``(n, B, d)``, so each aggregation
-is one sparse product; only the dense decoder head crosses from ``(B, n * d)``.
-The cache holds activations, and the ELU derivative is taken from them.
+autograd. Graph features are node-major, ``(n, B, d)``: each aggregation is
+one sparse product, each weight product one GEMM (``_dense``), and only the
+decoder head crosses from ``(B, n * d)``. The cache holds activations.
 
-Graph convolutions use the symmetric normalization with self-loops,
-``D^{-1/2} (A + I) D^{-1/2}``, applied by ``_aggregate`` and followed by a
-weight product.
+Graph convolutions apply ``Â = D^{-1/2} (A + I) D^{-1/2}`` (``_aggregate``) to
+their narrower side, as ``Â(HW) = (ÂH)W``: the encoder before its weight
+product, the decoder after it.
 """
 
 from __future__ import annotations
@@ -34,17 +34,8 @@ from .dataset import (
 )
 from .errors import ConfigurationError, DataError
 
-__all__ = [
-    "Graph",
-    "GcaArchitecture",
-    "GcaModel",
-    "build_graph",
-    "elu",
-    "init_gca",
-    "predict_gca",
-    "save_gca",
-    "load_gca",
-]
+__all__ = ["Graph", "GcaArchitecture", "GcaModel", "build_graph", "elu",
+           "init_gca", "predict_gca", "save_gca", "load_gca"]
 
 
 @dataclass(frozen=True)
@@ -173,9 +164,17 @@ def init_gca(arch: GcaArchitecture, training_dwell_times=(0.0, 1.0),
                     training_dwell_times=training_dwell_times, seed=seed)
 
 
-def _aggregate(adj, feats: np.ndarray) -> np.ndarray:
-    """Apply the normalized adjacency to (n, B, d) node-major features."""
-    return (adj @ feats.reshape(feats.shape[0], -1)).reshape(feats.shape)
+def _aggregate(adj, feats: np.ndarray, b=None) -> np.ndarray:
+    """``Â`` applied to (n, B, d) node-major features, ``b`` added in place."""
+    out = (adj @ feats.reshape(feats.shape[0], -1)).reshape(feats.shape)
+    return out if b is None else np.add(out, b, out=out)
+
+
+def _dense(h: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
+    """``h @ w + b`` over the last axis as one 2-D GEMM, the bias added in
+    place; a 3-D ``(n, B, d)`` operand would run as n small products."""
+    out = (h.reshape(-1, h.shape[-1]) @ w).reshape(*h.shape[:-1], w.shape[1])
+    return out if b is None else np.add(out, b, out=out)
 
 
 def _weight_grad(h: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -203,26 +202,25 @@ def _param_branch(p: dict, t: np.ndarray, cache: dict | None = None
 def _decode(p: dict, graph: Graph, z: np.ndarray, cache: dict | None = None
             ) -> np.ndarray:
     """Expand (B, latent) codes to (n, B, 1) node-major fields: dense head,
-    node broadcast, then two graph convolutions."""
+    node broadcast, then two graph convolutions ``Â(HW) + b``."""
     adj = graph.adjacency_norm
-    h = _keep(cache, "h4", elu(z @ p["dec_head_w"] + p["dec_head_b"]))
-    h = h.reshape(z.shape[0], graph.n_nodes, -1).transpose(1, 0, 2)
-    h = _keep(cache, "ahb", _aggregate(adj, h))
-    h = _keep(cache, "h5", elu(h @ p["dec_gc1_w"] + p["dec_gc1_b"]))
-    h = _keep(cache, "ah5", _aggregate(adj, h))
-    return h @ p["dec_gc2_w"] + p["dec_gc2_b"]
+    h4 = _keep(cache, "h4", elu(z @ p["dec_head_w"] + p["dec_head_b"]))
+    # W1 first, in h4's (B, n, h2) layout: only 16 columns turn node-major
+    u5 = _dense(h4.reshape(z.shape[0], graph.n_nodes, -1), p["dec_gc1_w"])
+    s5 = _aggregate(adj, u5.transpose(1, 0, 2), p["dec_gc1_b"])
+    h5 = _keep(cache, "h5", elu(s5))
+    return _aggregate(adj, _dense(h5, p["dec_gc2_w"]), p["dec_gc2_b"])
 
 
-def _forward_batch(params: dict, graph: Graph, x: np.ndarray, t: np.ndarray):
+def _forward_batch(p: dict, graph: Graph, x: np.ndarray, t: np.ndarray):
     """Batched forward pass. x: (n, B, 1) fields, t: (B, 1) normalized dts."""
-    p = params
     adj = graph.adjacency_norm
     cache = {"t": t}
 
     cache["ax"] = _aggregate(adj, x)
-    cache["h1"] = elu(cache["ax"] @ p["enc_gc1_w"] + p["enc_gc1_b"])
+    cache["h1"] = elu(_dense(cache["ax"], p["enc_gc1_w"], p["enc_gc1_b"]))
     cache["ah1"] = _aggregate(adj, cache["h1"])
-    cache["h2"] = elu(cache["ah1"] @ p["enc_gc2_w"] + p["enc_gc2_b"])
+    cache["h2"] = elu(_dense(cache["ah1"], p["enc_gc2_w"], p["enc_gc2_b"]))
     cache["pool"] = cache["h2"].mean(axis=0)                # (B, h2)
     z = cache["pool"] @ p["enc_head_w"] + p["enc_head_b"]  # (B, latent)
 
@@ -232,24 +230,26 @@ def _forward_batch(params: dict, graph: Graph, x: np.ndarray, t: np.ndarray):
     return x_hat, z, z_p, cache
 
 
-def _backward_batch(params: dict, graph: Graph, cache: dict, x_hat: np.ndarray,
+def _backward_batch(p: dict, graph: Graph, cache: dict, x_hat: np.ndarray,
                     target: np.ndarray, lam: float) -> dict[str, np.ndarray]:
-    """Gradients of the batch-mean loss w.r.t. every parameter array."""
-    p = params
+    """Gradients of the batch-mean loss w.r.t. every parameter array. ``Â`` is
+    symmetric: ``Â @ d_s`` serves a decoder layer's weight and input grads."""
     adj = graph.adjacency_norm
     n, b, _ = x_hat.shape
     z, z_p = cache["z"], cache["z_p"]
     g = {}
 
     d_xhat = 2.0 * (x_hat - target) / (b * n)
-    g["dec_gc2_w"] = _weight_grad(cache["ah5"], d_xhat)
     g["dec_gc2_b"] = d_xhat.sum(axis=(0, 1))
-    d_s5 = _aggregate(adj, d_xhat @ p["dec_gc2_w"].T)
+    d_u6 = _aggregate(adj, d_xhat)                         # (n, B, 1)
+    g["dec_gc2_w"] = _weight_grad(cache["h5"], d_u6)
+    d_s5 = _dense(d_u6, p["dec_gc2_w"].T)
     d_s5 *= _elu_grad(cache["h5"])
-    g["dec_gc1_w"] = _weight_grad(cache["ahb"], d_s5)
     g["dec_gc1_b"] = d_s5.sum(axis=(0, 1))
-    d_hb = _aggregate(adj, d_s5 @ p["dec_gc1_w"].T)       # (n, B, h2)
-    d_s4 = d_hb.transpose(1, 0, 2).reshape(b, -1)          # (B, n*h2)
+    # one copy of the narrow d_u5 into h4's (B, n, h1) layout
+    d_u5 = _aggregate(adj, d_s5).transpose(1, 0, 2).reshape(-1, d_s5.shape[2])
+    g["dec_gc1_w"] = cache["h4"].reshape(d_u5.shape[0], -1).T @ d_u5
+    d_s4 = (d_u5 @ p["dec_gc1_w"].T).reshape(b, -1)        # (B, n*h2)
     d_s4 *= _elu_grad(cache["h4"])
     g["dec_head_w"] = z.T @ d_s4
     g["dec_head_b"] = d_s4.sum(axis=0)
@@ -265,7 +265,7 @@ def _backward_batch(params: dict, graph: Graph, cache: dict, x_hat: np.ndarray,
     d_s2 *= d_pool / n                     # the mean pool, broadcast to nodes
     g["enc_gc2_w"] = _weight_grad(cache["ah1"], d_s2)
     g["enc_gc2_b"] = d_s2.sum(axis=(0, 1))
-    d_s1 = _aggregate(adj, d_s2 @ p["enc_gc2_w"].T)
+    d_s1 = _aggregate(adj, _dense(d_s2, p["enc_gc2_w"].T))
     d_s1 *= _elu_grad(cache["h1"])
     g["enc_gc1_w"] = _weight_grad(cache["ax"], d_s1)
     g["enc_gc1_b"] = d_s1.sum(axis=(0, 1))

@@ -50,8 +50,13 @@ class GcaTrainConfig:
     fc_width: int = 32
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ConfigurationError("lam must be finite and non-negative")
+        for name in ("lam", "lr_max", "lr_min", "eps", "weight_decay",
+                     "noise_sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if self.lam < 0.0:
+            raise ConfigurationError("lam must be non-negative")
         if not (self.lr_max >= self.lr_min >= 0.0):
             raise ConfigurationError("need lr_max >= lr_min >= 0")
         if self.warm_restart_t0 < 1 or self.warm_restart_mult < 1:

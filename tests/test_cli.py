@@ -272,6 +272,28 @@ def test_train_rejects_unknown_model_choice(dataset_dir, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["gen", *GEN_ARGS, "--noise", value], "noise_sigma",
+                 id=f"gen-noise-{value}") for value in ("nan", "inf")] + [
+    pytest.param(["train", "--model", "gca", f"--{flag}", value], name,
+                 id=f"train-{flag}-{value}")
+    for flag, name in (("noise-sigma", "noise_sigma"), ("lr-max", "lr_max"),
+                       ("lr-min", "lr_min"))
+    for value in ("nan", "inf")])
+def test_non_finite_float_option_is_a_usage_error(argv, name, dataset_dir,
+                                                   tmp_path, capsys):
+    # the fault is the option: NaN must not read as "no noise", and an
+    # infinite rate must not surface later as a numerical failure
+    if argv[0] == "train":
+        argv = [*argv, "--data", dataset_dir]
+    code, stdout, stderr = run(capsys, *argv, "--out", tmp_path / "out")
+    assert code == 2
+    assert stdout == ""
+    [line] = stderr.splitlines()
+    assert line.startswith(f"romforge: {name} must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_degenerate_dataset_is_numerical_failure(dataset_dir, tmp_path,
                                                        capsys):
     tensor = load_snapshot_tensor(dataset_dir)
@@ -1183,11 +1205,12 @@ def test_non_finite_dwell_time_range_is_a_configuration_error(
 @pytest.mark.filterwarnings("error")
 def test_diverging_gca_training_reports_one_line(dataset_dir, tmp_path,
                                                  capsys):
+    # a finite but huge rate diverges (an infinite one is a usage error);
     # the loss check names the epoch; NumPy's overflow warnings stay quiet
     capsys.readouterr()
     code, stdout, stderr = run(capsys, "train", "--model", "gca",
                                "--data", dataset_dir, "--out", tmp_path / "m",
-                               "--lr-max", "inf", "--max-epochs", "5",
+                               "--lr-max", "1e300", "--max-epochs", "5",
                                "--latent", "2")
     assert code == 4
     assert stdout == ""

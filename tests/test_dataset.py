@@ -210,6 +210,13 @@ def test_generator_validates_sizes_noise_and_duplicates():
         generate_synthetic_dataset(2, 4, 2, [20.0, 20.0])
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_generator_rejects_non_finite_noise(sigma):
+    # NaN fails every comparison, so a sign check alone lets it through
+    with pytest.raises(ConfigurationError, match="noise_sigma must be finite"):
+        generate_synthetic_dataset(2, 4, 2, [20.0], noise_sigma=sigma)
+
+
 def test_generator_mesh_dimensions_and_layers():
     tensor = generate_synthetic_dataset(3, 8, 5, [20.0])
     assert tensor.n_nodes == 6 * 3 * 8          # n_layers+1 levels

@@ -20,6 +20,7 @@ from romforge.dataset import (
 from romforge.errors import ConfigurationError, DataError
 from romforge.gca import (
     GcaArchitecture,
+    Graph,
     GcaModel,
     _decode,
     _elu_grad,
@@ -148,7 +149,7 @@ def test_gc_layer_zero_everything_is_zero():
     zeros = {name: np.zeros(shape) for name, shape in arch.param_shapes()}
     x_hat, _, _, cache = _forward_batch(zeros, graph, np.zeros((2, 1, 1)),
                                         np.zeros((1, 1)))
-    for key in ("ax", "h1", "ah1", "h2", "ahb", "h5", "ah5"):
+    for key in ("ax", "h1", "ah1", "h2", "h4", "h5"):
         np.testing.assert_array_equal(cache[key], np.zeros_like(cache[key]),
                                       err_msg=key)
     np.testing.assert_array_equal(x_hat, np.zeros((2, 1, 1)))
@@ -178,6 +179,40 @@ def test_gc_layer_matches_dense_oracle(irregular):
             (x_hat[:, i], conv(cache["h5"][:, i], "dec_gc2")),
         ):
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class CountingAdjacency:
+    """The CSR adjacency, recording the column count of each product."""
+
+    def __init__(self, csr):
+        self.csr, self.columns = csr, []
+
+    def __matmul__(self, feats):
+        self.columns.append(feats.shape[1])
+        return self.csr @ feats
+
+
+def test_each_convolution_aggregates_its_narrower_side(irregular):
+    # the encoder aggregates before its weight product, the decoder after
+    # it, so A_hat meets 1 and 16 columns per sample, never 32
+    _, graph, _, _ = irregular
+    arch = GcaArchitecture(n_nodes=graph.n_nodes)
+    assert arch.enc_widths == (16, 32)
+    model = init_gca(arch, seed=3)
+    counting = Graph(graph.n_nodes, CountingAdjacency(graph.adjacency_norm))
+    np.testing.assert_array_equal(predict_gca(model, counting, 0.4),
+                                  predict_gca(model, graph, 0.4))
+    assert counting.adjacency_norm.columns == [16, 1]
+
+    b = 3
+    counting.adjacency_norm.columns.clear()
+    x = np.random.default_rng(29).normal(size=(b, graph.n_nodes))
+    batch_loss_and_grads(model.params, counting, x, x, np.linspace(0, 1, b),
+                         0.5)
+    # forward 1 + 16 + 16 + 1, backward 1 + 16 + 16 columns per sample
+    assert counting.adjacency_norm.columns == [b * w for w in (1, 16, 16, 1,
+                                                               1, 16, 16)]
+    assert sum(counting.adjacency_norm.columns) == 67 * b
 
 
 def test_elu_values():

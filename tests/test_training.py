@@ -174,6 +174,14 @@ def test_config_validation():
         GcaTrainConfig(warm_restart_t0=0)
 
 
+@pytest.mark.parametrize("name", ["lr_max", "lr_min", "eps", "weight_decay",
+                                  "noise_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        GcaTrainConfig(**{name: value})
+
+
 # ---------------------------------------------------------------- training ---
 
 
