@@ -350,7 +350,7 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
 
 # Binary I/O ==================================================================
 
-ARCHIVE_VERSION = 4  # of every manifest: dataset, POD-GPR and GCA
+ARCHIVE_VERSION = 5  # of every manifest: dataset, POD-GPR and GCA
 #: ``mesh_nodes`` (n, 4) holds x, y, z and layer; ``mesh_edges`` is (e, 2)
 MESH_ARRAYS = ("mesh_nodes", "mesh_edges")
 
@@ -389,25 +389,27 @@ def read_snapshot_bin(path) -> np.ndarray:
     A bad magic or version, a size that disagrees with the header, or a NaN
     or infinite value is a :class:`DataError`.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != SNAP_MAGIC:
-        raise DataError(f"{path}: bad magic, not an SNPT file")
-    if len(raw) < _SNAP_HEADER.size:
-        raise DataError(f"{path}: truncated header")
-    _, version, n_nodes, n_steps = _SNAP_HEADER.unpack_from(raw)
-    if version != SNAP_VERSION:
-        raise DataError(f"{path}: unsupported SNPT version {version}")
-    expected = _SNAP_HEADER.size + 8 * n_nodes * n_steps
-    if len(raw) != expected:
-        raise DataError(
-            f"{path}: payload holds {len(raw) - _SNAP_HEADER.size} bytes, "
-            f"header declares {8 * n_nodes * n_steps}"
-        )
-    values = np.frombuffer(raw, dtype="<f8", offset=_SNAP_HEADER.size)
-    values = values.reshape(n_nodes, n_steps)
-    if not np.all(np.isfinite(values)):
+    with open(path, "rb") as fh:
+        head = fh.read(_SNAP_HEADER.size)
+        if len(head) < 4 or head[:4] != SNAP_MAGIC:
+            raise DataError(f"{path}: bad magic, not an SNPT file")
+        if len(head) < _SNAP_HEADER.size:
+            raise DataError(f"{path}: truncated header")
+        _, version, n_nodes, n_steps = _SNAP_HEADER.unpack(head)
+        if version != SNAP_VERSION:
+            raise DataError(f"{path}: unsupported SNPT version {version}")
+        declared = 8 * n_nodes * n_steps
+        size = os.fstat(fh.fileno()).st_size - _SNAP_HEADER.size
+        if size == declared:  # allocate only what the file holds
+            values = np.empty((n_nodes, n_steps), dtype="<f8")
+            size = fh.readinto(values) + len(fh.read(1))
+        if size != declared:
+            raise DataError(f"{path}: payload holds {size} bytes, header "
+                            f"declares {declared}")
+    # min and max propagate NaN and meet any infinity, with no temporary
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
         raise DataError(f"{path}: payload contains NaN or Inf")
-    return values.astype(np.float64)
+    return values.astype(np.float64, copy=False)
 
 
 def save_archive(path, manifest_name: str, doc: dict, arrays: dict) -> None:

@@ -508,7 +508,8 @@ def fit_decision(model: GprModel, jitter: float | None = None) -> list[dict]:
     bound (within 1e-9 in log space).
     """
     targets = model.train_targets
-    requested = _requested_jitters(targets, jitter)
+    # Python floats: twice a huge request is inf, with no NumPy warning
+    requested = _requested_jitters(targets, jitter).tolist()
     lo, hi = _search_bounds(model.train_inputs, targets)
     lml = log_marginal_likelihood(model)
     records = []
@@ -521,7 +522,7 @@ def fit_decision(model: GprModel, jitter: float | None = None) -> list[dict]:
             "length_scale": ls,
             "jitter": jit,
             # escalation multiplies the jitter by ten at a time
-            "jitter_escalated": bool(jit > 2.0 * requested[j]),
+            "jitter_escalated": jit > 2.0 * requested[j],
             "lml": float(lml[j]),
             "at_bound": any(abs(v - b) <= 1e-9 for v, pair in
                             zip((math.log(sv), math.log(ls)), bounds)

@@ -42,7 +42,7 @@ class PodBasis:
     Attributes
     ----------
     modes : (n_nodes, rank) ndarray
-        Orthonormal spatial modes, one per column.
+        Orthonormal spatial modes, one per column, C- or F-ordered as given.
     singular_values : (m,) ndarray
         All singular values of the centered snapshot matrix, descending.
     reference : (n_nodes,) ndarray
@@ -80,7 +80,7 @@ class PodBasis:
             )
         for name, arr in (("modes", modes), ("singular_values", sv),
                           ("reference", ref)):
-            arr = np.ascontiguousarray(arr)
+            arr = arr if arr.flags.f_contiguous else np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "energy_captured",
@@ -218,13 +218,15 @@ def project(basis: PodBasis, field: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(basis: PodBasis, coefficients: np.ndarray) -> np.ndarray:
-    """Rebuild a field from mode coefficients: reference + modes @ coefficients."""
+    """Rebuild fields, ``coefficients @ modes.T + reference``: one field
+    from ``(rank,)`` coefficients, or ``(q, n_nodes)`` from ``(q, rank)``."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.shape != (basis.rank,):
+    if coefficients.ndim not in (1, 2) or coefficients.shape[-1] != basis.rank:
         raise ConfigurationError(
             f"expected {basis.rank} coefficients, got shape {coefficients.shape}"
         )
-    return basis.reference + basis.modes @ coefficients
+    fields = coefficients @ basis.modes.T
+    return np.add(fields, basis.reference, out=fields)
 
 
 def _cumulative_energy(singular_values: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ variances linearly to per-node 95% bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .dataset import (
 )
 from .errors import ConfigurationError
 from .gpr import GprModel, fit_gpr, make_gpr, predict_gpr
-from .pod import PodBasis, compute_pod, project
+from .pod import PodBasis, compute_pod, project, reconstruct
 
 __all__ = [
     "FieldPrediction",
@@ -58,9 +58,9 @@ class FieldPrediction:
 
 @dataclass(frozen=True)
 class PodGprRom:
-    """Deployable surrogate: basis, one GP per mode (row ``j`` of ``gp``
-    for mode ``j``) over the normalized training dwell times, and the
-    normalization derived from them."""
+    """Deployable surrogate: a mode-major basis (``basis.modes.T`` is
+    C-contiguous), one GP per mode (row ``j`` of ``gp`` for mode ``j``)
+    over the normalized training dwell times, and their normalization."""
 
     basis: PodBasis
     gp: GprModel
@@ -79,6 +79,9 @@ class PodGprRom:
         if not np.array_equal(self.gp.train_inputs, norm.training_inputs):
             raise ConfigurationError("the GP inputs must be the normalized "
                                      "training dwell times")
+        if not self.basis.modes.flags.f_contiguous:
+            object.__setattr__(self, "basis", replace(
+                self.basis, modes=np.asfortranarray(self.basis.modes)))
 
     @property
     def rank(self) -> int:
@@ -100,6 +103,7 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
     basis = compute_pod([m.values for m in train.matrices], energy_threshold)
 
     norm = InputNormalization(train.dwell_times)
+    # on the node-major modes: the fit is sensitive to its targets' last bits
     coeffs = np.column_stack(
         [project(basis, m.final_field) for m in train.matrices]
     )  # (rank, n_mu)
@@ -120,15 +124,15 @@ def predict_distortion_many(rom: PodGprRom, dwell_times
     """
     dts = [float(dt) for dt in dwell_times]
     means, variances = predict_gpr(rom.gp, rom.input_norm.apply(np.array(dts)))
-    basis = rom.basis
-    fields = means.T @ basis.modes.T + basis.reference         # (q, n_nodes)
-    halves = CI95_FACTOR * np.sqrt(variances.T @ basis.squared_modes.T)
+    fields = reconstruct(rom.basis, means.T)                   # (q, n_nodes)
+    halves = variances.T @ rom.basis.squared_modes.T
+    np.multiply(np.sqrt(halves, out=halves), CI95_FACTOR, out=halves)
     outside = rom.input_norm.extrapolates(dts)
-    return [
+    return [  # keywords run in order: upper_95 reuses the half's buffer
         FieldPrediction(
             mean_field=field,
             lower_95=field - half,
-            upper_95=field + half,
+            upper_95=np.add(half, field, out=half),
             coeff_means=means[:, i].copy(),
             coeff_variances=variances[:, i].copy(),
             extrapolation=outside[i],
@@ -150,9 +154,9 @@ def save_rom(rom: PodGprRom, path) -> None:
     The manifest holds the training dwell times, the singular values and,
     per mode in order, the GP hyperparameters and training targets, all as
     JSON floats, which round-trip float64 exactly. ``basis.bin`` is an SNPT
-    array of shape (n_nodes, rank + 1): the reference field, then the
-    modes. The GP inputs are not stored: they are the normalized training
-    dwell times.
+    array of shape (rank + 1, n_nodes): row 0 is the reference field and
+    row ``j + 1`` is mode ``j``. The GP inputs are not stored: they are the
+    normalized training dwell times.
     """
     basis, gp = rom.basis, rom.gp
     save_archive(path, "manifest.json", {
@@ -170,17 +174,17 @@ def save_rom(rom: PodGprRom, path) -> None:
                 gp.signal_variance.tolist(), gp.length_scale.tolist(),
                 gp.noise_jitter.tolist(), gp.train_targets.tolist())
         ],
-    }, {"basis": np.column_stack([basis.reference, basis.modes])})
+    }, {"basis": np.vstack([basis.reference, basis.modes.T])})
 
 
 def load_rom(path) -> PodGprRom:
     """Load an archive written by :func:`save_rom`; any unusable file or
-    value is a :class:`DataError`."""
+    value is a :class:`DataError`. The basis views ``basis.bin``'s rows."""
     with load_archive(path, "manifest.json", ["basis"]) as (manifest, arrays):
-        columns = arrays["basis"]
-        basis = PodBasis(modes=columns[:, 1:],
+        rows = arrays["basis"]
+        basis = PodBasis(modes=rows[1:].T,
                          singular_values=manifest["singular_values"],
-                         reference=columns[:, 0])
+                         reference=rows[0])
         norm = InputNormalization(manifest["training_dwell_times"])
         modes = manifest["modes"]
         gp = make_gpr(norm.training_inputs,

@@ -221,6 +221,19 @@ def test_train_summary_records_the_fit_decision(rom_dir, dataset_dir,
 
 
 @pytest.mark.filterwarnings("error")
+def test_huge_jitter_is_reported_without_a_warning(dataset_dir, tmp_path,
+                                                    capsys):
+    # twice the largest finite jitter overflows; it is not escalated
+    code, stdout, stderr = run(capsys, "train", "--model", "pod-gpr",
+                               "--data", dataset_dir, "--out", tmp_path / "m",
+                               "--jitter", "1e308")
+    assert (code, stderr) == (0, "")
+    records = summary_of(stdout)["gpr_fit"]
+    assert [(r["jitter"], r["jitter_escalated"]) for r in records] == [
+        (1e308, False)] * len(records)
+
+
+@pytest.mark.filterwarnings("error")
 def test_train_reports_whether_the_energy_threshold_was_reached(
         dataset_dir, tmp_path, capsys):
     # the test data has two effective modes; 1.0 is beyond their energy
@@ -521,6 +534,11 @@ def nan_at(offset, value=math.nan):
     pytest.param("dataset_dir", "meta.json",
                  edited(lambda d: d.update(version=1)),
                  id="dataset_dir-meta.json-version_1"),
+    *(pytest.param(archive, name, edited(lambda d: d.update(version=4)),
+                   id=f"{archive}-{name}-version_4")
+      for archive, name in (("rom_dir", "manifest.json"),
+                            ("gca_dir", "gca.json"),
+                            ("dataset_dir", "meta.json"))),
     ("rom_dir", "manifest.json", nested),
     ("gca_dir", "gca.json", nested),
     ("dataset_dir", "meta.json", nested),

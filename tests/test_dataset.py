@@ -328,7 +328,7 @@ def test_meta_is_valid_json_with_declared_dimensions(tmp_path):
         "snap_1.bin"]
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert set(meta) == {"version", "dwell_times", "arrays"}
-    assert meta["version"] == ARCHIVE_VERSION == 4
+    assert meta["version"] == ARCHIVE_VERSION == 5
     assert meta["dwell_times"] == [20.0, 30.0]
     for name, record in meta["arrays"].items():
         values = read_snapshot_bin(tmp_path / f"{name}.bin")

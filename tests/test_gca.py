@@ -484,7 +484,7 @@ def test_checkpoint_layout_stores_each_fact_once(irregular, tmp_path):
     assert set(manifest) == {"version", "model", "seed", "latent_dim",
                              "enc_widths", "fc_width",
                              "training_dwell_times", "arrays"}
-    assert manifest["version"] == ARCHIVE_VERSION == 4
+    assert manifest["version"] == ARCHIVE_VERSION == 5
     assert sorted(manifest["arrays"]) == ["gca_weights", "mesh_edges",
                                           "mesh_nodes"]
     assert manifest["training_dwell_times"] == [20.0, 50.0, 80.0]

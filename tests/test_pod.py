@@ -112,11 +112,12 @@ def test_project_reconstruct_identities():
     np.testing.assert_allclose(reconstruct(basis, np.zeros(basis.rank)),
                                basis.reference, atol=1e-12)
 
-    # full-rank basis reproduces training columns
-    for j in range(snapshots.shape[1]):
-        col = snapshots[:, j]
-        rebuilt = reconstruct(basis, project(basis, col))
-        np.testing.assert_allclose(rebuilt, col, atol=1e-8)
+    # full-rank basis reproduces training columns, one at a time or as rows
+    coeffs = [project(basis, col) for col in snapshots.T]
+    for col, c in zip(snapshots.T, coeffs):
+        np.testing.assert_allclose(reconstruct(basis, c), col, atol=1e-8)
+    np.testing.assert_allclose(reconstruct(basis, np.array(coeffs)),
+                               snapshots.T, atol=1e-8)
 
 
 def test_projection_of_reconstruction_residual_vanishes():
@@ -177,6 +178,9 @@ def test_project_and_reconstruct_validate_shapes():
         project(basis, np.zeros(9))
     with pytest.raises(ConfigurationError, match="coefficients, got shape"):
         reconstruct(basis, np.zeros(basis.rank + 1))
+    for shape in ((), (2, basis.rank + 1), (1, 2, basis.rank)):
+        with pytest.raises(ConfigurationError, match="coefficients, got shape"):
+            reconstruct(basis, np.zeros(shape))
 
 
 def test_synthetic_snapshots_have_low_effective_rank():

@@ -6,6 +6,7 @@ looser than observed errors.
 """
 
 import json
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from lbfgs_oracle import lbfgs_fit
 
 from romforge.dataset import (
     ARCHIVE_VERSION,
+    InputNormalization,
     SnapshotMatrix,
     SnapshotTensor,
     generate_synthetic_dataset,
@@ -23,8 +25,8 @@ from romforge.dataset import (
     split_dataset,
 )
 from romforge.errors import ConfigurationError, DataError
-from romforge.gpr import log_marginal_likelihood
-from romforge.pod import project, reconstruct
+from romforge.gpr import fit_gpr, log_marginal_likelihood
+from romforge.pod import PodBasis, compute_pod, project, reconstruct
 from romforge.rom import (
     PodGprRom,
     load_rom,
@@ -173,6 +175,22 @@ def test_band_uses_squared_modes(rom):
                                rtol=1e-12, atol=1e-15)
 
 
+def test_training_projects_on_node_major_modes():
+    # the GP fit is sensitive to the last bits of its targets; they are
+    # compute_pod's node-major projections, whatever layout the model keeps
+    data = generate_synthetic_dataset(5, 24, 8, TRAIN_DTS, seed=0)
+    rom = train_pod_gpr(data, seed=3)
+    basis = compute_pod([m.values for m in data.matrices], 0.9999)
+    coeffs = np.column_stack([project(basis, m.final_field)
+                              for m in data.matrices])
+    gp = fit_gpr(InputNormalization(TRAIN_DTS).training_inputs, coeffs,
+                 seed=3)
+    for name in ("train_targets", "signal_variance", "length_scale",
+                 "noise_jitter", "alpha"):
+        np.testing.assert_array_equal(getattr(rom.gp, name), getattr(gp, name))
+    np.testing.assert_array_equal(rom.basis.modes, basis.modes)
+
+
 def test_pipeline_is_homogeneous_in_the_field(dataset):
     train, _ = dataset
     scaled = SnapshotTensor(
@@ -249,14 +267,14 @@ def test_archive_round_trip_keeps_every_fact_bit_for_bit(tmp_path):
 
 def test_archive_contents_are_enumerable(rom, tmp_path):
     # each fact is stored once: the GP inputs, the normalization and the
-    # rank all follow from the dwell times and basis.bin's column count
+    # rank all follow from the dwell times and basis.bin's row count
     save_rom(rom, tmp_path / "rom")
     names = sorted(p.name for p in (tmp_path / "rom").iterdir())
     assert names == ["basis.bin", "manifest.json"]
     manifest = json.loads((tmp_path / "rom" / "manifest.json").read_text())
     assert set(manifest) == {"version", "model", "training_dwell_times",
                              "singular_values", "modes", "arrays"}
-    assert manifest["version"] == ARCHIVE_VERSION == 4
+    assert manifest["version"] == ARCHIVE_VERSION == 5
     assert manifest["model"] == "pod-gpr"
     assert manifest["training_dwell_times"] == TRAIN_DTS
     assert manifest["singular_values"] == rom.basis.singular_values.tolist()
@@ -265,21 +283,64 @@ def test_archive_contents_are_enumerable(rom, tmp_path):
         assert set(mode) == {"signal_variance", "length_scale", "jitter",
                              "train_targets"}
         assert mode["train_targets"] == targets.tolist()
-    # basis.bin is one SNPT array: the reference field, then the modes
-    columns = read_snapshot_bin(tmp_path / "rom" / "basis.bin")
-    assert columns.shape == (rom.basis.n_nodes, rom.rank + 1)
-    np.testing.assert_array_equal(columns[:, 0], rom.basis.reference)
-    np.testing.assert_array_equal(columns[:, 1:], rom.basis.modes)
+    # basis.bin is one SNPT array of mode-major rows: the reference field,
+    # then the modes
+    rows = read_snapshot_bin(tmp_path / "rom" / "basis.bin")
+    assert rows.shape == (rom.rank + 1, rom.basis.n_nodes)
+    np.testing.assert_array_equal(rows[0], rom.basis.reference)
+    np.testing.assert_array_equal(rows[1:], rom.basis.modes.T)
     # the manifest binds it by shape and CRC-32
     assert manifest["arrays"] == {"basis": {
-        "shape": [rom.basis.n_nodes, rom.rank + 1],
-        "crc32": zlib.crc32(columns)}}
+        "shape": [rom.rank + 1, rom.basis.n_nodes],
+        "crc32": zlib.crc32(rows)}}
+
+
+def test_basis_is_mode_major_after_train_and_load(rom, tmp_path):
+    save_rom(rom, tmp_path / "rom")
+    for model in (rom, load_rom(tmp_path / "rom")):
+        assert model.rank > 1  # a single mode is both C and F ordered
+        assert model.basis.modes.T.flags.c_contiguous
+        assert model.basis.squared_modes.T.flags.c_contiguous
+
+
+def test_loaded_basis_views_one_buffer(rom, tmp_path):
+    save_rom(rom, tmp_path / "rom")
+    basis = load_rom(tmp_path / "rom").basis
+    rows = basis.reference.base  # what basis.bin was read into
+    assert rows.shape == (basis.rank + 1, basis.n_nodes)
+    assert np.shares_memory(rows, basis.reference)
+    assert np.shares_memory(rows, basis.modes)
+    assert not basis.modes.flags.writeable
+    assert not basis.reference.flags.writeable
+
+
+def test_load_peak_is_one_basis_buffer(rom, tmp_path):
+    # a wide basis, so that basis.bin outweighs the manifest and the GPs
+    rng = np.random.default_rng(0)
+    n = 50_000
+    wide = PodGprRom(
+        basis=PodBasis(modes=rng.normal(size=(n, rom.rank)),
+                       singular_values=rom.basis.singular_values,
+                       reference=rng.normal(size=n)),
+        gp=rom.gp, training_dwell_times=rom.training_dwell_times)
+    save_rom(wide, tmp_path / "rom")
+    size = (tmp_path / "rom" / "basis.bin").stat().st_size
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = load_rom(tmp_path / "rom")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.basis.modes, wide.basis.modes)
+    assert peak <= 1.2 * size
 
 
 def test_version_1_archive_is_a_format_error(rom, tmp_path):
     # no earlier layout is read
     save_rom(rom, tmp_path / "rom")
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         edit_json(tmp_path / "rom" / "manifest.json",
                   lambda d: d.update(version=version))
         with pytest.raises(DataError, match=f"unsupported version {version}"):
