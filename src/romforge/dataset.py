@@ -78,8 +78,12 @@ class InputNormalization:
         return min(self.dwell_times)
 
     @cached_property
+    def high(self) -> float:
+        return max(self.dwell_times)
+
+    @cached_property
     def scale(self) -> float:
-        return (max(self.dwell_times) - self.offset) or 1.0
+        return (self.high - self.offset) or 1.0
 
     def apply(self, dwell_time):
         """Normalize a dwell time, or an array of them."""
@@ -92,7 +96,7 @@ class InputNormalization:
 
     def extrapolates(self, dwell_times) -> list[bool]:
         """Flag each raw dwell time outside [min, max] of the training ones."""
-        lo, hi = self.offset, max(self.dwell_times)
+        lo, hi = self.offset, self.high
         return [not lo <= dt <= hi for dt in dwell_times]
 
 
@@ -333,16 +337,20 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
     r = np.hypot(x, y)
     theta = np.arctan2(y, x)
 
-    rng = np.random.default_rng(seed)
     # only the amplitude depends on the dwell time; the (nodes, steps) growth
-    # factor is computed once
+    # factor is computed once, for each (layer, step) pair, and each node
+    # takes its layer's row
     shape = _shape(z[:, None], r[:, None], theta[:, None], height,
                    CYLINDER_RADIUS_MM)
-    growth = _growth(mesh.layer_index[:, None], np.arange(n_layers)[None, :])
+    steps = np.arange(n_layers)
+    growth = _growth(steps[:, None], steps[None, :])[mesh.layer_index]
+    rng = None  # numpy.random loads with the first draw
     matrices = []
     for dt in dwell_times:
         values = _amplitude(dt) * shape * growth
         if noise_sigma > 0.0:
+            if rng is None:
+                rng = np.random.default_rng(seed)
             values = values + rng.normal(0.0, noise_sigma, values.shape)
         matrices.append(SnapshotMatrix(values, ParameterPoint(dt)))
     return SnapshotTensor(tuple(matrices), mesh)
@@ -361,26 +369,40 @@ def _snpt_array(values) -> np.ndarray:
     return values[:, None] if values.ndim == 1 else values
 
 
+def _snpt_blocks(values) -> tuple[list[np.ndarray], tuple[int, int]]:
+    """The row blocks of an SNPT array, top to bottom, and its shape:
+    ``values`` is one array, or a list of 2-D blocks of one column count
+    that the file stacks without a stacked copy."""
+    blocks = [_snpt_array(b) for b in
+              (values if isinstance(values, list) else [values])]
+    (columns,) = {b.shape[1] for b in blocks}
+    return blocks, (sum(b.shape[0] for b in blocks), columns)
+
+
 def _record(values) -> dict:
     """A manifest's record of an array: the shape and payload CRC-32 of its
-    SNPT file, taken over a float64 array's own buffer, without a copy."""
-    values = _snpt_array(values)
-    return {"shape": list(values.shape), "crc32": zlib.crc32(values)}
+    SNPT file, taken over each float64 block's own buffer, without a copy."""
+    blocks, shape = _snpt_blocks(values)
+    crc = 0
+    for block in blocks:
+        crc = zlib.crc32(block, crc)
+    return {"shape": list(shape), "crc32": crc}
 
 
-def write_snapshot_bin(values: np.ndarray, path) -> None:
-    """Write a 2-D array (a 1-D one as one column) as an SNPT binary file.
+def write_snapshot_bin(values, path) -> None:
+    """Write a 2-D array (a 1-D one as one column), or a list of 2-D row
+    blocks, as an SNPT binary file.
 
     Layout: magic ``SNPT``, u8 version, u32 LE row count, u32 LE column
     count, then the float64 LE values in row-major order. Every array an
     archive stores uses this layout. A contiguous little-endian float64
     array is written straight from its buffer, without a copy.
     """
-    values = _snpt_array(values)
-    header = _SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION, *values.shape)
+    blocks, shape = _snpt_blocks(values)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.data)
+        fh.write(_SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION, *shape))
+        for block in blocks:
+            fh.write(block.data)
 
 
 def read_snapshot_bin(path) -> np.ndarray:
@@ -415,7 +437,8 @@ def read_snapshot_bin(path) -> np.ndarray:
 def save_archive(path, manifest_name: str, doc: dict, arrays: dict) -> None:
     """Write each array as ``<name>.bin``, then the JSON manifest: ``doc``
     plus ``version`` and an ``arrays`` table of each array's shape and the
-    CRC-32 of its little-endian payload, with sorted keys and no spaces.
+    CRC-32 of its little-endian payload, with sorted keys and no spaces. An
+    array may be given as a list of row blocks (:func:`write_snapshot_bin`).
 
     Each file goes to a sibling ``.tmp`` file and is moved into place, the
     manifest last, so a save cut short leaves the old manifest, which binds

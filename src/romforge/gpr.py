@@ -69,12 +69,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class GprModel:
     """GPs on shared training inputs, with their cached solves.
 
-    Per-GP arrays put the GP axis first. The cached solves put the
-    training-point axes first and the GP axis after them, with a trailing
-    unit axis that broadcasts over query points. The last three fields are
-    derived at construction; ``chol_inverse_t[j, i]`` holds every
-    ``L^-1[i, j]``, by forward substitution of the identity. ``K^-1``, whose
-    condition number is the square of ``L``'s, is never formed.
+    Per-GP arrays put the GP axis first. The fields after ``alpha`` are
+    derived at construction, shaped for :func:`predict_gpr`'s broadcasts
+    over ``q`` queries: ``(m, 1)`` columns per GP, the ``(n, 1)`` input
+    column, and the posterior weights, whose training-point axes come
+    first, like ``chol_factor``'s. ``posterior_weights[j, i]`` holds every
+    ``L^-1[i, j]`` for ``i < n``, by forward substitution of the identity,
+    and ``alpha[j]`` at ``i = n``; ``K^-1``, whose condition number is the
+    square of ``L``'s, is never formed.
     """
 
     train_inputs: np.ndarray      # (n,)
@@ -84,9 +86,14 @@ class GprModel:
     noise_jitter: np.ndarray      # (m,)
     chol_factor: np.ndarray       # (n, n, m, 1): [i, j] holds every L[i, j]
     alpha: np.ndarray             # (n, m, 1)
-    mean_constant: np.ndarray = field(init=False)            # (m,)
-    two_ls2: np.ndarray = field(init=False, repr=False)      # (m,)
-    chol_inverse_t: np.ndarray = field(init=False, repr=False)  # (n, n, m, 1)
+    mean_constant: np.ndarray = field(init=False)                  # (m,)
+    input_column: np.ndarray = field(init=False, repr=False)       # (n, 1)
+    mean_column: np.ndarray = field(init=False, repr=False)        # (m, 1)
+    signal_column: np.ndarray = field(init=False, repr=False)      # (m, 1)
+    two_ls2: np.ndarray = field(init=False, repr=False)            # (m, 1)
+    prior_variance: np.ndarray = field(init=False, repr=False)     # (m, 1)
+    # (n, n + 1, m, 1)
+    posterior_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("train_inputs", "train_targets", "signal_variance",
@@ -107,28 +114,58 @@ class GprModel:
                     f"{name} has shape {getattr(self, name).shape}, not {shape}")
         if np.any(self.noise_jitter < 0.0):
             raise ConfigurationError("noise_jitter must be >= 0")
-        object.__setattr__(self, "mean_constant",
-                           _frozen(self.train_targets.mean(axis=1)))
-        # 2 l^2 as make_gpr's kernel rows compute it, by libm's pow, which
-        # rounds l**2 unlike l * l about once in a thousand
-        object.__setattr__(self, "two_ls2", _frozen(
-            [2.0 * ls**2 for ls in self.length_scale.tolist()]))
         inverse = np.eye(n)[:, :, None, None] * np.ones((m, 1))  # L X = I
         for i in range(n):
             inverse[i] /= self.chol_factor[i, i]
             inverse[i + 1:] -= self.chol_factor[i + 1:, i, None] * inverse[i]
-        object.__setattr__(self, "chol_inverse_t",
-                           _frozen(inverse.transpose(1, 0, 2, 3)))
+        mean = _frozen(self.train_targets.mean(axis=1))
+        sv = self.signal_variance
+        derived = {
+            "mean_constant": mean,
+            "input_column": self.train_inputs[:, None],
+            "mean_column": mean[:, None],
+            "signal_column": sv[:, None],
+            "two_ls2": _frozen([[_two_ls2(ls)]
+                                for ls in self.length_scale.tolist()]),
+            # k(mu, mu) + jitter, added as the posterior variance adds it
+            "prior_variance": _frozen((sv + self.noise_jitter)[:, None]),
+            "posterior_weights": _frozen(np.concatenate(
+                [inverse.transpose(1, 0, 2, 3), self.alpha[:, None]],
+                axis=1)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_train(self) -> int:
         return self.train_inputs.shape[0]
 
 
+def _two_ls2(length_scale: float) -> float:
+    """``2 l^2`` as every kernel row computes it, by libm's pow, which rounds
+    ``l**2`` unlike ``l * l`` about once in a thousand. Where it is 0 or past
+    float range the kernel would be NaN: a :class:`ConfigurationError`."""
+    two_ls2 = 2.0 * length_scale**2 if length_scale < 1e154 else math.inf
+    if not 0.0 < two_ls2 < math.inf:
+        raise ConfigurationError(f"length_scale {length_scale}: 2 l^2 is 0 "
+                                 "or past float range")
+    return two_ls2
+
+
 def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a float array by one sort: NaNs sort last and count
+    as one value. (``np.unique`` imports ``numpy.ma``, which nothing else a
+    CLI run does needs.)"""
+    ordered = np.sort(values)
+    keep = np.ones(ordered.shape, dtype=bool)
+    keep[1:] = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    return ordered[keep]
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,14 +223,16 @@ def make_gpr(inputs, targets, signal_variance, length_scale,
     ls_all = _per_gp("length_scale", length_scale, m, True)
     jitters = _per_gp("jitter", jitter, m, False)
 
-    sqd = _sq_dists(inputs, inputs)
+    two_ls2 = np.array([_two_ls2(ls) for ls in ls_all.tolist()])
+    with np.errstate(over="ignore"):  # as in predict_gpr
+        grams = sv_all[:, None, None] * np.exp(
+            -_sq_dists(inputs, inputs) / two_ls2[:, None, None])
     resid = targets - targets.mean(axis=1, keepdims=True)
     eye = np.eye(n)
     chol = np.empty((n, n, m, 1))
     alpha = np.empty((n, m, 1))
-    for j in range(m):
-        sv, ls, jit = float(sv_all[j]), float(ls_all[j]), float(jitters[j])
-        gram = sv * np.exp(-sqd / (2.0 * ls**2))
+    for j, gram in enumerate(grams):
+        sv, jit = float(sv_all[j]), float(jitters[j])
         cap = MAX_JITTER_RATIO * sv
         row = f"target row {j}: " if m > 1 else ""
         while True:
@@ -441,7 +480,7 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
     """
     inputs = np.asarray(inputs, dtype=np.float64).ravel()
     targets = _target_rows(inputs, targets)
-    if np.unique(inputs).size != inputs.shape[0]:
+    if _sorted_unique(inputs).size != inputs.shape[0]:
         raise ConfigurationError("training inputs must be distinct")
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ConfigurationError(
@@ -458,7 +497,8 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
 
     count = int(np.ceil((t_hi - t_lo) / _SCAN_STEP)) + 1
     seeded = np.random.default_rng(seed).uniform(ls_box[0], ls_box[1], restarts)
-    grid = np.unique(np.concatenate([np.linspace(t_lo, t_hi, count), seeded]))
+    grid = _sorted_unique(
+        np.concatenate([np.linspace(t_lo, t_hi, count), seeded]))
     lam, vecs = _spectrum(grid, sqd)
     z2 = np.einsum("gji,mj->igm", vecs, resid) ** 2
     lml, log_sv = _profile(lam.T[:, :, None], z2, jitters, lo[:, 0], hi[:, 0])
@@ -472,30 +512,41 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
 def predict_gpr(model: GprModel, mu_star) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of every GP at every query point.
 
-    GPML Alg. 2.1 for all GPs and all points at once. ``v = L^-1 k*`` is a
-    product with the model's cached inverse factors, with no loop over
-    training points, and the variance is ``k(mu*, mu*) + jitter - |v|^2``,
-    clamped at zero (the clamp only absorbs rounding noise of order 1e-10 x
-    signal variance). Every step is elementwise or a sum over training
+    GPML Alg. 2.1 for all GPs and all points at once, as a fixed run of
+    in-place array operations on the model's derived constants. One product
+    with ``posterior_weights`` and one sum over training points give both
+    ``alpha' k*`` and ``v = L^-1 k*``, with no loop over training points,
+    and the variance is ``k(mu*, mu*) + jitter - |v|^2``, clamped at zero
+    (the clamp only absorbs rounding noise of order 1e-10 x signal
+    variance). Every step is elementwise or an in-order sum over training
     points, not a BLAS product, whose rounding could depend on the batch;
     so each query's result does not depend on the others. Returns two
     ``(m, q)`` arrays for ``q`` queries.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64).ravel()
-    signal_variance = model.signal_variance[:, None]
-    diff = model.train_inputs[:, None] - mu_star[None, :]
-    with np.errstate(over="ignore"):  # a far query: exp(-inf) is exactly 0
-        k_star = signal_variance * np.exp(
-            -(diff**2)[:, None, :] / model.two_ls2[:, None])   # (n, m, q)
-    # cumsum adds the training points in order; sum would add them pairwise
-    # when they lie contiguous in memory (one GP, one query), so a single
-    # query would differ from the same query in a batch
-    means = (model.mean_constant[:, None]
-             + np.cumsum(k_star * model.alpha, axis=0)[-1])
-    v = (model.chol_inverse_t * k_star[:, None]).sum(axis=0)
-    variances = (signal_variance + model.noise_jitter[:, None]
-                 - np.cumsum(v * v, axis=0)[-1])
-    return means, np.maximum(variances, 0.0)
+    k_star = model.input_column - mu_star                          # (n, q)
+    # a far query overflows d^2 or d^2 / 2 l^2 to inf, and exp(-inf) is
+    # exactly 0; so does any query when 2 l^2 is subnormal
+    with np.errstate(over="ignore"):
+        k_star *= k_star
+        # -(d^2) / 2 l^2, not d^2 / -2 l^2: they differ in a NaN's sign bit
+        k_star = np.negative(k_star, out=k_star)[:, None] / model.two_ls2
+        np.exp(k_star, out=k_star)                              # (n, m, q)
+    k_star *= model.signal_column
+    # both sums add the training points in order, so a single query equals
+    # the same query in a batch. The reduction runs across slabs of n + 1
+    # weights and starts from -0.0, which x + -0.0 leaves as x, a zero's
+    # sign included; |v|^2 lies contiguous for one GP and one query, where
+    # a reduction would add pairwise, so it is accumulated
+    sums = np.add.reduce(model.posterior_weights * k_star[:, None], 0,
+                         initial=-0.0)                         # (n + 1, m, q)
+    means = sums[-1]
+    means += model.mean_column
+    v = sums[:-1]
+    v *= v
+    variances = np.add.accumulate(v, 0, out=v)[-1]
+    np.subtract(model.prior_variance, variances, out=variances)
+    return means, np.maximum(variances, 0.0, out=variances)
 
 
 def fit_decision(model: GprModel, jitter: float | None = None) -> list[dict]:

@@ -226,7 +226,8 @@ def reconstruct(basis: PodBasis, coefficients: np.ndarray) -> np.ndarray:
             f"expected {basis.rank} coefficients, got shape {coefficients.shape}"
         )
     fields = coefficients @ basis.modes.T
-    return np.add(fields, basis.reference, out=fields)
+    fields += basis.reference
+    return fields
 
 
 def _cumulative_energy(singular_values: np.ndarray) -> np.ndarray:

@@ -123,21 +123,22 @@ def predict_distortion_many(rom: PodGprRom, dwell_times
     range.
     """
     dts = [float(dt) for dt in dwell_times]
-    means, variances = predict_gpr(rom.gp, rom.input_norm.apply(np.array(dts)))
+    norm = rom.input_norm
+    # Python floats: one array call where normalizing an array takes three
+    means, variances = predict_gpr(rom.gp, [norm.apply(dt) for dt in dts])
     fields = reconstruct(rom.basis, means.T)                   # (q, n_nodes)
     halves = variances.T @ rom.basis.squared_modes.T
-    np.multiply(np.sqrt(halves, out=halves), CI95_FACTOR, out=halves)
-    outside = rom.input_norm.extrapolates(dts)
-    return [  # keywords run in order: upper_95 reuses the half's buffer
-        FieldPrediction(
-            mean_field=field,
-            lower_95=field - half,
-            upper_95=np.add(half, field, out=half),
-            coeff_means=means[:, i].copy(),
-            coeff_variances=variances[:, i].copy(),
-            extrapolation=outside[i],
-        )
-        for i, (field, half) in enumerate(zip(fields, halves))
+    np.sqrt(halves, out=halves)
+    halves *= CI95_FACTOR
+    lowers = fields - halves
+    halves += fields  # the upper bounds
+    return [
+        FieldPrediction(mean_field=field, lower_95=lower, upper_95=upper,
+                        coeff_means=coeff_mean, coeff_variances=coeff_var,
+                        extrapolation=outside)
+        for field, lower, upper, coeff_mean, coeff_var, outside in zip(
+            fields, lowers, halves, means.T.copy(), variances.T.copy(),
+            norm.extrapolates(dts))
     ]
 
 
@@ -174,7 +175,7 @@ def save_rom(rom: PodGprRom, path) -> None:
                 gp.signal_variance.tolist(), gp.length_scale.tolist(),
                 gp.noise_jitter.tolist(), gp.train_targets.tolist())
         ],
-    }, {"basis": np.vstack([basis.reference, basis.modes.T])})
+    }, {"basis": [basis.reference[None, :], basis.modes.T]})
 
 
 def load_rom(path) -> PodGprRom:

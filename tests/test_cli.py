@@ -1321,31 +1321,45 @@ def test_oversized_gca_latent_exits_before_allocating(dataset_dir, tmp_path):
 def test_cli_import_leaves_scipy_optimize_out(tmp_path):
     # importing the CLI and running a POD-GPR gen/train/predict/eval chain
     # never loads SciPy, which only the GCA graph needs, nor the GCA
-    # modules; the metrics module loads with eval
+    # modules, nor numpy.ma; the metrics module loads with eval. Only the
+    # fit's seeded length scales load numpy.random: a noise-free gen does
+    # not, and neither do predict and eval in a process of their own
     data, rom = tmp_path / "data", tmp_path / "rom"
-    script = f"""
+    steps = {
+        "gen": ["gen", "--out", str(data), *GEN_ARGS],
+        "train": ["train", "--model", "pod-gpr", "--data", str(data),
+                  "--out", str(rom)],
+        "predict": ["predict", "--model-dir", str(rom), "--dt", "45",
+                    "--out", str(tmp_path / "f.bin")],
+        "eval": ["eval", "--model-dir", str(rom), "--data", str(data),
+                 "--test", "30,60", "--plots", str(tmp_path / "plots"),
+                 "--time"],
+    }
+
+    def chain(*names):
+        script = f"""
 import json, sys
 import romforge.cli
 LAZY = ["gca", "training", "optim", "metrics"]
 def loaded():
     return [m for m in LAZY if "romforge." + m in sys.modules]
-seen = [["import", 0, "scipy" in sys.modules, loaded()]]
-for argv in (
-    ["gen", "--out", {str(data)!r}, *{GEN_ARGS!r}],
-    ["train", "--model", "pod-gpr", "--data", {str(data)!r},
-     "--out", {str(rom)!r}],
-    ["predict", "--model-dir", {str(rom)!r}, "--dt", "45",
-     "--out", {str(tmp_path / "f.bin")!r}],
-    ["eval", "--model-dir", {str(rom)!r}, "--data", {str(data)!r},
-     "--test", "30,60", "--plots", {str(tmp_path / "plots")!r}, "--time"],
-):
-    seen.append([argv[0], romforge.cli.main(argv), "scipy" in sys.modules,
-                 loaded()])
-print(json.dumps(seen))
+def seen(step, code):
+    return [step, code, "scipy" in sys.modules, loaded(),
+            "numpy.ma" in sys.modules, "numpy.random" in sys.modules]
+log = [seen("import", 0)]
+for argv in {[steps[name] for name in names]!r}:
+    log.append(seen(argv[0], romforge.cli.main(argv)))
+print(json.dumps(log))
 """
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [
-        [step, 0, False, ["metrics"] if step == "eval" else []]
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    assert chain("gen", "train", "predict", "eval") == [
+        [step, 0, False, ["metrics"] if step == "eval" else [], False,
+         step not in ("import", "gen")]
         for step in ("import", "gen", "train", "predict", "eval")]
+    assert chain("predict", "eval") == [
+        [step, 0, False, ["metrics"] if step == "eval" else [], False, False]
+        for step in ("import", "predict", "eval")]

@@ -182,6 +182,25 @@ def test_full_tensor_matches_independent_reimplementation():
                 assert mat.values[p, n] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.01])
+def test_tensor_is_the_closed_form_on_the_full_grid(noise_sigma):
+    # the growth factor is evaluated once per (layer, step) pair; every
+    # value is still the closed form at its (node, step), bit for bit, plus
+    # the seed's noise draws in dwell-time order
+    dts = [20.0, 45.0, 70.0]
+    tensor = generate_synthetic_dataset(3, 5, 4, dts, noise_sigma=noise_sigma,
+                                        seed=2)
+    x, y, z = tensor.mesh.node_coords.T
+    grid = (z[:, None], np.hypot(x, y)[:, None], np.arctan2(y, x)[:, None],
+            tensor.mesh.layer_index[:, None], np.arange(4)[None, :])
+    rng = np.random.default_rng(2)
+    for mat, dt in zip(tensor.matrices, dts):
+        want = synthetic_distortion(*grid, dt, 4 * LAYER_THICKNESS_MM)
+        if noise_sigma:
+            want = want + rng.normal(0.0, noise_sigma, want.shape)
+        assert mat.values.tobytes() == want.tobytes()
+
+
 def test_synthetic_monotone_in_step_and_decreasing_in_dwell():
     tensor = generate_synthetic_dataset(3, 6, 4, [20.0, 50.0, 80.0])
     for mat in tensor.matrices:

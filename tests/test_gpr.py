@@ -4,6 +4,7 @@ Every posterior quantity is checked against a from-scratch computation using
 explicit matrix inverses; the library itself only ever factorizes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,9 +251,14 @@ SANE = ([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
     (*SANE, 1.0, 0.0, 1e-8),
     (*SANE, -1.0, 1.0, 1e-8),
     (*SANE, 1.0, math.nan, 1e-8),
+    # 2 l^2 overflows, or underflows to 0: the kernel would be NaN
+    (*SANE, 1.0, 1e154, 1e-8),
+    (*SANE, 1.0, 1e200, 1e-8),
+    (*SANE, 1.0, 1e-162, 1e-8),
 ], ids=["negative-jitter", "nan-jitter", "inf-jitter", "nan-target",
         "nan-input", "inf-target", "zero-sv", "zero-ls", "negative-sv",
-        "nan-ls"])
+        "nan-ls", "ls-2ls2-overflows", "ls-squared-overflows",
+        "ls-2ls2-underflows"])
 def test_make_gpr_rejects_non_finite_data_and_bad_jitter(inputs, targets, sv,
                                                          ls, jitter):
     # rejected before any factorization is attempted
@@ -291,10 +297,41 @@ def test_model_arrays_are_frozen(wiggly):
     x, y = wiggly
     model = fit_gpr(x, y, seed=0)
     assert isinstance(model, GprModel)
-    with pytest.raises(ValueError):
-        model.train_inputs[0] = 99.0
-    with pytest.raises(ValueError):
-        model.chol_inverse_t[0, 0, 0, 0] = 99.0
+    for f in dataclasses.fields(GprModel):
+        with pytest.raises(ValueError):
+            getattr(model, f.name)[(0,) * getattr(model, f.name).ndim] = 99.0
+
+
+def test_query_constants_are_derived_at_construction(wiggly):
+    x, y = wiggly
+    model = fit_gpr(x, np.vstack([y, np.cos(3.0 * x)]), seed=0)
+    sv, jitter = model.signal_variance, model.noise_jitter
+    np.testing.assert_array_equal(model.input_column, x[:, None])
+    np.testing.assert_array_equal(model.mean_column,
+                                  model.train_targets.mean(axis=1)[:, None])
+    np.testing.assert_array_equal(model.signal_column, sv[:, None])
+    np.testing.assert_array_equal(model.prior_variance, (sv + jitter)[:, None])
+    # by libm's pow, as the kernel rows of make_gpr compute it
+    assert model.two_ls2.tolist() == [
+        [2.0 * ls**2] for ls in model.length_scale.tolist()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ls", [0.3, 9e153, 1e-100, 1e-160])
+def test_far_queries_are_the_prior_exactly_and_silently(ls):
+    # d^2 or d^2 / 2 l^2 overflows at a far query, and at any query off the
+    # training inputs once 2 l^2 is subnormal (l = 1e-160); exp(-inf) is
+    # exactly 0, so the posterior is the prior, with no warning
+    x = np.linspace(0.0, 1.0, 9)
+    model = make_gpr(x, [np.sin(3.0 * x), x**2], 1.3, ls, 1e-6)
+    queries = [1e200, -1e200, math.inf, -math.inf]
+    if ls == 1e-160:
+        queries.append(0.0625)
+    means, variances = predict_gpr(model, queries)
+    prior = model.signal_variance + model.noise_jitter
+    for i in range(len(queries)):
+        np.testing.assert_array_equal(means[:, i], model.mean_constant)
+        np.testing.assert_array_equal(variances[:, i], prior)
 
 
 # ------------------------------------------------ batched fit vs oracle ---

@@ -5,7 +5,9 @@ the real pipeline rather than mocks; accuracy budgets are deliberately far
 looser than observed errors.
 """
 
+import dataclasses
 import json
+import math
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -25,7 +27,7 @@ from romforge.dataset import (
     split_dataset,
 )
 from romforge.errors import ConfigurationError, DataError
-from romforge.gpr import fit_gpr, log_marginal_likelihood
+from romforge.gpr import GprModel, fit_gpr, log_marginal_likelihood
 from romforge.pod import PodBasis, compute_pod, project, reconstruct
 from romforge.rom import (
     PodGprRom,
@@ -314,27 +316,47 @@ def test_loaded_basis_views_one_buffer(rom, tmp_path):
     assert not basis.reference.flags.writeable
 
 
-def test_load_peak_is_one_basis_buffer(rom, tmp_path):
+@pytest.fixture(scope="module")
+def wide(rom):
     # a wide basis, so that basis.bin outweighs the manifest and the GPs
     rng = np.random.default_rng(0)
     n = 50_000
-    wide = PodGprRom(
+    return PodGprRom(
         basis=PodBasis(modes=rng.normal(size=(n, rom.rank)),
                        singular_values=rom.basis.singular_values,
                        reference=rng.normal(size=n)),
         gp=rom.gp, training_dwell_times=rom.training_dwell_times)
-    save_rom(wide, tmp_path / "rom")
-    size = (tmp_path / "rom" / "basis.bin").stat().st_size
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory it traced."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        back = load_rom(tmp_path / "rom")
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_load_peak_is_one_basis_buffer(wide, tmp_path):
+    save_rom(wide, tmp_path / "rom")
+    size = (tmp_path / "rom" / "basis.bin").stat().st_size
+    back, peak = traced_peak(lambda: load_rom(tmp_path / "rom"))
     np.testing.assert_array_equal(back.basis.modes, wide.basis.modes)
     assert peak <= 1.2 * size
+
+
+def test_save_writes_the_basis_from_its_own_buffers(wide, tmp_path):
+    # basis.bin's rows are the reference and the mode rows, written and
+    # checksummed where they lie, with no stacked copy
+    _, peak = traced_peak(lambda: save_rom(wide, tmp_path / "rom"))
+    size = (tmp_path / "rom" / "basis.bin").stat().st_size
+    assert peak <= 0.1 * size
+    rows = read_snapshot_bin(tmp_path / "rom" / "basis.bin")
+    np.testing.assert_array_equal(rows[0], wide.basis.reference)
+    np.testing.assert_array_equal(rows[1:], wide.basis.modes.T)
 
 
 def test_version_1_archive_is_a_format_error(rom, tmp_path):
@@ -356,6 +378,40 @@ def test_prediction_caches_stay_out_of_the_archive(dataset, tmp_path):
     for name in ("basis.bin", "manifest.json"):
         assert ((tmp_path / "before" / name).read_bytes()
                 == (tmp_path / "after" / name).read_bytes())
+    # the constants a GprModel derives for queries are never stored: a
+    # loaded model derives them again, bit for bit
+    derived = [f.name for f in dataclasses.fields(GprModel) if not f.init]
+    assert {"input_column", "mean_column", "signal_column", "two_ls2",
+            "prior_variance", "posterior_weights"} <= set(derived)
+    manifest = (tmp_path / "after" / "manifest.json").read_text()
+    back = load_rom(tmp_path / "after")
+    for name in derived:
+        assert name not in manifest
+        assert (getattr(back.gp, name).tobytes()
+                == getattr(fresh.gp, name).tobytes())
+        assert getattr(back.gp, name).shape == getattr(fresh.gp, name).shape
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_predictions_are_the_prior_exactly(rom):
+    # a dwell time so far out that every kernel value is exactly 0: the
+    # coefficients are the GP prior and the field its reconstruction, with
+    # no overflow warning
+    dts = [1e200, -1e200, math.inf, -math.inf]
+    prior = rom.gp.signal_variance + rom.gp.noise_jitter
+    batch = predict_distortion_many(rom, dts)
+    batch_fields = reconstruct(rom.basis, np.tile(rom.gp.mean_constant,
+                                                  (len(dts), 1)))
+    for dt, pred, field in zip(dts, batch, batch_fields):
+        alone = predict_distortion(rom, dt)
+        for p, mean_field in ((pred, field), (alone, reconstruct(
+                rom.basis, rom.gp.mean_constant))):
+            np.testing.assert_array_equal(p.coeff_means, rom.gp.mean_constant)
+            np.testing.assert_array_equal(p.coeff_variances, prior)
+            np.testing.assert_array_equal(p.mean_field, mean_field)
+            assert p.extrapolation
+            assert np.all(p.lower_95 <= p.mean_field)
+            assert np.all(p.mean_field <= p.upper_95)
 
 
 def edit_json(path, edit):
@@ -388,6 +444,9 @@ def edit_json(path, edit):
     # fewer singular values than basis.bin has modes
     ("manifest.json", lambda d: d.update(
         singular_values=d["singular_values"][:len(d["modes"]) - 1])),
+    # 2 l^2 overflows, or underflows to 0: a kernel of NaNs
+    ("manifest.json", lambda d: d["modes"][0].update(length_scale=1e154)),
+    ("manifest.json", lambda d: d["modes"][0].update(length_scale=1e-200)),
 ])
 def test_bad_archive_values_are_corruption(rom, tmp_path, name, edit):
     save_rom(rom, tmp_path / "rom")
