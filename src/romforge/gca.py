@@ -327,7 +327,8 @@ def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
     """Write ``gca.json``, the mesh arrays and ``gca_weights.bin``.
 
     ``gca_weights.bin`` is an SNPT array of shape (n_params, 1): every
-    tensor flattened, in the architecture's parameter order.
+    tensor flattened, in the architecture's parameter order, each written
+    from its own buffer as one row block.
     """
     save_archive(path, "gca.json", {
         "model": "gca",
@@ -336,8 +337,9 @@ def save_gca(model: GcaModel, mesh: MeshGeometry, path) -> None:
         "enc_widths": list(model.arch.enc_widths),
         "fc_width": model.arch.fc_width,
         "training_dwell_times": list(model.training_dwell_times),
-    }, {**mesh_arrays(mesh), "gca_weights": np.concatenate(
-        [model.params[name].ravel() for name, _ in model.arch.param_shapes()])})
+    }, {**mesh_arrays(mesh), "gca_weights": [
+        model.params[name].reshape(-1, 1)
+        for name, _ in model.arch.param_shapes()]})
 
 
 def load_gca(path) -> tuple[GcaModel, MeshGeometry]:

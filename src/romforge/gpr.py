@@ -173,7 +173,8 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _target_rows(inputs: np.ndarray, targets) -> np.ndarray:
-    """``targets`` as ``(m, n)`` rows on ``n >= 1`` inputs; ``(n,)`` is one."""
+    """``targets`` as ``(m, n)`` rows on ``n >= 1`` inputs; ``(n,)`` is one.
+    Inputs and targets must be finite."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets[None, :]
@@ -183,6 +184,8 @@ def _target_rows(inputs: np.ndarray, targets) -> np.ndarray:
                                  f"for n = {n} inputs, got {targets.shape}")
     if n < 1:
         raise ConfigurationError("need at least one training point")
+    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+        raise ConfigurationError("training inputs and targets must be finite")
     return targets
 
 
@@ -217,8 +220,6 @@ def make_gpr(inputs, targets, signal_variance, length_scale,
     inputs = np.asarray(inputs, dtype=np.float64).ravel()
     targets = _target_rows(inputs, targets)
     m, n = targets.shape
-    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
-        raise ConfigurationError("training inputs and targets must be finite")
     sv_all = _per_gp("signal_variance", signal_variance, m, True)
     ls_all = _per_gp("length_scale", length_scale, m, True)
     jitters = _per_gp("jitter", jitter, m, False)

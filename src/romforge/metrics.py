@@ -1,8 +1,10 @@
 """Error metrics, evaluation reports, timing, and dependency-free plots.
 
-Plots are emitted as CSV plus a hand-built SVG 1.1 document (no plotting
-library): fixed 800x600 panels, shaded 95% bands, round-number axis ticks.
-Every CSV value is written with full repr precision so files round-trip.
+Each plot is built from arrays and written by one emitter as a CSV table
+plus a hand-built SVG 1.1 document (no plotting library): stacked 800x600
+panels, shaded 95% bands, round-number axis ticks. Every CSV value is
+written with full repr precision so files round-trip. A report holds only
+its rows, so timing a run never changes ``report.json``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +69,7 @@ class EvalRow:
     relative_l2: float
 
     def __post_init__(self) -> None:
-        vals = (self.dt, self.max_disp_true, self.max_disp_pred,
-                self.max_abs_node_error, self.relative_l2)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise NumericalError("evaluation row contains non-finite values")
         if self.relative_l2 < 0.0:
             raise NumericalError("relative_l2 must be non-negative")
@@ -77,8 +77,7 @@ class EvalRow:
 
 @dataclass(frozen=True)
 class EvalReport:
-    rows: tuple[EvalRow, ...]
-    predict_seconds_mean: float | None = None
+    rows: tuple[EvalRow, ...]  # all that report.json holds: never a timing
 
 
 def evaluation_row(dt: float, pred: np.ndarray, truth: np.ndarray) -> EvalRow:
@@ -94,22 +93,13 @@ def evaluation_row(dt: float, pred: np.ndarray, truth: np.ndarray) -> EvalRow:
     )
 
 
+#: The keys of a row in ``report.json``: :class:`EvalRow`'s fields, in order.
+_ROW_KEYS = tuple(f.name for f in fields(EvalRow))
+
+
 def report_to_dict(report: EvalReport) -> dict:
-    out: dict = {
-        "rows": [
-            {
-                "dt": r.dt,
-                "max_disp_true": r.max_disp_true,
-                "max_disp_pred": r.max_disp_pred,
-                "max_abs_node_error": r.max_abs_node_error,
-                "relative_l2": r.relative_l2,
-            }
-            for r in report.rows
-        ]
-    }
-    if report.predict_seconds_mean is not None:
-        out["predict_seconds_mean"] = report.predict_seconds_mean
-    return out
+    return {"rows": [{key: getattr(r, key) for key in _ROW_KEYS}
+                     for r in report.rows]}
 
 
 # SVG emission ================================================================
@@ -148,10 +138,6 @@ def _bounds(values: np.ndarray) -> tuple[float, float]:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.06 * (hi - lo)
     return lo - pad, hi + pad
-
-
-def _fmt(value: float) -> str:
-    return f"{value:g}"
 
 
 class _Panel:
@@ -196,13 +182,13 @@ class _Panel:
             p.append(f'<line x1="{sx:.2f}" y1="{bot}" x2="{sx:.2f}" '
                      f'y2="{bot + 6}" stroke="black"/>')
             p.append(f'<text x="{sx:.2f}" y="{bot + 22}" text-anchor="middle" '
-                     f'font-size="13" font-family="sans-serif">{_fmt(tick)}</text>')
+                     f'font-size="13" font-family="sans-serif">{tick:g}</text>')
         for tick in _nice_ticks(*self.yb):
             sy = self._sy(tick)
             p.append(f'<line x1="{left - 6}" y1="{sy:.2f}" x2="{left}" '
                      f'y2="{sy:.2f}" stroke="black"/>')
             p.append(f'<text x="{left - 10}" y="{sy + 4:.2f}" text-anchor="end" '
-                     f'font-size="13" font-family="sans-serif">{_fmt(tick)}</text>')
+                     f'font-size="13" font-family="sans-serif">{tick:g}</text>')
 
     def band(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
              color: str) -> None:
@@ -232,105 +218,83 @@ class _Panel:
                               f'stroke="black"/>')
 
 
-def _svg_document(panels: list[_Panel]) -> str:
+def _emit(path, header: list[str], rows, panels: list[_Panel]
+          ) -> tuple[Path, Path]:
+    """Write ``<path>.csv`` (``header``, then ``rows`` at full repr
+    precision) and ``<path>.svg`` (``panels`` stacked top to bottom) into a
+    created parent directory; return both paths."""
+    base = Path(path)
+    base.parent.mkdir(parents=True, exist_ok=True)
+    csv_path, svg_path = base.with_suffix(".csv"), base.with_suffix(".svg")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    csv_path.write_text(buf.getvalue())
     height = _PANEL_H * max(len(panels), 1)
     body = "\n".join(part for panel in panels for part in panel.parts)
-    return (
+    svg_path.write_text(
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_PANEL_W}" height="{height}" '
         f'viewBox="0 0 {_PANEL_W} {height}">\n'
         f"{body}\n</svg>\n"
     )
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
-    path.write_text(buf.getvalue())
+    return csv_path, svg_path
 
 
 def emit_coefficient_plot(rom: PodGprRom, dts, first_k: int, path
                           ) -> tuple[Path, Path]:
     """Predicted coefficient curves with 95% bands, one panel per mode.
 
-    Writes ``<path>.csv`` and ``<path>.svg``; training coefficients are
-    overlaid as markers. Only the mode posteriors are evaluated, no fields.
-    Returns the two paths.
+    Writes ``<path>.csv`` (``dt``, then each mode's mean, low and high) and
+    ``<path>.svg``; training coefficients are overlaid as markers. Only the
+    mode posteriors are evaluated, no fields. Returns the two paths.
     """
     if first_k < 1 or first_k > rom.rank:
         raise ConfigurationError(
             f"first_k must be in [1, {rom.rank}], got {first_k}"
         )
-    dts = [float(dt) for dt in dts]
-    means, variances = predict_gpr(rom.gp, rom.input_norm.apply(np.array(dts)))
-    base = Path(path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_suffix(".csv")
-    svg_path = base.with_suffix(".svg")
+    x = np.array([float(dt) for dt in dts])
+    means, variances = predict_gpr(rom.gp, rom.input_norm.apply(x))
+    mean = means[:first_k]
+    half = CI95_FACTOR * np.sqrt(variances[:first_k])
+    lo, hi = mean - half, mean + half
 
-    header = ["dt"]
+    train_x = np.array(rom.training_dwell_times)
+    header, columns, panels = ["dt"], [x], []
     for j in range(first_k):
         header += [f"mode_{j}_mean", f"mode_{j}_lo", f"mode_{j}_hi"]
-    rows = []
-    for i, dt in enumerate(dts):
-        row = [dt]
-        for j in range(first_k):
-            mean = means[j, i]
-            half = CI95_FACTOR * math.sqrt(variances[j, i])
-            row += [mean, mean - half, mean + half]
-        rows.append(row)
-    _write_csv(csv_path, header, rows)
-
-    x = np.array(dts)
-    train_x = np.array(rom.training_dwell_times)
-    panels = []
-    for j in range(first_k):
-        mean = np.array([r[1 + 3 * j] for r in rows])
-        lo = np.array([r[2 + 3 * j] for r in rows])
-        hi = np.array([r[3 + 3 * j] for r in rows])
+        columns += [mean[j], lo[j], hi[j]]
         train_y = rom.gp.train_targets[j]
-        xs = np.concatenate([x, train_x]) if x.size else train_x
-        ys = np.concatenate([lo, hi, train_y]) if x.size else train_y
-        panel = _Panel(j * _PANEL_H, _bounds(xs), _bounds(ys),
+        panel = _Panel(j * _PANEL_H, _bounds(np.concatenate([x, train_x])),
+                       _bounds(np.concatenate([lo[j], hi[j], train_y])),
                        f"POD coefficient, mode {j}", "dwell time (s)",
                        "coefficient")
-        panel.band(x, lo, hi, "#4878cf")
-        panel.line(x, mean, "#4878cf")
+        panel.band(x, lo[j], hi[j], "#4878cf")
+        panel.line(x, mean[j], "#4878cf")
         panel.markers(train_x, train_y, "#d65f5f")
         panels.append(panel)
-    svg_path.write_text(_svg_document(panels))
-    return csv_path, svg_path
+    return _emit(path, header, zip(*columns), panels)
 
 
 def emit_max_displacement_plot(rows, path) -> tuple[Path, Path]:
-    """Max displacement vs dwell time, predicted against ground truth."""
-    rows = list(rows)
-    if not rows:
+    """Max displacement vs dwell time, predicted against ground truth, in
+    a stable sort by ``dt``. Returns the ``.csv`` and ``.svg`` paths."""
+    table = [(r.dt, r.max_disp_true, r.max_disp_pred)
+             for r in sorted(rows, key=lambda r: r.dt)]
+    if not table:
         raise ConfigurationError("no evaluation rows to plot")
-    base = Path(path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_suffix(".csv")
-    svg_path = base.with_suffix(".svg")
-
-    ordered = sorted(rows, key=lambda r: r.dt)
-    table = [[r.dt, r.max_disp_true, r.max_disp_pred] for r in ordered]
-    _write_csv(csv_path, ["dt", "max_disp_true", "max_disp_pred"], table)
-
-    x = np.array([r.dt for r in ordered])
-    truth = np.array([r.max_disp_true for r in ordered])
-    pred = np.array([r.max_disp_pred for r in ordered])
+    x, truth, pred = np.array(table).T
     panel = _Panel(0, _bounds(x), _bounds(np.concatenate([truth, pred])),
                    "Maximum displacement vs dwell time", "dwell time (s)",
                    "max displacement (mm)")
     panel.line(x, truth, "#262626")
     panel.line(x, pred, "#d65f5f", dash="6,4")
     panel.markers(x, pred, "#d65f5f")
-    svg_path.write_text(_svg_document([panel]))
-    return csv_path, svg_path
+    return _emit(path, ["dt", "max_disp_true", "max_disp_pred"], table,
+                 [panel])
 
 
 #: Most predictor calls :func:`time_predict` may time.

@@ -10,6 +10,11 @@ from .errors import ConfigurationError
 
 __all__ = ["init_adamw_state", "adamw_step", "cosine_warm_restart_lr"]
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def init_adamw_state(params: dict[str, np.ndarray]) -> dict:
     """Zero moments, and one scratch array per parameter for adamw_step."""
@@ -22,9 +27,7 @@ def init_adamw_state(params: dict[str, np.ndarray]) -> dict:
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: dict, lr: float, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8,
-               weight_decay: float = 1e-4) -> None:
+               state: dict, lr: float, weight_decay: float) -> None:
     """One AdamW update, in place and without allocating.
 
     Weight decay is decoupled: it scales the pre-update parameter value and is
@@ -32,20 +35,20 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     state["t"] += 1
     t = state["t"]
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         m = state["m"][name]
         v = state["v"][name]
         s = state["scratch"][name]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=s)
-        v *= beta2
-        v += np.multiply(np.multiply(g, 1.0 - beta2, out=s), g, out=s)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=s)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)
         # s = lr * m_hat / (sqrt(v_hat) + eps); p = decayed p - s
         np.sqrt(np.divide(v, bc2, out=s), out=s)
-        s += eps
+        s += EPS
         np.divide(m, s, out=s)
         s *= lr / bc1
         p *= 1.0 - lr * weight_decay

@@ -37,21 +37,15 @@ class GcaTrainConfig:
     lr_min: float = 1e-5
     warm_restart_t0: int = 50
     warm_restart_mult: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     patience: int = 50
     noise_sigma: float | None = None  # None: 1% of the training-field std
     max_epochs: int = 2000
     seed: int = 0
     latent_dim: int = 12
-    enc_widths: tuple[int, int] = (16, 32)
-    fc_width: int = 32
 
     def __post_init__(self) -> None:
-        for name in ("lam", "lr_max", "lr_min", "eps", "weight_decay",
-                     "noise_sigma"):
+        for name in ("lam", "lr_max", "lr_min", "weight_decay", "noise_sigma"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
@@ -61,10 +55,8 @@ class GcaTrainConfig:
             raise ConfigurationError("need lr_max >= lr_min >= 0")
         if self.warm_restart_t0 < 1 or self.warm_restart_mult < 1:
             raise ConfigurationError("warm restart period and mult must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigurationError("betas must lie in [0, 1)")
-        if self.eps <= 0.0 or self.weight_decay < 0.0:
-            raise ConfigurationError("eps must be positive, weight_decay >= 0")
+        if self.weight_decay < 0.0:
+            raise ConfigurationError("weight_decay must be >= 0")
         if self.patience < 1 or self.max_epochs < 1:
             raise ConfigurationError("patience and max_epochs must be >= 1")
         if self.noise_sigma is not None and self.noise_sigma < 0.0:
@@ -115,15 +107,11 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
     if sigma is None:
         sigma = 0.01 * float(fields.std())
 
-    arch = GcaArchitecture(n_nodes=graph.n_nodes,
-                           enc_widths=config.enc_widths,
-                           latent_dim=config.latent_dim,
-                           fc_width=config.fc_width)
+    arch = GcaArchitecture(n_nodes=graph.n_nodes, latent_dim=config.latent_dim)
     params = init_params(arch, config.seed)
     state = init_adamw_state(params)
     noise_rng = np.random.default_rng(config.seed + 1)
 
-    adamw_args = (config.beta1, config.beta2, config.eps, config.weight_decay)
     best = math.inf
     best_params = {k: v.copy() for k, v in params.items()}
     bad_epochs = 0
@@ -145,7 +133,7 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
                 f"training loss became non-finite at epoch {epoch} (lr={lr:.3g})"
             )
         if has_val:
-            adamw_step(params, grads, state, lr, *adamw_args)
+            adamw_step(params, grads, state, lr, config.weight_decay)
             val_loss = monitored = batch_loss(params, graph, val_fields,
                                               val_fields, val_ts, config.lam)
         else:
@@ -164,7 +152,7 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
                 break
         if not has_val:
             # the training loss predates this step, so it was compared above
-            adamw_step(params, grads, state, lr, *adamw_args)
+            adamw_step(params, grads, state, lr, config.weight_decay)
 
     model = GcaModel(arch=arch, params=best_params,
                      training_dwell_times=norm.dwell_times, seed=config.seed)

@@ -899,24 +899,34 @@ def test_eval_rerun_is_byte_identical(rom_dir, dataset_dir, tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def timed_eval(capsys, model_dir, dataset_dir, tmp_path):
+    """The summary of `eval --time`, once every file it writes, report.json
+    included, has been checked byte for byte against a run without it."""
+    capsys.readouterr()
+    written, summaries = [], []
+    for name, timing in (("plain", ()),
+                         ("timed", ("--time", "--repeats", "2"))):
+        code, stdout, _ = run(capsys, "eval", "--model-dir", model_dir,
+                              "--data", dataset_dir, "--test", "30,50",
+                              "--plots", tmp_path / name, *timing)
+        assert code == 0
+        written.append(dir_bytes(tmp_path / name))
+        summaries.append(summary_of(stdout))
+    assert "report.json" in written[0]
+    assert written[0] == written[1]
+    assert "predict_seconds_mean" not in summaries[0]
+    return summaries[1]
+
+
 def test_eval_with_timing(rom_dir, dataset_dir, tmp_path, capsys):
-    code, stdout, _ = run(capsys, "eval", "--model-dir", rom_dir,
-                          "--data", dataset_dir, "--test", "30,50",
-                          "--plots", tmp_path / "p", "--time",
-                          "--repeats", "2")
-    assert code == 0
-    assert summary_of(stdout)["predict_seconds_mean"] > 0.0
+    summary = timed_eval(capsys, rom_dir, dataset_dir, tmp_path)
+    assert summary["model"] == "pod-gpr"
+    assert summary["predict_seconds_mean"] > 0.0
 
 
 def test_eval_with_timing_on_a_gca_archive(gca_dir, dataset_dir, tmp_path,
                                            capsys):
-    capsys.readouterr()
-    code, stdout, _ = run(capsys, "eval", "--model-dir", gca_dir,
-                          "--data", dataset_dir, "--test", "30,50",
-                          "--plots", tmp_path / "p", "--time",
-                          "--repeats", "2")
-    assert code == 0
-    summary = summary_of(stdout)
+    summary = timed_eval(capsys, gca_dir, dataset_dir, tmp_path)
     assert summary["model"] == "gca"
     assert summary["predict_seconds_mean"] > 0.0
 

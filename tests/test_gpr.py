@@ -394,6 +394,17 @@ def test_fit_gpr_validates_target_rows(wiggly):
         fit_gpr(x, y[None, :], restarts=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("inputs, targets", [
+    ([0.0, math.nan, 0.5, 1.0], [1.0, 2.0, 0.0, 1.0]),
+    ([0.0, math.inf, 1.0], [1.0, 2.0, 0.0]),
+    ([0.0, 0.5, 1.0], [1.0, -math.inf, 0.0]),
+])
+def test_fit_gpr_rejects_non_finite_data_before_the_scan(inputs, targets):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        fit_gpr(inputs, targets)
+
+
 def test_fit_gpr_bounds_restarts(wiggly, monkeypatch):
     # the bound is checked before any length scale is drawn
     import romforge.gpr as gpr

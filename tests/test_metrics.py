@@ -6,6 +6,7 @@ that produced it.
 """
 
 import csv
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 
@@ -114,13 +115,20 @@ def test_report_round_trip_without_timing():
 
 
 def test_report_round_trip_with_timing():
+    # a timing has no place in a report: it holds the rows, each keyed by
+    # EvalRow's fields in their declared order
+    with pytest.raises(TypeError):
+        EvalReport(rows=(), predict_seconds_mean=0.003)
     rows = (EvalRow(dt=45.0, max_disp_true=0.1, max_disp_pred=0.11,
-                    max_abs_node_error=0.01, relative_l2=0.05),)
-    data = report_to_dict(EvalReport(rows=rows, predict_seconds_mean=0.003))
-    assert data == {"rows": [
-        {"dt": 45.0, "max_disp_true": 0.1, "max_disp_pred": 0.11,
-         "max_abs_node_error": 0.01, "relative_l2": 0.05}],
-        "predict_seconds_mean": 0.003}
+                    max_abs_node_error=0.01, relative_l2=0.05),
+            EvalRow(dt=30.0, max_disp_true=0.2, max_disp_pred=0.19,
+                    max_abs_node_error=0.02, relative_l2=0.07))
+    data = report_to_dict(EvalReport(rows=rows))
+    assert list(data) == ["rows"]
+    names = [f.name for f in dataclasses.fields(EvalRow)]
+    for got, row in zip(data["rows"], rows, strict=True):
+        assert list(got) == names
+        assert list(got.values()) == [getattr(row, n) for n in names]
 
 
 # ------------------------------------------------------------------- plots ---

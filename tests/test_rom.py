@@ -27,6 +27,13 @@ from romforge.dataset import (
     split_dataset,
 )
 from romforge.errors import ConfigurationError, DataError
+from romforge.gca import (
+    GcaArchitecture,
+    GcaModel,
+    init_params,
+    load_gca,
+    save_gca,
+)
 from romforge.gpr import GprModel, fit_gpr, log_marginal_likelihood
 from romforge.pod import PodBasis, compute_pod, project, reconstruct
 from romforge.rom import (
@@ -357,6 +364,22 @@ def test_save_writes_the_basis_from_its_own_buffers(wide, tmp_path):
     rows = read_snapshot_bin(tmp_path / "rom" / "basis.bin")
     np.testing.assert_array_equal(rows[0], wide.basis.reference)
     np.testing.assert_array_equal(rows[1:], wide.basis.modes.T)
+
+
+def test_gca_save_writes_the_weights_from_their_own_buffers(dataset,
+                                                            tmp_path):
+    # gca_weights.bin's rows are every parameter in order, written and
+    # checksummed where each lies, with no concatenated copy
+    mesh = dataset[0].mesh
+    arch = GcaArchitecture(n_nodes=mesh.n_nodes)
+    model = GcaModel(arch=arch, params=init_params(arch, 0),
+                     training_dwell_times=tuple(TRAIN_DTS), seed=0)
+    _, peak = traced_peak(lambda: save_gca(model, mesh, tmp_path / "gca"))
+    size = (tmp_path / "gca" / "gca_weights.bin").stat().st_size
+    assert peak <= 0.1 * size
+    loaded, _ = load_gca(tmp_path / "gca")
+    for name, value in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name], value)
 
 
 def test_version_1_archive_is_a_format_error(rom, tmp_path):
