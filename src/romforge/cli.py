@@ -180,10 +180,20 @@ def cmd_train(ns: SimpleNamespace) -> dict:
     save_gca(model, tensor.mesh, ns.out)
     history_path = ns.out / "history.csv"
     write_history_csv(history, history_path)
-    val_losses = [r.val_loss for r in history if math.isfinite(r.val_loss)]
+    # train_gca's rule, replayed: it keeps the first epoch at the lowest
+    # monitored loss (NaN and inf never improve; -1: no epoch did) and stops
+    # once `patience` epochs in a row fail to beat it
+    best, best_epoch = math.inf, -1
+    for r in history:
+        monitored = r.val_loss if val_t.n_mu else r.train_loss
+        if monitored < best:
+            best, best_epoch = monitored, r.epoch
     return {"model": "gca", "out": str(ns.out), "epochs": len(history),
             "history": str(history_path),
-            "best_val_loss": min(val_losses) if val_losses else None,
+            "best_epoch": best_epoch if best_epoch >= 0 else None,
+            "stop": "patience" if len(history) - best_epoch > config.patience
+            else "max_epochs",
+            "best_val_loss": best if val_t.n_mu and best_epoch >= 0 else None,
             "final_train_loss": history[-1].train_loss,
             "train_seconds": train_seconds}
 

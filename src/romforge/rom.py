@@ -12,6 +12,7 @@ variances linearly to per-node 95% bands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -120,9 +121,11 @@ def predict_distortion_many(rom: PodGprRom, dwell_times
     per-node variance sums the independent mode posteriors through the
     linear reconstruction, ``var_i = sum_j modes[i, j]^2 var_j``. A
     prediction extrapolates where its dwell time lies outside the training
-    range.
+    range; at +-inf it is the GP prior, and a NaN is refused.
     """
     dts = [float(dt) for dt in dwell_times]
+    if any(map(math.isnan, dts)):  # a numpy call would cost ~1 us
+        raise ConfigurationError(f"dwell times must not be NaN, got {dts}")
     norm = rom.input_norm
     # Python floats: one array call where normalizing an array takes three
     means, variances = predict_gpr(rom.gp, [norm.apply(dt) for dt in dts])

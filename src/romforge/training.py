@@ -116,18 +116,21 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
     best_params = {k: v.copy() for k, v in params.items()}
     bad_epochs = 0
     history: list[EpochRecord] = []
+    # batch-sized buffers, reused: freed ones would fault in every epoch
+    noisy = np.empty_like(fields) if sigma > 0.0 else fields
+    train_ws, val_ws = {}, {}
 
     for epoch in range(config.max_epochs):
         lr = cosine_warm_restart_lr(epoch, config.lr_max, config.lr_min,
                                     config.warm_restart_t0,
                                     config.warm_restart_mult)
         if sigma > 0.0:
-            noisy = fields + noise_rng.normal(0.0, sigma, fields.shape)
-        else:
-            noisy = fields
+            # the draws of normal(0.0, sigma), which scales the same stream
+            noise_rng.standard_normal(out=noisy)
+            noisy *= sigma
+            noisy += fields
         loss, l_rec, l_param, grads = batch_loss_and_grads(
-            params, graph, noisy, fields, ts, config.lam
-        )
+            params, graph, noisy, fields, ts, config.lam, train_ws)
         if not math.isfinite(loss):
             raise NumericalError(
                 f"training loss became non-finite at epoch {epoch} (lr={lr:.3g})"
@@ -135,7 +138,8 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
         if has_val:
             adamw_step(params, grads, state, lr, config.weight_decay)
             val_loss = monitored = batch_loss(params, graph, val_fields,
-                                              val_fields, val_ts, config.lam)
+                                              val_fields, val_ts, config.lam,
+                                              val_ws)
         else:
             val_loss, monitored = math.nan, loss
         history.append(EpochRecord(epoch=epoch, lr=lr, train_loss=loss,

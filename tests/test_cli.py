@@ -5,6 +5,7 @@ the module entry point end to end. Shared dataset and model directories are
 built once per module.
 """
 
+import csv
 import dataclasses
 import fnmatch
 import json
@@ -273,6 +274,44 @@ def test_train_gca_smoke(dataset_dir, tmp_path, capsys):
     assert np.isfinite(summary["best_val_loss"])
     assert (out / "history.csv").is_file()
     assert (out / "gca.json").is_file()
+
+
+@pytest.mark.parametrize("flags, stop", [
+    (["--lr-max", "0", "--lr-min", "0", "--patience", "2"], "patience"),
+    (["--patience", "50"], "max_epochs")])
+def test_train_gca_reports_its_best_epoch_and_why_it_stopped(
+        flags, stop, dataset_dir, tmp_path, capsys):
+    # frozen weights never beat epoch 0's validation loss, so patience ends
+    # the run at epoch 2; otherwise the epoch budget does
+    out = tmp_path / "gca"
+    code, stdout, _ = run(
+        capsys, "train", "--model", "gca", "--data", dataset_dir,
+        "--out", out, "--train", "20,40,60,80", "--val", "30,70",
+        "--max-epochs", "4", "--latent", "2", "--seed", "0", *flags)
+    assert code == 0
+    summary = summary_of(stdout)
+    with (out / "history.csv").open() as fh:
+        val = [float(row["val_loss"]) for row in csv.DictReader(fh)]
+    assert summary["stop"] == stop
+    assert summary["epochs"] == len(val) == (3 if stop == "patience" else 4)
+    assert summary["best_epoch"] == val.index(min(val))
+    assert summary["best_val_loss"] == min(val)
+    if stop == "patience":
+        assert summary["best_epoch"] == 0
+
+
+def test_train_gca_with_no_improving_epoch_reports_none(dataset_dir,
+                                                        tmp_path, capsys):
+    # one step at lr 1e30 leaves a non-finite validation loss, which never
+    # improves on the start: the summary says so and stays strict JSON
+    code, stdout, _ = run(
+        capsys, "train", "--model", "gca", "--data", dataset_dir,
+        "--out", tmp_path / "gca", "--train", "20,40,60,80", "--val", "30,70",
+        "--max-epochs", "1", "--lr-max", "1e30", "--lr-min", "1e30")
+    assert code == 0
+    summary = summary_of(stdout)
+    assert (summary["best_epoch"], summary["best_val_loss"],
+            summary["stop"]) == (None, None, "max_epochs")
 
 
 def test_train_rejects_unknown_model_choice(dataset_dir, tmp_path, capsys):

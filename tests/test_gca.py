@@ -7,10 +7,12 @@ asserted exactly.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import romforge.gca as gca
 from romforge.dataset import (
     ARCHIVE_VERSION,
     MeshGeometry,
@@ -20,7 +22,6 @@ from romforge.dataset import (
 from romforge.errors import ConfigurationError, DataError
 from romforge.gca import (
     GcaArchitecture,
-    Graph,
     GcaModel,
     _decode,
     _elu_grad,
@@ -181,38 +182,57 @@ def test_gc_layer_matches_dense_oracle(irregular):
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-class CountingAdjacency:
-    """The CSR adjacency, recording the column count of each product."""
+def counting_aggregate(monkeypatch):
+    """Wrap ``gca._aggregate``; returns the list of the column count that
+    each application of A_hat meets."""
+    columns = []
 
-    def __init__(self, csr):
-        self.csr, self.columns = csr, []
+    def counting(adj, feats, *args, **kwargs):
+        columns.append(feats.size // feats.shape[0])
+        return aggregate(adj, feats, *args, **kwargs)
 
-    def __matmul__(self, feats):
-        self.columns.append(feats.shape[1])
-        return self.csr @ feats
+    aggregate = gca._aggregate
+    monkeypatch.setattr(gca, "_aggregate", counting)
+    return columns
 
 
-def test_each_convolution_aggregates_its_narrower_side(irregular):
+def test_each_convolution_aggregates_its_narrower_side(irregular,
+                                                       monkeypatch):
     # the encoder aggregates before its weight product, the decoder after
     # it, so A_hat meets 1 and 16 columns per sample, never 32
     _, graph, _, _ = irregular
     arch = GcaArchitecture(n_nodes=graph.n_nodes)
     assert arch.enc_widths == (16, 32)
     model = init_gca(arch, seed=3)
-    counting = Graph(graph.n_nodes, CountingAdjacency(graph.adjacency_norm))
-    np.testing.assert_array_equal(predict_gca(model, counting, 0.4),
-                                  predict_gca(model, graph, 0.4))
-    assert counting.adjacency_norm.columns == [16, 1]
+    columns = counting_aggregate(monkeypatch)
+    predict_gca(model, graph, 0.4)
+    assert columns == [16, 1]
 
     b = 3
-    counting.adjacency_norm.columns.clear()
+    columns.clear()
     x = np.random.default_rng(29).normal(size=(b, graph.n_nodes))
-    batch_loss_and_grads(model.params, counting, x, x, np.linspace(0, 1, b),
-                         0.5)
+    batch_loss_and_grads(model.params, graph, x, x, np.linspace(0, 1, b),
+                         0.5, {})
     # forward 1 + 16 + 16 + 1, backward 1 + 16 + 16 columns per sample
-    assert counting.adjacency_norm.columns == [b * w for w in (1, 16, 16, 1,
-                                                               1, 16, 16)]
-    assert sum(counting.adjacency_norm.columns) == 67 * b
+    assert columns == [b * w for w in (1, 16, 16, 1, 1, 16, 16)]
+    assert sum(columns) == 67 * b
+
+
+@pytest.mark.parametrize("columns", [1, 16, 144, 288])
+def test_aggregate_into_a_buffer_is_the_sparse_product(columns):
+    # _aggregate calls SciPy's private csr_matvec and csr_matvecs, the
+    # kernels behind adj @ x, so that it can write into a buffer it owns:
+    # this pins it to the public product, bit for bit, for a contiguous
+    # input and a strided view alike
+    data = generate_synthetic_dataset(3, 8, 4, [20.0, 40.0], seed=0)
+    adj = build_graph(data.mesh).adjacency_norm
+    n = adj.shape[0]
+    wide = np.random.default_rng(columns).normal(size=(n, 2 * columns))
+    ws = {"out": np.full((n, columns), np.nan)}  # a stale buffer is cleared
+    for feats in (wide[:, :columns].copy(), wide[:, ::2]):
+        got = gca._aggregate(adj, feats, ws, "out")
+        assert np.shares_memory(got, ws["out"])
+        assert got.tobytes() == (adj @ feats).tobytes()
 
 
 def test_elu_values():
@@ -434,6 +454,17 @@ def test_predict_matches_dense_reimplementation(irregular):
 
     np.testing.assert_allclose(predict_gca(model, graph, dt), expected,
                                atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_predict_rejects_a_non_finite_dwell_time(irregular, dt):
+    # NaN gave an all-NaN field, and +-inf an "invalid value" warning
+    _, graph, arch, params = irregular
+    model = GcaModel(arch=arch, params=params,
+                     training_dwell_times=(20.0, 80.0), seed=2)
+    with pytest.raises(ConfigurationError, match="finite"):
+        predict_gca(model, graph, dt)
 
 
 def test_predict_agrees_with_forward_decoder(irregular):

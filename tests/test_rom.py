@@ -437,6 +437,17 @@ def test_far_predictions_are_the_prior_exactly(rom):
             assert np.all(p.mean_field <= p.upper_95)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_nan_dwell_time_is_rejected(rom):
+    # +-inf is the prior (above); a NaN has no prediction, and gave an
+    # all-NaN field
+    for dts in ([math.nan], [30.0, math.nan]):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            predict_distortion_many(rom, dts)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        predict_distortion(rom, math.nan)
+
+
 def edit_json(path, edit):
     doc = json.loads(path.read_text())
     edit(doc)

@@ -15,8 +15,19 @@ import pytest
 
 from romforge.dataset import generate_synthetic_dataset, split_dataset
 from romforge.errors import ConfigurationError, NumericalError
-from romforge.gca import batch_loss, build_graph
-from romforge.optim import adamw_step, cosine_warm_restart_lr, init_adamw_state
+from romforge.gca import (
+    GcaArchitecture,
+    batch_loss,
+    batch_loss_and_grads,
+    build_graph,
+    init_params,
+)
+from romforge.optim import (
+    BLOCK,
+    adamw_step,
+    cosine_warm_restart_lr,
+    init_adamw_state,
+)
 from romforge.training import (
     EpochRecord,
     GcaTrainConfig,
@@ -75,6 +86,11 @@ def test_update_is_in_place():
     state = init_adamw_state(params)
     adamw_step(params, {"w": np.ones(2)}, state, lr=0.1, weight_decay=1e-4)
     assert params["w"] is arr
+    # a strided view would be updated through a copy, so it is refused
+    strided = {"w": np.zeros((4, 4))[:, ::2]}
+    with pytest.raises(ConfigurationError, match="C-contiguous"):
+        adamw_step(strided, {"w": np.ones((4, 2))}, init_adamw_state(strided),
+                   lr=0.1, weight_decay=0.0)
 
 
 def textbook_adamw(start, grads, lrs, beta1, beta2, eps, weight_decay):
@@ -119,6 +135,88 @@ def test_adamw_step_allocates_no_parameter_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < params["w"].nbytes
+
+
+def whole_array_adamw(params, grads, state, lr, weight_decay):
+    """adamw_step's 14 operations, each over a whole parameter array."""
+    state["t"] += 1
+    bc1 = 1.0 - 0.9 ** state["t"]
+    bc2 = 1.0 - 0.999 ** state["t"]
+    for name, p in params.items():
+        g, m, v = grads[name], state["m"][name], state["v"][name]
+        s = np.empty_like(p)
+        m *= 0.9
+        m += np.multiply(g, 1.0 - 0.9, out=s)
+        v *= 0.999
+        v += np.multiply(np.multiply(g, 1.0 - 0.999, out=s), g, out=s)
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += 1e-8
+        np.divide(m, s, out=s)
+        s *= lr / bc1
+        p *= 1.0 - lr * weight_decay
+        p -= s
+
+
+def test_blocked_adamw_is_the_whole_array_update_bit_for_bit():
+    # one parameter spans two full blocks and a partial one
+    rng = np.random.default_rng(31)
+    shapes = {"w": (2, BLOCK + 617), "b": (7,)}
+    blocked = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    whole = {k: v.copy() for k, v in blocked.items()}
+    state = init_adamw_state(blocked)
+    reference = {"t": 0, "m": {k: np.zeros(s) for k, s in shapes.items()},
+                 "v": {k: np.zeros(s) for k, s in shapes.items()}}
+    for lr in rng.uniform(1e-3, 1e-1, 6):
+        grads = {k: rng.normal(size=shape) * rng.uniform(1e-3, 1e3)
+                 for k, shape in shapes.items()}
+        adamw_step(blocked, grads, state, lr=lr, weight_decay=1e-2)
+        whole_array_adamw(whole, grads, reference, lr=lr, weight_decay=1e-2)
+        for k in shapes:
+            assert blocked[k].tobytes() == whole[k].tobytes()
+            for moment in ("m", "v"):
+                assert (state[moment][k].tobytes()
+                        == reference[moment][k].tobytes())
+
+
+def test_adamw_state_is_moments_and_one_block_of_scratch():
+    params = {"w": np.ones((3, BLOCK)), "b": np.zeros(7)}
+    state = init_adamw_state(params)
+    assert set(state) == {"t", "m", "v", "scratch"}
+    assert state["scratch"].shape == (BLOCK,)
+    for moment in (state["m"], state["v"]):
+        assert set(moment) == set(params)
+        for k, v in params.items():
+            np.testing.assert_array_equal(moment[k], np.zeros_like(v))
+
+
+def test_a_warmed_training_step_allocates_almost_nothing():
+    # at 1,080 nodes one step (loss and gradients into the training
+    # workspace, the AdamW update, the validation loss into its own
+    # workspace) used to churn ~21.5 MB of activations; once the
+    # workspaces are made, a step allocates only small arrays
+    data = generate_synthetic_dataset(5, 24, 8, [20.0, 50.0], seed=0)
+    graph = build_graph(data.mesh)
+    rng = np.random.default_rng(3)
+    x, t = rng.normal(size=(9, graph.n_nodes)), np.linspace(0.0, 1.0, 9)
+    v, vt = rng.normal(size=(2, graph.n_nodes)), np.array([0.2, 0.7])
+    params = init_params(GcaArchitecture(n_nodes=graph.n_nodes), seed=0)
+    state = init_adamw_state(params)
+    train_ws, val_ws = {}, {}
+
+    def step():
+        *_, grads = batch_loss_and_grads(params, graph, x, x, t, 0.5,
+                                         train_ws)
+        adamw_step(params, grads, state, lr=1e-3, weight_decay=1e-4)
+        batch_loss(params, graph, v, v, vt, 0.5, val_ws)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --------------------------------------------------------------- schedule ---
