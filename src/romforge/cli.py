@@ -139,6 +139,10 @@ def cmd_gen(ns: SimpleNamespace) -> dict:
 
 
 def cmd_train(ns: SimpleNamespace) -> dict:
+    other = ns.out / ("gca.json" if ns.model == "pod-gpr" else "manifest.json")
+    if other.is_file():  # two archives in one directory: neither is read
+        raise ConfigurationError(f"{ns.out} already holds the other model "
+                                 f"kind's archive, {other}")
     tensor = load_snapshot_tensor(ns.data)
     train_dts = tensor.dwell_times if ns.train is None else ns.train
 

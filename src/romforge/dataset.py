@@ -482,11 +482,12 @@ def load_archive(path, manifest_name: str, names):
     The manifest must bind exactly ``names``: a list, or a function of the
     manifest that returns one. Each array passes :func:`read_snapshot_bin`'s
     checks, then must match the shape and CRC-32 the manifest records. Any
-    failure, the body's included, is a :class:`DataError` naming ``path``.
-    That covers a missing key, a wrong JSON type or an unusable value (a
-    KeyError, TypeError, AttributeError, IndexError or ValueError, romforge's
-    own validation errors included) and an ArithmeticError: hyperparameters
-    factorized when they were saved, and an edited value can overflow.
+    failure, the body's included, is a :class:`DataError` naming ``path``:
+    an unreadable or missing array file (an OSError), a missing key, a wrong
+    JSON type or an unusable value (a KeyError, TypeError, AttributeError,
+    IndexError or ValueError, romforge's own validation errors included) and
+    an ArithmeticError: hyperparameters factorized when they were saved, and
+    an edited value can overflow.
     """
     path = Path(path)
     manifest = path / manifest_name
@@ -516,7 +517,7 @@ def load_archive(path, manifest_name: str, names):
         checked = True
         yield doc, arrays
     except (KeyError, TypeError, AttributeError, IndexError, ValueError,
-            ArithmeticError) as exc:
+            ArithmeticError, OSError) as exc:
         if isinstance(exc, DataError) and not checked:
             raise
         raise DataError(

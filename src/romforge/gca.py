@@ -11,6 +11,7 @@ autograd. Graph features are node-major, ``(n, B, d)``: each aggregation is
 one sparse product, each weight product one GEMM (``_dense``), and only the
 decoder head crosses from ``(B, n * d)``. Batch-sized arrays go into the
 buffers of a workspace dict that training reuses; prediction passes none.
+Weights and gradients are views of flat vectors laid out by param_views.
 
 Graph convolutions apply ``Â = D^{-1/2} (A + I) D^{-1/2}`` (``_aggregate``) to
 their narrower side, as ``Â(HW) = (ÂH)W``: the encoder before its weight
@@ -93,6 +94,7 @@ class GcaArchitecture:
     enc_widths: tuple[int, int] = (16, 32)
     latent_dim: int = 12
     fc_width: int = 32
+    n_params: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         widths = (self.n_nodes, *self.enc_widths, self.latent_dim,
@@ -101,10 +103,11 @@ class GcaArchitecture:
                 isinstance(w, (int, np.integer)) and w >= 1 for w in widths):
             raise ConfigurationError("layer widths and the node count must be "
                                      f"positive integers, got {self}")
-        count = sum(math.prod(shape) for _, shape in self.param_shapes())
-        if count > MAX_PARAMETERS:
-            raise ConfigurationError(f"{self} has {count} parameters, over "
-                                     f"MAX_PARAMETERS {MAX_PARAMETERS}")
+        object.__setattr__(self, "n_params", sum(
+            math.prod(shape) for _, shape in self.param_shapes()))
+        if self.n_params > MAX_PARAMETERS:
+            raise ConfigurationError(f"{self} has {self.n_params} parameters, "
+                                     f"over MAX_PARAMETERS {MAX_PARAMETERS}")
 
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         h1, h2 = self.enc_widths
@@ -146,16 +149,27 @@ class GcaModel:
         object.__setattr__(self, "input_norm", norm)
 
 
-def init_params(arch: GcaArchitecture, seed: int) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, drawn in fixed layer order."""
+def param_views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """Views of the 1-D ``flat`` as the tensors of ``shapes``, ``(name,
+    shape)`` pairs laid back to back: the package's only parameter offsets."""
+    views, end = {}, 0
+    for name, shape in shapes:
+        views[name] = flat[end:end + math.prod(shape)].reshape(shape)
+        end += views[name].size
+    return views
+
+
+def init_params(arch: GcaArchitecture, seed: int,
+                out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights, in fixed layer order, and zero biases: views
+    of ``out``, a zeroed vector of ``arch.n_params`` values (new if None)."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in arch.param_shapes():
-        if name.endswith("_b"):
-            params[name] = np.zeros(shape)
-        else:
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            params[name] = rng.uniform(-limit, limit, shape)
+    params = param_views(np.zeros(arch.n_params) if out is None else out,
+                         arch.param_shapes())
+    for name, param in params.items():
+        if name.endswith("_w"):
+            limit = np.sqrt(6.0 / (param.shape[0] + param.shape[1]))
+            param[...] = rng.uniform(-limit, limit, param.shape)
     return params
 
 
@@ -268,13 +282,16 @@ def _forward_batch(p: dict, graph: Graph, x: np.ndarray, t: np.ndarray,
 def _backward_batch(p: dict, graph: Graph, ws: dict, x_hat: np.ndarray,
                     target: np.ndarray, lam: float) -> dict[str, np.ndarray]:
     """Gradients of the batch-mean loss w.r.t. every parameter array, into
-    ``ws["grads"]``; each ELU' overwrites its (dead) activation. ``Â`` is
-    symmetric: ``Â @ d_s`` serves a decoder layer's weight and input grads."""
+    ``ws["grads"]``: views, laid out like ``p``, of one vector ``ws["grad"]``.
+    Each ELU' overwrites its (dead) activation. ``Â`` is symmetric:
+    ``Â @ d_s`` serves a decoder layer's weight and input grads."""
     adj = graph.adjacency_norm
     n, b, _ = x_hat.shape
     z, z_p = ws["z"], ws["z_p"]
     if "grads" not in ws:
-        ws["grads"] = {k: np.empty_like(v) for k, v in p.items()}
+        ws["grad"] = np.empty(sum(v.size for v in p.values()))
+        ws["grads"] = param_views(ws["grad"],
+                                  [(k, v.shape) for k, v in p.items()])
     g = ws["grads"]
 
     d_xhat = np.subtract(x_hat, target, out=_buf(ws, "d_xhat", x_hat.shape))
@@ -392,15 +409,12 @@ def load_gca(path) -> tuple[GcaModel, MeshGeometry]:
             latent_dim=manifest["latent_dim"],
             fc_width=manifest["fc_width"],
         )
-        shapes = dict(arch.param_shapes())
-        sizes = [int(np.prod(shape)) for shape in shapes.values()]
         weights = arrays["gca_weights"]
-        if weights.shape != (sum(sizes), 1):
+        if weights.shape != (arch.n_params, 1):
             raise DataError(f"gca_weights.bin holds shape {weights.shape}, "
-                            f"the architecture implies ({sum(sizes)}, 1)")
-        params = {name: part.reshape(shape) for (name, shape), part in zip(
-            shapes.items(), np.split(weights[:, 0], np.cumsum(sizes)[:-1]))}
-        model = GcaModel(arch=arch, params=params,
+                            f"the architecture implies ({arch.n_params}, 1)")
+        model = GcaModel(arch=arch, params=param_views(weights[:, 0],
+                                                       arch.param_shapes()),
                          training_dwell_times=manifest["training_dwell_times"],
                          seed=manifest["seed"])
     return model, mesh

@@ -20,47 +20,46 @@ EPS = 1e-8
 BLOCK = 16_384
 
 
-def init_adamw_state(params: dict[str, np.ndarray]) -> dict:
+def init_adamw_state(params: np.ndarray) -> dict:
     """Zero moments, and one block of scratch for adamw_step."""
     return {
         "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
+        "m": np.zeros_like(params),
+        "v": np.zeros_like(params),
         "scratch": np.empty(BLOCK),
     }
 
 
-def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: dict, lr: float, weight_decay: float) -> None:
-    """One AdamW update, in place and without allocating.
+def adamw_step(params: np.ndarray, grads: np.ndarray, state: dict, lr: float,
+               weight_decay: float) -> None:
+    """One AdamW update of flat vectors, in place and without allocating.
 
     Weight decay is decoupled: it scales the pre-update parameter value and is
     not folded into the gradient, so the adaptive moments never see it.
-    Each parameter is updated ``BLOCK`` elements at a time.
+    The vectors are updated ``BLOCK`` elements at a time.
     """
+    if np.ndim(params) != 1 or np.shape(grads) != np.shape(params):
+        raise ConfigurationError("need 1-D parameters and gradients alike, "
+                                 f"got {np.shape(params)}, {np.shape(grads)}")
     state["t"] += 1
     t = state["t"]
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    for name, param in params.items():
-        if not param.flags.c_contiguous:  # its flat view would be a copy
-            raise ConfigurationError(f"parameter {name} is not C-contiguous")
-        flat = [a.reshape(-1) for a in
-                (param, grads[name], state["m"][name], state["v"][name])]
-        for lo in range(0, param.size, BLOCK):
-            p, g, m, v = (a[lo:lo + BLOCK] for a in flat)
-            s = state["scratch"][:p.size]
-            m *= BETA1
-            m += np.multiply(g, 1.0 - BETA1, out=s)
-            v *= BETA2
-            v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)
-            # s = lr * m_hat / (sqrt(v_hat) + eps); p = decayed p - s
-            np.sqrt(np.divide(v, bc2, out=s), out=s)
-            s += EPS
-            np.divide(m, s, out=s)
-            s *= lr / bc1
-            p *= 1.0 - lr * weight_decay
-            p -= s
+    for lo in range(0, params.size, BLOCK):
+        p, g, m, v = (a[lo:lo + BLOCK]
+                      for a in (params, grads, state["m"], state["v"]))
+        s = state["scratch"][:p.size]
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=s)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)
+        # s = lr * m_hat / (sqrt(v_hat) + eps); p = decayed p - s
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += EPS
+        np.divide(m, s, out=s)
+        s *= lr / bc1
+        p *= 1.0 - lr * weight_decay
+        p -= s
 
 
 def cosine_warm_restart_lr(epoch: float, lr_max: float, lr_min: float,

@@ -108,12 +108,13 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
         sigma = 0.01 * float(fields.std())
 
     arch = GcaArchitecture(n_nodes=graph.n_nodes, latent_dim=config.latent_dim)
-    params = init_params(arch, config.seed)
-    state = init_adamw_state(params)
+    flat = np.zeros(arch.n_params)  # the weights; params holds views of it
+    params = init_params(arch, config.seed, flat)
+    state = init_adamw_state(flat)
     noise_rng = np.random.default_rng(config.seed + 1)
 
     best = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_flat = flat.copy()
     bad_epochs = 0
     history: list[EpochRecord] = []
     # batch-sized buffers, reused: freed ones would fault in every epoch
@@ -129,14 +130,14 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
             noise_rng.standard_normal(out=noisy)
             noisy *= sigma
             noisy += fields
-        loss, l_rec, l_param, grads = batch_loss_and_grads(
+        loss, l_rec, l_param, _ = batch_loss_and_grads(
             params, graph, noisy, fields, ts, config.lam, train_ws)
         if not math.isfinite(loss):
             raise NumericalError(
                 f"training loss became non-finite at epoch {epoch} (lr={lr:.3g})"
             )
         if has_val:
-            adamw_step(params, grads, state, lr, config.weight_decay)
+            adamw_step(flat, train_ws["grad"], state, lr, config.weight_decay)
             val_loss = monitored = batch_loss(params, graph, val_fields,
                                               val_fields, val_ts, config.lam,
                                               val_ws)
@@ -147,8 +148,7 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
                                    l_param=l_param))
         if monitored < best:
             best = monitored
-            for name, value in params.items():
-                np.copyto(best_params[name], value)
+            np.copyto(best_flat, flat)
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -156,9 +156,10 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
                 break
         if not has_val:
             # the training loss predates this step, so it was compared above
-            adamw_step(params, grads, state, lr, config.weight_decay)
+            adamw_step(flat, train_ws["grad"], state, lr, config.weight_decay)
 
-    model = GcaModel(arch=arch, params=best_params,
+    np.copyto(flat, best_flat)  # the best weights, under params' views
+    model = GcaModel(arch=arch, params=params,
                      training_dwell_times=norm.dwell_times, seed=config.seed)
     return model, history
 

@@ -283,16 +283,15 @@ def test_criterion_08_training_mechanics():
                - 1e-5) < 1e-12
 
     # exact scalar optimizer updates
-    params = {"w": np.array([0.0])}
+    params = np.array([0.0])
     state = init_adamw_state(params)
-    adamw_step(params, {"w": np.array([1.0])}, state, lr=0.1, weight_decay=0.0)
-    assert params["w"][0] == -(0.1 * 1.0 / (1.0 + 1e-8))
-    decayed = {"w": np.array([1.0])}
+    adamw_step(params, np.array([1.0]), state, lr=0.1, weight_decay=0.0)
+    assert params[0] == -(0.1 * 1.0 / (1.0 + 1e-8))
+    decayed = np.array([1.0])
     state = init_adamw_state(decayed)
-    adamw_step(decayed, {"w": np.array([0.0])}, state, lr=0.1,
-               weight_decay=0.1)
-    assert decayed["w"][0] == 1.0 - (0.1 * 0.0 / (np.sqrt(0.0) + 1e-8)
-                                     + 0.1 * 0.1 * 1.0)
+    adamw_step(decayed, np.array([0.0]), state, lr=0.1, weight_decay=0.1)
+    assert decayed[0] == 1.0 - (0.1 * 0.0 / (np.sqrt(0.0) + 1e-8)
+                                + 0.1 * 0.1 * 1.0)
 
 
 @criterion(9, 300.0)

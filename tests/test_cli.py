@@ -639,6 +639,46 @@ def test_corrupt_archive_binary(archive, name, load, change, fragment,
     assert not (tmp_path / "f.bin").exists()
 
 
+@pytest.mark.parametrize("archive, name, load", [
+    ("dataset_dir", "snap_3.bin", load_snapshot_tensor),
+    ("dataset_dir", "mesh_edges.bin", load_snapshot_tensor),
+    ("rom_dir", "basis.bin", load_rom),
+    ("gca_dir", "gca_weights.bin", load_gca),
+    ("gca_dir", "mesh_nodes.bin", load_gca),
+])
+def test_missing_bound_array_is_a_data_error(archive, name, load, request,
+                                             tmp_path):
+    # the manifest binds a file that is gone: a DataError naming the
+    # archive and the file, as for any other unusable archive
+    broken = copy_archive(request.getfixturevalue(archive), tmp_path / "m")
+    (broken / name).unlink()
+    with pytest.raises(DataError, match=re.escape(str(broken))) as info:
+        load(broken)
+    assert name in str(info.value)
+
+
+@pytest.mark.parametrize("archive, kind, flags", [
+    ("rom_dir", "gca", ["--max-epochs", "2", "--latent", "2"]),
+    ("gca_dir", "pod-gpr", []),
+])
+def test_train_refuses_an_out_holding_the_other_archive_kind(
+        archive, kind, flags, request, dataset_dir, tmp_path, capsys):
+    # training the other kind into it would leave two archives, and every
+    # later predict or eval of the directory would exit 3
+    out = copy_archive(request.getfixturevalue(archive), tmp_path / "m")
+    before = dir_bytes(out)
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "train", "--model", kind, "--data",
+                               dataset_dir, "--out", out, *flags)
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and str(out) in stderr
+    assert dir_bytes(out) == before
+    code, stdout, _ = run(capsys, "predict", "--model-dir", out, "--dt", "45",
+                          "--out", tmp_path / "f.bin")
+    assert code == 0 and summary_of(stdout)
+
+
 def test_directory_holding_both_archives_is_io_failure(rom_dir, gca_dir,
                                                        tmp_path, capsys):
     # training both surrogates into one directory leaves both archives;

@@ -433,6 +433,54 @@ def test_init_params_glorot_bounds_and_determinism(irregular):
     assert any(not np.array_equal(a[n], c[n]) for n in a if n.endswith("_w"))
 
 
+def assert_tiles(views, flat):
+    """``views`` lie back to back in the 1-D ``flat``, in order, and cover
+    all of it: one buffer holds every tensor."""
+    start = flat.ctypes.data
+    for name, view in views.items():
+        assert np.shares_memory(view, flat), name
+        assert view.flags.c_contiguous and view.ctypes.data == start, name
+        start += view.nbytes
+    assert start == flat.ctypes.data + flat.nbytes
+
+
+def test_init_params_draws_into_views_of_one_vector(irregular):
+    _, _, arch, _ = irregular
+    flat = np.zeros(arch.n_params)
+    params = init_params(arch, seed=4, out=flat)
+    assert list(params) == [name for name, _ in arch.param_shapes()]
+    assert_tiles(params, flat)
+    fresh = init_params(arch, seed=4)
+    assert_tiles(fresh, next(iter(fresh.values())).base)
+    # either way, the draws of one tensor at a time, layer by layer
+    rng = np.random.default_rng(4)
+    for name, shape in arch.param_shapes():
+        if name.endswith("_b"):
+            want = np.zeros(shape)
+        else:
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            want = rng.uniform(-limit, limit, shape)
+        assert params[name].tobytes() == want.tobytes(), name
+        assert fresh[name].tobytes() == want.tobytes(), name
+
+
+def test_gradients_are_views_of_one_workspace_vector(irregular):
+    _, graph, arch, params = irregular
+    rng = np.random.default_rng(23)
+    x, t = rng.normal(size=(3, graph.n_nodes)), np.linspace(0.0, 1.0, 3)
+    ws = {}
+    *_, grads = batch_loss_and_grads(params, graph, x, x, t, 0.5, ws)
+    assert grads is ws["grads"]
+    assert ws["grad"].shape == (arch.n_params,)
+    assert_tiles(grads, ws["grad"])
+    # a later batch writes into the same vector
+    first = ws["grad"].copy()
+    *_, again = batch_loss_and_grads(params, graph, 2.0 * x, x, t, 0.5, ws)
+    assert again is grads
+    assert_tiles(again, ws["grad"])
+    assert not np.array_equal(ws["grad"], first)
+
+
 def test_predict_matches_dense_reimplementation(irregular):
     _, graph, arch, params = irregular
     model = GcaModel(arch=arch, params=params,
@@ -500,6 +548,24 @@ def test_checkpoint_round_trip_is_bit_exact(irregular, tmp_path):
     np.testing.assert_array_equal(
         predict_gca(back, graph, 42.0), predict_gca(model, graph, 42.0)
     )
+
+
+def test_loaded_weights_are_views_of_the_one_column_read(irregular,
+                                                        tmp_path):
+    # load_gca lays the tensors over the column it reads through the same
+    # offsets as init_params and the gradients, without a copy
+    mesh, _, arch, params = irregular
+    save_gca(GcaModel(arch=arch, params=params,
+                      training_dwell_times=(20.0, 80.0), seed=2),
+             mesh, tmp_path / "ckpt")
+    back, _ = load_gca(tmp_path / "ckpt")
+    column = next(iter(back.params.values())).base
+    assert column.shape == (arch.n_params, 1)
+    assert_tiles(back.params, column[:, 0])
+    for name, view in gca.param_views(column[:, 0],
+                                      arch.param_shapes()).items():
+        assert back.params[name].shape == view.shape
+        assert back.params[name].ctypes.data == view.ctypes.data
 
 
 def test_checkpoint_layout_stores_each_fact_once(irregular, tmp_path):

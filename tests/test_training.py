@@ -40,57 +40,61 @@ from romforge.training import (
 
 
 def test_first_step_with_unit_gradient():
-    params = {"w": np.array([0.0])}
+    params = np.array([0.0])
     state = init_adamw_state(params)
-    adamw_step(params, {"w": np.array([1.0])}, state, lr=0.1, weight_decay=0.0)
+    adamw_step(params, np.array([1.0]), state, lr=0.1, weight_decay=0.0)
     # bias correction makes m_hat = v_hat = 1 on step one, so the update is
     # exactly lr / (1 + eps)
-    assert params["w"][0] == -(0.1 * 1.0 / (1.0 + 1e-8))
+    assert params[0] == -(0.1 * 1.0 / (1.0 + 1e-8))
     assert state["t"] == 1
 
 
 def test_pure_decoupled_decay():
-    params = {"w": np.array([1.0])}
+    params = np.array([1.0])
     state = init_adamw_state(params)
-    adamw_step(params, {"w": np.array([0.0])}, state, lr=0.1, weight_decay=0.1)
+    adamw_step(params, np.array([0.0]), state, lr=0.1, weight_decay=0.1)
     expected = 1.0 - (0.1 * 0.0 / (np.sqrt(0.0) + 1e-8) + 0.1 * 0.1 * 1.0)
-    assert params["w"][0] == expected
-    assert params["w"][0] == pytest.approx(0.99, rel=1e-14)
+    assert params[0] == expected
+    assert params[0] == pytest.approx(0.99, rel=1e-14)
 
 
 def test_hundred_steps_shrink_a_quadratic():
-    params = {"w": np.array([1.0])}
+    params = np.array([1.0])
     state = init_adamw_state(params)
     for _ in range(100):
-        adamw_step(params, {"w": 2.0 * params["w"]}, state, lr=0.1,
-                   weight_decay=0.0)
-    assert abs(params["w"][0]) < 0.05
+        adamw_step(params, 2.0 * params, state, lr=0.1, weight_decay=0.0)
+    assert abs(params[0]) < 0.05
     assert state["t"] == 100
 
 
 def test_step_counter_is_shared_across_parameters():
-    params = {"a": np.zeros(2), "b": np.zeros((2, 2))}
+    # two parameters, a (2,) and a (2, 2), laid out in one vector
+    params = np.zeros(6)
     state = init_adamw_state(params)
-    grads = {"a": np.ones(2), "b": np.ones((2, 2))}
+    grads = np.ones(6)
     adamw_step(params, grads, state, lr=0.01, weight_decay=1e-4)
     adamw_step(params, grads, state, lr=0.01, weight_decay=1e-4)
     assert state["t"] == 2
     # identical gradients everywhere must move every entry identically
-    assert np.unique(params["a"]).size == 1
-    assert params["a"][0] == params["b"][0, 0]
+    assert np.unique(params).size == 1
 
 
 def test_update_is_in_place():
-    arr = np.array([0.5, -0.5])
-    params = {"w": arr}
-    state = init_adamw_state(params)
-    adamw_step(params, {"w": np.ones(2)}, state, lr=0.1, weight_decay=1e-4)
-    assert params["w"] is arr
-    # a strided view would be updated through a copy, so it is refused
-    strided = {"w": np.zeros((4, 4))[:, ::2]}
-    with pytest.raises(ConfigurationError, match="C-contiguous"):
-        adamw_step(strided, {"w": np.ones((4, 2))}, init_adamw_state(strided),
-                   lr=0.1, weight_decay=0.0)
+    # a view is stepped in the buffer it views, as training's flat weights
+    # are stepped under the tensors that view them
+    buffer = np.array([7.0, 0.5, -0.5, 7.0])
+    state = init_adamw_state(buffer[1:3])
+    adamw_step(buffer[1:3], np.ones(2), state, lr=0.1, weight_decay=1e-4)
+    assert buffer[0] == buffer[3] == 7.0
+    assert np.all(buffer[1:3] != [0.5, -0.5])
+    # only a flat vector is stepped: a tensor, a dict of tensors or a
+    # gradient of another shape is refused
+    for params, grads in ((np.zeros((4, 2)), np.ones((4, 2))),
+                          ({"w": np.zeros(2)}, {"w": np.ones(2)}),
+                          (np.zeros(3), np.ones(4))):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            adamw_step(params, grads, init_adamw_state(np.zeros(3)),
+                       lr=0.1, weight_decay=0.0)
 
 
 def textbook_adamw(start, grads, lrs, beta1, beta2, eps, weight_decay):
@@ -112,20 +116,20 @@ def test_adamw_tracks_the_textbook_reference(weight_decay):
     start = rng.normal(size=(40, 3))
     grads = rng.normal(size=(50, 40, 3)) * rng.uniform(1e-3, 1e3, (50, 1, 1))
     lrs = rng.uniform(1e-3, 1e-1, 50)
-    params = {"w": start.copy()}
+    params = start.ravel().copy()
     state = init_adamw_state(params)
     reference = textbook_adamw(start, grads, lrs, 0.9, 0.999, 1e-8,
                                weight_decay)
     for g, lr, want in zip(grads, lrs, reference):
-        adamw_step(params, {"w": g}, state, lr=lr, weight_decay=weight_decay)
-        gap = np.abs(params["w"] - want).max()
+        adamw_step(params, g.ravel(), state, lr=lr, weight_decay=weight_decay)
+        gap = np.abs(params.reshape(40, 3) - want).max()
         assert gap <= 1e-14 * np.abs(want).max()
     assert state["t"] == 50
 
 
 def test_adamw_step_allocates_no_parameter_sized_array():
-    params = {"w": np.ones(100_000), "b": np.zeros(7)}
-    grads = {k: np.full_like(v, 0.5) for k, v in params.items()}
+    params = np.ones(100_007)
+    grads = np.full_like(params, 0.5)
     state = init_adamw_state(params)
     adamw_step(params, grads, state, lr=1e-3, weight_decay=1e-4)
     tracemalloc.start()
@@ -134,59 +138,52 @@ def test_adamw_step_allocates_no_parameter_sized_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < params["w"].nbytes
+    assert peak < params.nbytes
 
 
 def whole_array_adamw(params, grads, state, lr, weight_decay):
-    """adamw_step's 14 operations, each over a whole parameter array."""
+    """adamw_step's 14 operations, each over the whole vector."""
     state["t"] += 1
     bc1 = 1.0 - 0.9 ** state["t"]
     bc2 = 1.0 - 0.999 ** state["t"]
-    for name, p in params.items():
-        g, m, v = grads[name], state["m"][name], state["v"][name]
-        s = np.empty_like(p)
-        m *= 0.9
-        m += np.multiply(g, 1.0 - 0.9, out=s)
-        v *= 0.999
-        v += np.multiply(np.multiply(g, 1.0 - 0.999, out=s), g, out=s)
-        np.sqrt(np.divide(v, bc2, out=s), out=s)
-        s += 1e-8
-        np.divide(m, s, out=s)
-        s *= lr / bc1
-        p *= 1.0 - lr * weight_decay
-        p -= s
+    p, g, m, v = params, grads, state["m"], state["v"]
+    s = np.empty_like(p)
+    m *= 0.9
+    m += np.multiply(g, 1.0 - 0.9, out=s)
+    v *= 0.999
+    v += np.multiply(np.multiply(g, 1.0 - 0.999, out=s), g, out=s)
+    np.sqrt(np.divide(v, bc2, out=s), out=s)
+    s += 1e-8
+    np.divide(m, s, out=s)
+    s *= lr / bc1
+    p *= 1.0 - lr * weight_decay
+    p -= s
 
 
 def test_blocked_adamw_is_the_whole_array_update_bit_for_bit():
-    # one parameter spans two full blocks and a partial one
+    # the vector spans two full blocks and a partial one
     rng = np.random.default_rng(31)
-    shapes = {"w": (2, BLOCK + 617), "b": (7,)}
-    blocked = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-    whole = {k: v.copy() for k, v in blocked.items()}
+    size = 2 * (BLOCK + 617) + 7
+    blocked = rng.normal(size=size)
+    whole = blocked.copy()
     state = init_adamw_state(blocked)
-    reference = {"t": 0, "m": {k: np.zeros(s) for k, s in shapes.items()},
-                 "v": {k: np.zeros(s) for k, s in shapes.items()}}
+    reference = {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
     for lr in rng.uniform(1e-3, 1e-1, 6):
-        grads = {k: rng.normal(size=shape) * rng.uniform(1e-3, 1e3)
-                 for k, shape in shapes.items()}
+        grads = rng.normal(size=size) * rng.uniform(1e-3, 1e3)
         adamw_step(blocked, grads, state, lr=lr, weight_decay=1e-2)
         whole_array_adamw(whole, grads, reference, lr=lr, weight_decay=1e-2)
-        for k in shapes:
-            assert blocked[k].tobytes() == whole[k].tobytes()
-            for moment in ("m", "v"):
-                assert (state[moment][k].tobytes()
-                        == reference[moment][k].tobytes())
+        assert blocked.tobytes() == whole.tobytes()
+        for moment in ("m", "v"):
+            assert state[moment].tobytes() == reference[moment].tobytes()
 
 
 def test_adamw_state_is_moments_and_one_block_of_scratch():
-    params = {"w": np.ones((3, BLOCK)), "b": np.zeros(7)}
+    params = np.ones(3 * BLOCK + 7)
     state = init_adamw_state(params)
     assert set(state) == {"t", "m", "v", "scratch"}
     assert state["scratch"].shape == (BLOCK,)
     for moment in (state["m"], state["v"]):
-        assert set(moment) == set(params)
-        for k, v in params.items():
-            np.testing.assert_array_equal(moment[k], np.zeros_like(v))
+        np.testing.assert_array_equal(moment, np.zeros_like(params))
 
 
 def test_a_warmed_training_step_allocates_almost_nothing():
@@ -199,14 +196,15 @@ def test_a_warmed_training_step_allocates_almost_nothing():
     rng = np.random.default_rng(3)
     x, t = rng.normal(size=(9, graph.n_nodes)), np.linspace(0.0, 1.0, 9)
     v, vt = rng.normal(size=(2, graph.n_nodes)), np.array([0.2, 0.7])
-    params = init_params(GcaArchitecture(n_nodes=graph.n_nodes), seed=0)
-    state = init_adamw_state(params)
+    arch = GcaArchitecture(n_nodes=graph.n_nodes)
+    flat = np.zeros(arch.n_params)
+    params = init_params(arch, seed=0, out=flat)
+    state = init_adamw_state(flat)
     train_ws, val_ws = {}, {}
 
     def step():
-        *_, grads = batch_loss_and_grads(params, graph, x, x, t, 0.5,
-                                         train_ws)
-        adamw_step(params, grads, state, lr=1e-3, weight_decay=1e-4)
+        batch_loss_and_grads(params, graph, x, x, t, 0.5, train_ws)
+        adamw_step(flat, train_ws["grad"], state, lr=1e-3, weight_decay=1e-4)
         batch_loss(params, graph, v, v, vt, 0.5, val_ws)
 
     step()
