@@ -27,6 +27,7 @@ from .dataset import (
     load_snapshot_tensor,
     save_snapshot_tensor,
     split_dataset,
+    write_file,
     write_snapshot_bin,
 )
 from .errors import ConfigurationError, DataError, NumericalError, RomforgeError
@@ -249,7 +250,7 @@ def cmd_predict(ns: SimpleNamespace) -> dict:
     sidecar = {"dt": ns.dt, "max_displacement": float(field.max()),
                "extrapolation": extrapolation, "model": kind}
     sidecar_path = Path(str(ns.out) + ".json")
-    sidecar_path.write_text(_dumps(sidecar) + "\n")
+    write_file(sidecar_path, [_dumps(sidecar), "\n"])
     return {**sidecar, "out": str(ns.out), "sidecar": str(sidecar_path)}
 
 
@@ -281,7 +282,7 @@ def cmd_eval(ns: SimpleNamespace) -> dict:
 
     report_path = ns.report or ns.plots / "report.json"
     payload = report_to_dict(EvalReport(rows=tuple(rows)))
-    report_path.write_text(_dumps(payload, separators=(",", ":")) + "\n")
+    write_file(report_path, [_dumps(payload, separators=(",", ":")), "\n"])
     # the timing goes to the summary only: report.json stays deterministic
     return {"model": kind, "report": str(report_path), "plots": str(ns.plots),
             **payload, **timing}

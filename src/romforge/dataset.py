@@ -166,10 +166,11 @@ class SnapshotMatrix:
             raise DataError("snapshot values must all be finite")
         object.__setattr__(self, "values", _frozen(values))
 
-    @property
+    @cached_property
     def final_field(self) -> np.ndarray:
-        """Distortion field after the last deposition step."""
-        return self.values[:, -1]
+        """Distortion field after the last deposition step: a read-only
+        contiguous copy of the last column, taken on first use."""
+        return _frozen(self.values[:, -1])
 
 
 @dataclass(frozen=True)
@@ -389,20 +390,41 @@ def _record(values) -> dict:
     return {"shape": list(shape), "crc32": crc}
 
 
+def _write(path, chunks) -> None:
+    """Write ``chunks`` (bytes-like, or text as UTF-8) to ``path``."""
+    with open(path, "wb") as fh:
+        fh.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
+
+
+def write_file(path, chunks) -> None:
+    """Replace ``path`` with ``chunks``, never truncating it in place: write
+    ``<path>.<pid>.tmp``, unlink ``path``, rename the temp file to it. A crash
+    leaves the old file, no file or the new one; an error removes the temp."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        _write(tmp, chunks)
+        Path(path).unlink(missing_ok=True)
+        os.rename(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _snpt_chunks(values) -> list:
+    blocks, shape = _snpt_blocks(values)
+    return [_SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION, *shape), *blocks]
+
+
 def write_snapshot_bin(values, path) -> None:
     """Write a 2-D array (a 1-D one as one column), or a list of 2-D row
-    blocks, as an SNPT binary file.
+    blocks, as an SNPT binary file, by :func:`write_file`.
 
     Layout: magic ``SNPT``, u8 version, u32 LE row count, u32 LE column
     count, then the float64 LE values in row-major order. Every array an
     archive stores uses this layout. A contiguous little-endian float64
     array is written straight from its buffer, without a copy.
     """
-    blocks, shape = _snpt_blocks(values)
-    with open(path, "wb") as fh:
-        fh.write(_SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION, *shape))
-        for block in blocks:
-            fh.write(block.data)
+    write_file(path, _snpt_chunks(values))
 
 
 def read_snapshot_bin(path) -> np.ndarray:
@@ -451,11 +473,11 @@ def save_archive(path, manifest_name: str, doc: dict, arrays: dict) -> None:
     table = {}
     for name, values in arrays.items():
         table[name] = _record(values)
-        write_snapshot_bin(values, path / f"{name}.bin.tmp")
+        _write(path / f"{name}.bin.tmp", _snpt_chunks(values))
         os.replace(path / f"{name}.bin.tmp", path / f"{name}.bin")
     doc = {**doc, "version": ARCHIVE_VERSION, "arrays": table}
-    (path / f"{manifest_name}.tmp").write_bytes(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    _write(path / f"{manifest_name}.tmp",
+           [json.dumps(doc, sort_keys=True, separators=(",", ":"))])
     os.replace(path / f"{manifest_name}.tmp", path / manifest_name)
     for name in stale:
         (path / f"{name}.bin").unlink(missing_ok=True)

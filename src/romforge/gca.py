@@ -202,8 +202,9 @@ def _aggregate(adj, feats: np.ndarray, ws: dict | None, key: str, b=None
     several): the package's only private SciPy names, pinned by a test."""
     from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
     n, cols = feats.shape[0], feats.size // feats.shape[0]
-    out = _buf(ws, key, feats.shape)
-    out.fill(0.0)  # the kernels accumulate into it
+    out = np.zeros(feats.shape) if ws is None else _buf(ws, key, feats.shape)
+    if ws is not None:  # the kernels accumulate: zero a reused buffer
+        out.fill(0.0)
     arrays = adj.indptr, adj.indices, adj.data, feats.ravel(), out.ravel()
     if cols == 1:
         csr_matvec(n, n, *arrays)

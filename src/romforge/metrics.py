@@ -9,8 +9,6 @@ its rows, so timing a run never changes ``report.json``.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from dataclasses import dataclass, fields
@@ -18,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import write_file
 from .errors import ConfigurationError, NumericalError
 from .gpr import predict_gpr
 from .rom import CI95_FACTOR, PodGprRom
@@ -35,25 +34,36 @@ __all__ = [
 ]
 
 
-def relative_l2(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Relative Euclidean error ``||pred - truth|| / ||truth||``."""
+def _fields(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Both fields as flat float64 arrays of one length."""
     pred = np.asarray(pred, dtype=np.float64).ravel()
     truth = np.asarray(truth, dtype=np.float64).ravel()
     if pred.shape != truth.shape:
         raise ConfigurationError(f"length mismatch: {pred.shape} vs {truth.shape}")
+    return pred, truth
+
+
+def _relative(diff: np.ndarray, truth: np.ndarray) -> float:
+    """``||diff|| / ||truth||``; ``|pred - truth|`` has the same norm bits."""
     denom = float(np.linalg.norm(truth))
     if denom == 0.0:
         raise NumericalError("truth field has zero norm")
-    return float(np.linalg.norm(pred - truth)) / denom
+    return float(np.linalg.norm(diff)) / denom
+
+
+def relative_l2(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Relative Euclidean error ``||pred - truth|| / ||truth||``."""
+    pred, truth = _fields(pred, truth)
+    return _relative(pred - truth, truth)
 
 
 def max_displacement_error(pred: np.ndarray, truth: np.ndarray
                            ) -> dict[str, float]:
     """Compare the scalar maxima of two fields (not per-node errors)."""
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    truth = np.asarray(truth, dtype=np.float64).ravel()
-    if pred.shape != truth.shape:
-        raise ConfigurationError(f"length mismatch: {pred.shape} vs {truth.shape}")
+    return _maxima(*_fields(pred, truth))
+
+
+def _maxima(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     max_pred = float(pred.max())
     max_true = float(truth.max())
     return {"delta": abs(max_pred - max_true),
@@ -81,15 +91,17 @@ class EvalReport:
 
 
 def evaluation_row(dt: float, pred: np.ndarray, truth: np.ndarray) -> EvalRow:
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    truth = np.asarray(truth, dtype=np.float64).ravel()
-    maxes = max_displacement_error(pred, truth)
+    """One row; both node errors come from one ``|pred - truth|``."""
+    pred, truth = _fields(pred, truth)
+    maxes = _maxima(pred, truth)
+    diff = np.subtract(pred, truth)
+    np.abs(diff, out=diff)
     return EvalRow(
         dt=float(dt),
         max_disp_true=maxes["max_true"],
         max_disp_pred=maxes["max_pred"],
-        max_abs_node_error=float(np.abs(pred - truth).max()),
-        relative_l2=relative_l2(pred, truth),
+        max_abs_node_error=float(diff.max()),
+        relative_l2=_relative(diff, truth),
     )
 
 
@@ -226,21 +238,17 @@ def _emit(path, header: list[str], rows, panels: list[_Panel]
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
     csv_path, svg_path = base.with_suffix(".csv"), base.with_suffix(".svg")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
-    csv_path.write_text(buf.getvalue())
+    write_file(csv_path, [",".join(header) + "\n", *(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows)])
     height = _PANEL_H * max(len(panels), 1)
     body = "\n".join(part for panel in panels for part in panel.parts)
-    svg_path.write_text(
+    write_file(svg_path, [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_PANEL_W}" height="{height}" '
         f'viewBox="0 0 {_PANEL_W} {height}">\n'
         f"{body}\n</svg>\n"
-    )
+    ])
     return csv_path, svg_path
 
 

@@ -8,14 +8,13 @@ with the best validation loss.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import InputNormalization, SnapshotTensor
+from .dataset import InputNormalization, SnapshotTensor, write_file
 from .errors import ConfigurationError, NumericalError
 from .gca import (
     GcaArchitecture,
@@ -165,13 +164,7 @@ def train_gca(train: SnapshotTensor, val: SnapshotTensor | None, graph: Graph,
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "lr", "train_loss", "val_loss",
-                         "l_rec", "l_param"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.lr), repr(row.train_loss),
-                             repr(row.val_loss), repr(row.l_rec),
-                             repr(row.l_param)])
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_file(path, ["epoch,lr,train_loss,val_loss,l_rec,l_param\n", *(
+        f"{r.epoch},{r.lr!r},{r.train_loss!r},{r.val_loss!r},{r.l_rec!r},"
+        f"{r.l_param!r}\n" for r in history)])

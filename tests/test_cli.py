@@ -382,6 +382,16 @@ def test_predict_writes_field_and_sidecar(rom_dir, tmp_path, capsys):
                        "sidecar": str(tmp_path / "field.bin.json")}
 
 
+def test_predict_into_a_directory_is_io_failure(rom_dir, tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    code, stdout, stderr = run(capsys, "predict", "--model-dir", rom_dir,
+                               "--dt", "45", "--out", tmp_path / "out")
+    assert code == 3
+    assert stdout == "" and len(stderr.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_predict_flags_extrapolation(rom_dir, gca_dir, tmp_path, capsys):
     # both archives were trained on 20..80 s; one rule flags either kind
     capsys.readouterr()
@@ -976,6 +986,20 @@ def test_eval_rerun_is_byte_identical(rom_dir, dataset_dir, tmp_path, capsys):
                    "--plots", plots)[0] == 0
         blobs.append((plots / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_eval_report_into_a_directory_is_io_failure(rom_dir, dataset_dir,
+                                                    tmp_path, capsys):
+    (tmp_path / "report").mkdir()
+    code, stdout, stderr = run(capsys, "eval", "--model-dir", rom_dir,
+                               "--data", dataset_dir, "--test", "30,50",
+                               "--plots", tmp_path / "plots",
+                               "--report", tmp_path / "report")
+    assert code == 3
+    assert stdout == "" and len(stderr.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plots", "report"]
+    assert list((tmp_path / "report").iterdir()) == []
+    assert not list((tmp_path / "plots").glob("*.tmp"))
 
 
 def timed_eval(capsys, model_dir, dataset_dir, tmp_path):

@@ -1,14 +1,17 @@
-"""Data model, synthetic generator, and SNPT binary format."""
+"""Data model, synthetic generator, SNPT binary format, and file writes."""
 
+import ast
 import json
 import math
 import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import romforge
 from romforge.dataset import (
     ARCHIVE_VERSION,
     CYLINDER_RADIUS_MM,
@@ -25,6 +28,7 @@ from romforge.dataset import (
     save_snapshot_tensor,
     split_dataset,
     synthetic_distortion,
+    write_file,
     write_snapshot_bin,
 )
 from romforge.errors import ConfigurationError, DataError
@@ -135,6 +139,17 @@ def test_snapshot_matrix_rejects_non_finite():
     bad[0, 0] = np.nan
     with pytest.raises(DataError):
         SnapshotMatrix(bad, ParameterPoint(20.0))
+
+
+def test_final_field_is_a_cached_contiguous_copy():
+    values = np.arange(12.0).reshape(4, 3)
+    matrix = SnapshotMatrix(values, ParameterPoint(20.0))
+    field = matrix.final_field
+    assert np.array_equal(field, matrix.values[:, -1])
+    assert field.flags.c_contiguous and not field.flags.writeable
+    assert matrix.final_field is field  # taken once, on first use
+    with pytest.raises(ValueError):
+        field[0] = 1.0
 
 
 def test_snapshot_tensor_rejects_duplicate_parameters_and_shape_drift():
@@ -400,6 +415,95 @@ def test_saving_leaves_other_files_and_no_temporaries(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "mesh_edges.bin", "mesh_nodes.bin", "meta.json", "notes.txt",
         "snap_0.bin"]
+
+
+# Writing files ---------------------------------------------------------------
+
+def test_rewrite_gives_a_new_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "field.bin"
+    write_snapshot_bin(np.zeros((2, 2)), path)
+    inode = path.stat().st_ino
+    write_snapshot_bin(np.ones((3, 1)), path)
+    assert path.stat().st_ino != inode  # replaced, not truncated in place
+    assert np.array_equal(read_snapshot_bin(path), np.ones((3, 1)))
+    assert [p.name for p in tmp_path.iterdir()] == ["field.bin"]
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "report.json"
+    write_file(path, ["old\n"])
+
+    def chunks():
+        yield b"new, half written"
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        write_file(path, chunks())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_write_replaces_a_symlink_with_a_regular_file(tmp_path):
+    target = tmp_path / "target.txt"
+    write_file(target, ["kept"])
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_file(link, [b"new"])
+    assert not link.is_symlink() and link.read_bytes() == b"new"
+    assert target.read_bytes() == b"kept"
+
+
+def writes_file(call: ast.Call) -> str | None:
+    """``write_text``, ``write_bytes`` or ``open`` if ``call`` is one that
+    writes: an ``open`` in a mode holding w, x, a or +, or one whose mode
+    is not a literal."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in ("write_text", "write_bytes"):
+        return name
+    if name != "open":
+        return None
+    at = 1 if isinstance(call.func, ast.Name) else 0  # open(p, m), p.open(m)
+    modes = [*call.args[at:at + 1],
+             *(kw.value for kw in call.keywords if kw.arg == "mode")]
+    if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wxa+")
+           for m in modes):
+        return name
+    return None
+
+
+def file_writes(tree) -> list[tuple[str, str]]:
+    """``(function, call)`` for every call in ``tree`` that writes a file,
+    named by the innermost function that makes it."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (name := writes_file(child)):
+                found.append((where, name))
+            visit(child, where)
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_file_is_written_outside_the_writer():
+    # a truncating write cut short leaves a torn file: every file is
+    # written by _write, to write_file's or save_archive's temp files
+    package = Path(romforge.__file__).parent
+    writes = [(source.name, *call) for source in sorted(package.glob("*.py"))
+              for call in file_writes(ast.parse(source.read_text()))]
+    assert writes == [("dataset.py", "_write", "open")]
+
+
+def test_file_writes_finds_every_kind_of_write():
+    tree = ast.parse(
+        "def f(p, m):\n"
+        "    open(p, 'rb'); p.open(); open(p)\n"
+        "    p.write_text('x'); p.write_bytes(b'x')\n"
+        "    open(p, 'w'); p.open('a'); open(p, mode='r+'); open(p, m)\n")
+    assert file_writes(tree) == [("f", name) for name in (
+        "write_text", "write_bytes", "open", "open", "open", "open")]
 
 
 # Splits ----------------------------------------------------------------------

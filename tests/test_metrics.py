@@ -94,6 +94,27 @@ def test_evaluation_row_values():
     assert row.relative_l2 == pytest.approx(0.5 / 5.0)
 
 
+@pytest.mark.parametrize("layout", ["strided", "contiguous"])
+def test_evaluation_row_is_the_scalar_metrics(layout):
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(301, 5))
+    truth = values[:, -1] if layout == "strided" else values[:, -1].copy()
+    pred = truth + rng.normal(scale=1e-3, size=truth.shape)
+    row = evaluation_row(45.0, pred, truth)
+    maxes = max_displacement_error(pred, truth)
+    assert (row.max_disp_true, row.max_disp_pred) == (maxes["max_true"],
+                                                     maxes["max_pred"])
+    assert row.max_abs_node_error == np.abs(pred - truth).max()
+    assert row.relative_l2 == relative_l2(pred, truth)
+
+
+def test_evaluation_row_rejects_degenerate_inputs():
+    with pytest.raises(NumericalError, match="zero norm"):
+        evaluation_row(45.0, np.ones(3), np.zeros(3))
+    with pytest.raises(ConfigurationError, match="length mismatch"):
+        evaluation_row(45.0, np.ones(3), np.ones(4))
+
+
 def test_eval_row_validation():
     with pytest.raises(NumericalError, match="non-finite"):
         EvalRow(dt=1.0, max_disp_true=math.nan, max_disp_pred=0.0,
@@ -211,6 +232,19 @@ def test_max_displacement_plot_round_trip(tmp_path):
     assert float(table[0][1]) == 0.12
     assert float(table[1][2]) == 0.088
     assert_valid_svg(svg_path)
+
+
+def test_plots_are_replaced_not_overwritten(tmp_path):
+    rows = [EvalRow(dt=45.0, max_disp_true=0.12, max_disp_pred=0.125,
+                    max_abs_node_error=0.005, relative_l2=0.02)]
+    paths = emit_max_displacement_plot(rows, tmp_path / "maxd")
+    inodes = [p.stat().st_ino for p in paths]
+    blobs = [p.read_bytes() for p in paths]
+    assert emit_max_displacement_plot(rows, tmp_path / "maxd") == paths
+    assert all(p.stat().st_ino != i for p, i in zip(paths, inodes))
+    assert [p.read_bytes() for p in paths] == blobs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["maxd.csv",
+                                                          "maxd.svg"]
 
 
 def test_max_displacement_plot_requires_rows(tmp_path):
