@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dataset import (
-    ParameterPoint,
+    check_dwell_time,
     generate_synthetic_dataset,
     load_snapshot_tensor,
     save_snapshot_tensor,
@@ -110,7 +110,7 @@ _switch = _only(bool, "true or false")  # an on/off flag
 
 def _dwell_time(value, name: str) -> float:
     """Finite and > 0, so a bad one fails before a model loads."""
-    return ParameterPoint(_float(value, name)).dwell_time
+    return check_dwell_time(_float(value, name))
 
 
 def _model_kind(value, name: str) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import re
 import struct
@@ -41,17 +42,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
-    """A single process-parameter sample: the dwell time in seconds."""
-
-    dwell_time: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.dwell_time) or self.dwell_time <= 0.0:
-            raise ConfigurationError(
-                f"dwell_time must be finite and > 0, got {self.dwell_time}"
-            )
+def check_dwell_time(value) -> float:
+    """A dataset's dwell time in seconds: a real number, never a bool or a
+    string, that is finite and > 0; returned as a float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0.0)):
+        raise ConfigurationError(
+            f"dwell time must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -153,12 +151,14 @@ class MeshGeometry:
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """Distortion history for one parameter: column n is the field after step n."""
+    """Distortion history at one dwell time (seconds, by
+    :func:`check_dwell_time`): column n is the field after step n."""
 
     values: np.ndarray  # (n_nodes, n_steps), mm
-    parameter: ParameterPoint
+    dwell_time: float
 
     def __post_init__(self):
+        object.__setattr__(self, "dwell_time", check_dwell_time(self.dwell_time))
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ConfigurationError(f"values must be a 2-D array, got ndim={values.ndim}")
@@ -191,7 +191,7 @@ class SnapshotTensor:
                     f"matrix has {m.values.shape[0]} rows, mesh has "
                     f"{self.mesh.n_nodes} nodes"
                 )
-        dts = [m.parameter.dwell_time for m in self.matrices]
+        dts = [m.dwell_time for m in self.matrices]
         if len(set(dts)) != len(dts):
             raise ConfigurationError(f"dwell times are not distinct: {dts}")
         if self.matrices and np.any(
@@ -213,18 +213,19 @@ class SnapshotTensor:
 
     @property
     def dwell_times(self) -> list[float]:
-        return [m.parameter.dwell_time for m in self.matrices]
+        return [m.dwell_time for m in self.matrices]
 
     def matrix_for(self, dwell_time: float) -> SnapshotMatrix:
         """Return the snapshot matrix whose dwell time matches exactly."""
         for m in self.matrices:
-            if m.parameter.dwell_time == dwell_time:
+            if m.dwell_time == dwell_time:
                 return m
         raise ConfigurationError(f"no snapshot matrix for dwell time {dwell_time}")
 
     def final_fields(self) -> np.ndarray:
-        """Stack the final-step fields into an (n_nodes, n_mu) array."""
-        return np.column_stack([m.final_field for m in self.matrices])
+        """Stack the final-step fields into an (n_nodes, n_mu) array. It
+        copies them anyway, so no matrix caches its ``final_field``."""
+        return np.column_stack([m.values[:, -1] for m in self.matrices])
 
 
 # Synthetic generator =========================================================
@@ -353,7 +354,7 @@ def generate_synthetic_dataset(n_radial: int, n_theta: int, n_layers: int,
             if rng is None:
                 rng = np.random.default_rng(seed)
             values = values + rng.normal(0.0, noise_sigma, values.shape)
-        matrices.append(SnapshotMatrix(values, ParameterPoint(dt)))
+        matrices.append(SnapshotMatrix(values, dt))
     return SnapshotTensor(tuple(matrices), mesh)
 
 
@@ -586,7 +587,7 @@ def load_snapshot_tensor(path) -> SnapshotTensor:
 
     with load_archive(path, "meta.json", names) as (meta, arrays):
         matrices = tuple(
-            SnapshotMatrix(arrays[f"snap_{i}"], ParameterPoint(dt))
+            SnapshotMatrix(arrays[f"snap_{i}"], dt)
             for i, dt in enumerate(meta["dwell_times"]))
         return SnapshotTensor(matrices, mesh_from_arrays(arrays))
 

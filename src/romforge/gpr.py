@@ -9,9 +9,10 @@ correlation matrix per scanned length scale gives every GP's LML in closed
 form with the signal variance profiled out (Rasmussen & Williams, *GPML*
 2006, sec. 5.4). From each GP's best scan point, one projected Newton
 polish of all GPs on the same eigen-form LML lands on a stationary point.
-:func:`make_gpr` caches each GP's Cholesky factor ``L``, ``L^-1`` and dual
-weights, so :func:`predict_gpr` evaluates every GP at many points in a fixed
-number of array operations (GPML Alg. 2.1; Pleiss et al., ICML 2018).
+A :class:`GprModel` is made from the five facts an archive stores and
+derives each GP's Cholesky factor ``L``, ``L^-1`` and dual weights, so
+:func:`predict_gpr` evaluates every GP at many points in a fixed number of
+array operations (GPML Alg. 2.1; Pleiss et al., ICML 2018).
 """
 
 from __future__ import annotations
@@ -67,13 +68,19 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class GprModel:
-    """GPs on shared training inputs, with their cached solves.
+    """GPs on shared training inputs, made from the five facts an archive
+    stores; every field after ``noise_jitter`` is derived from them.
 
-    Per-GP arrays put the GP axis first. The fields after ``alpha`` are
-    derived at construction, shaped for :func:`predict_gpr`'s broadcasts
-    over ``q`` queries: ``(m, 1)`` columns per GP, the ``(n, 1)`` input
-    column, and the posterior weights, whose training-point axes come
-    first, like ``chol_factor``'s. ``posterior_weights[j, i]`` holds every
+    ``train_targets`` is ``(n,)`` for one GP or ``(m, n)``, one GP per row;
+    each hyperparameter is a scalar or ``(m,)``. Inputs and targets must be
+    finite, signal variances and length scales > 0 and jitters >= 0, all
+    finite. On Cholesky failure a GP's jitter escalates tenfold up to
+    ``MAX_JITTER_RATIO * signal_variance``, and the jitter used is kept;
+    from zero jitter the singular matrix is reported, naming the row when
+    there are several GPs.
+
+    Derived arrays put the GP axis first, shaped for :func:`predict_gpr`'s
+    broadcasts over ``q`` queries. ``posterior_weights[j, i]`` holds every
     ``L^-1[i, j]`` for ``i < n``, by forward substitution of the identity,
     and ``alpha[j]`` at ``i = n``; ``K^-1``, whose condition number is the
     square of ``L``'s, is never formed.
@@ -84,8 +91,8 @@ class GprModel:
     signal_variance: np.ndarray   # (m,)
     length_scale: np.ndarray      # (m,)
     noise_jitter: np.ndarray      # (m,)
-    chol_factor: np.ndarray       # (n, n, m, 1): [i, j] holds every L[i, j]
-    alpha: np.ndarray             # (n, m, 1)
+    chol_factor: np.ndarray = field(init=False)  # (n, n, m, 1), L at [i, j]
+    alpha: np.ndarray = field(init=False)                          # (n, m, 1)
     mean_constant: np.ndarray = field(init=False)                  # (m,)
     input_column: np.ndarray = field(init=False, repr=False)       # (n, 1)
     mean_column: np.ndarray = field(init=False, repr=False)        # (m, 1)
@@ -96,44 +103,68 @@ class GprModel:
     posterior_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("train_inputs", "train_targets", "signal_variance",
-                     "length_scale", "noise_jitter", "chol_factor", "alpha"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        n = self.train_inputs.size
-        m = self.train_targets.shape[0] if self.train_targets.ndim else 0
-        if n < 1 or m < 1:
-            raise ConfigurationError("a GP model needs at least one GP and "
-                                     "one training point")
-        expected = {"train_inputs": (n,), "train_targets": (m, n),
-                    "signal_variance": (m,), "length_scale": (m,),
-                    "noise_jitter": (m,), "chol_factor": (n, n, m, 1),
-                    "alpha": (n, m, 1)}
-        for name, shape in expected.items():
-            if getattr(self, name).shape != shape:
-                raise ConfigurationError(
-                    f"{name} has shape {getattr(self, name).shape}, not {shape}")
-        if np.any(self.noise_jitter < 0.0):
-            raise ConfigurationError("noise_jitter must be >= 0")
+        inputs = np.asarray(self.train_inputs, dtype=np.float64).ravel()
+        targets = _target_rows(inputs, self.train_targets)
+        m, n = targets.shape
+        sv_all = _per_gp("signal_variance", self.signal_variance, m, True)
+        ls_all = _per_gp("length_scale", self.length_scale, m, True)
+        jitters = _per_gp("jitter", self.noise_jitter, m, False)
+        two_ls2 = np.array([_two_ls2(ls) for ls in ls_all.tolist()])
+        with np.errstate(over="ignore"):  # as in predict_gpr
+            grams = sv_all[:, None, None] * np.exp(
+                -_sq_dists(inputs, inputs) / two_ls2[:, None, None])
+        resid = targets - targets.mean(axis=1, keepdims=True)
+        eye = np.eye(n)
+        chol = np.empty((n, n, m, 1))
+        alpha = np.empty((n, m, 1))
+        for j, gram in enumerate(grams):
+            sv, jit = float(sv_all[j]), float(jitters[j])
+            cap = MAX_JITTER_RATIO * sv
+            row = f"target row {j}: " if m > 1 else ""
+            while True:
+                k = gram + jit * eye
+                try:
+                    chol[:, :, j, 0] = np.linalg.cholesky(k)
+                    break
+                except np.linalg.LinAlgError:
+                    if jit <= 0.0:
+                        raise NumericalError(
+                            f"{row}kernel matrix is singular and jitter is 0 "
+                            "(duplicate or near-duplicate inputs?)"
+                        ) from None
+                    if jit * 10.0 > cap:
+                        raise NumericalError(
+                            f"{row}Cholesky failed even at jitter {jit:.3e} "
+                            f"(cap {cap:.3e})"
+                        ) from None
+                    jit *= 10.0
+            alpha[:, j, 0] = np.linalg.solve(k, resid[j])
+            jitters[j] = jit
         inverse = np.eye(n)[:, :, None, None] * np.ones((m, 1))  # L X = I
         for i in range(n):
-            inverse[i] /= self.chol_factor[i, i]
-            inverse[i + 1:] -= self.chol_factor[i + 1:, i, None] * inverse[i]
-        mean = _frozen(self.train_targets.mean(axis=1))
-        sv = self.signal_variance
-        derived = {
+            inverse[i] /= chol[i, i]
+            inverse[i + 1:] -= chol[i + 1:, i, None] * inverse[i]
+        inputs, targets, sv_all = map(_frozen, (inputs, targets, sv_all))
+        mean = _frozen(targets.mean(axis=1))
+        values = {
+            "train_inputs": inputs,
+            "train_targets": targets,
+            "signal_variance": sv_all,
+            "length_scale": _frozen(ls_all),
+            "noise_jitter": _frozen(jitters),
+            "chol_factor": _frozen(chol),
+            "alpha": _frozen(alpha),
             "mean_constant": mean,
-            "input_column": self.train_inputs[:, None],
+            "input_column": inputs[:, None],
             "mean_column": mean[:, None],
-            "signal_column": sv[:, None],
-            "two_ls2": _frozen([[_two_ls2(ls)]
-                                for ls in self.length_scale.tolist()]),
+            "signal_column": sv_all[:, None],
+            "two_ls2": _frozen(two_ls2[:, None]),
             # k(mu, mu) + jitter, added as the posterior variance adds it
-            "prior_variance": _frozen((sv + self.noise_jitter)[:, None]),
+            "prior_variance": _frozen((sv_all + jitters)[:, None]),
             "posterior_weights": _frozen(np.concatenate(
-                [inverse.transpose(1, 0, 2, 3), self.alpha[:, None]],
-                axis=1)),
+                [inverse.transpose(1, 0, 2, 3), alpha[:, None]], axis=1)),
         }
-        for name, value in derived.items():
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
     @property
@@ -206,58 +237,8 @@ def _per_gp(name: str, value, m: int, positive: bool) -> np.ndarray:
 
 def make_gpr(inputs, targets, signal_variance, length_scale,
              jitter) -> GprModel:
-    """Build GPs at fixed hyperparameters, caching Cholesky and dual weights.
-
-    ``targets`` is ``(n,)`` for one GP or ``(m, n)`` for one GP per row;
-    each hyperparameter is a scalar shared by every GP or an ``(m,)`` array.
-    Inputs and targets must be finite, signal variances and length scales
-    finite and > 0, and jitters finite and >= 0. On Cholesky failure a GP's
-    jitter escalates tenfold up to ``MAX_JITTER_RATIO * signal_variance``;
-    starting from zero jitter there is nothing to escalate and the singular
-    matrix is reported directly. With more than one GP the error names the
-    row.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64).ravel()
-    targets = _target_rows(inputs, targets)
-    m, n = targets.shape
-    sv_all = _per_gp("signal_variance", signal_variance, m, True)
-    ls_all = _per_gp("length_scale", length_scale, m, True)
-    jitters = _per_gp("jitter", jitter, m, False)
-
-    two_ls2 = np.array([_two_ls2(ls) for ls in ls_all.tolist()])
-    with np.errstate(over="ignore"):  # as in predict_gpr
-        grams = sv_all[:, None, None] * np.exp(
-            -_sq_dists(inputs, inputs) / two_ls2[:, None, None])
-    resid = targets - targets.mean(axis=1, keepdims=True)
-    eye = np.eye(n)
-    chol = np.empty((n, n, m, 1))
-    alpha = np.empty((n, m, 1))
-    for j, gram in enumerate(grams):
-        sv, jit = float(sv_all[j]), float(jitters[j])
-        cap = MAX_JITTER_RATIO * sv
-        row = f"target row {j}: " if m > 1 else ""
-        while True:
-            k = gram + jit * eye
-            try:
-                chol[:, :, j, 0] = np.linalg.cholesky(k)
-                break
-            except np.linalg.LinAlgError:
-                if jit <= 0.0:
-                    raise NumericalError(
-                        f"{row}kernel matrix is singular and jitter is 0 "
-                        "(duplicate or near-duplicate inputs?)"
-                    ) from None
-                if jit * 10.0 > cap:
-                    raise NumericalError(
-                        f"{row}Cholesky failed even at jitter {jit:.3e} "
-                        f"(cap {cap:.3e})"
-                    ) from None
-                jit *= 10.0
-        alpha[:, j, 0] = np.linalg.solve(k, resid[j])
-        jitters[j] = jit
-    return GprModel(train_inputs=inputs, train_targets=targets,
-                    signal_variance=sv_all, length_scale=ls_all,
-                    noise_jitter=jitters, chol_factor=chol, alpha=alpha)
+    """The :class:`GprModel` of these five facts, factorized."""
+    return GprModel(inputs, targets, signal_variance, length_scale, jitter)
 
 
 def _requested_jitters(targets: np.ndarray, jitter: float | None):
@@ -267,25 +248,21 @@ def _requested_jitters(targets: np.ndarray, jitter: float | None):
     return np.full(targets.shape[0], float(jitter))
 
 
-def _search_boxes(inputs: np.ndarray, target_vars: np.ndarray):
-    """Start boxes in log space: ``(m, 2)`` for log sv, ``(2,)`` for log ls.
+def _search_bounds(inputs: np.ndarray, targets: np.ndarray):
+    """The log length-scale start box ``(2,)`` and the lower and upper
+    ``(m, 2)`` bounds on each GP's log sv and log ls.
 
-    Length scales are relative to the input range, signal variances to each
-    target's variance. The search bounds widen each box by ``SEARCH_MARGIN``.
+    Start boxes are relative to the input range (length scales) and each
+    target's variance (signal variances); the bounds widen them by
+    ``SEARCH_MARGIN``.
     """
+    target_vars = np.var(targets, axis=1)
     input_range = float(inputs.max() - inputs.min()) or 1.0
     sv_scale = np.where(target_vars > 0.0, target_vars, 1.0)
     sv_box = np.log(np.multiply.outer(sv_scale, SIGNAL_VARIANCE_BOX))
     ls_box = np.log(np.multiply(LENGTH_SCALE_BOX, input_range))
-    return sv_box, ls_box
-
-
-def _search_bounds(inputs: np.ndarray, targets: np.ndarray):
-    """Lower and upper ``(m, 2)`` bounds on each GP's log sv and log ls:
-    the start boxes widened by ``SEARCH_MARGIN``."""
-    sv_box, ls_box = _search_boxes(inputs, np.var(targets, axis=1))
     boxes = np.stack([sv_box, np.broadcast_to(ls_box, sv_box.shape)], axis=1)
-    return boxes[:, :, 0] - SEARCH_MARGIN, boxes[:, :, 1] + SEARCH_MARGIN
+    return ls_box, boxes[:, :, 0] - SEARCH_MARGIN, boxes[:, :, 1] + SEARCH_MARGIN
 
 
 def _profile_lml(log_sv, lam, z2, jitter):
@@ -490,8 +467,7 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
     jitters = _requested_jitters(targets, jitter)
-    _, ls_box = _search_boxes(inputs, np.var(targets, axis=1))
-    lo, hi = _search_bounds(inputs, targets)
+    ls_box, lo, hi = _search_bounds(inputs, targets)
     t_lo, t_hi = lo[0, 1], hi[0, 1]
     resid = targets - targets.mean(axis=1, keepdims=True)
     sqd = _sq_dists(inputs, inputs)
@@ -555,14 +531,14 @@ def fit_decision(model: GprModel, jitter: float | None = None) -> list[dict]:
 
     ``jitter`` is the value the fit was asked for (``None``: the default
     ratio of the target variance). A record holds the hyperparameters,
-    the final jitter and whether :func:`make_gpr` escalated it, the log
+    the final jitter and whether construction escalated it, the log
     marginal likelihood, and whether a hyperparameter sits on a search
     bound (within 1e-9 in log space).
     """
     targets = model.train_targets
     # Python floats: twice a huge request is inf, with no NumPy warning
     requested = _requested_jitters(targets, jitter).tolist()
-    lo, hi = _search_bounds(model.train_inputs, targets)
+    _, lo, hi = _search_bounds(model.train_inputs, targets)
     lml = log_marginal_likelihood(model)
     records = []
     for j, (sv, ls, jit) in enumerate(zip(model.signal_variance.tolist(),

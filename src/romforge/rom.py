@@ -106,7 +106,7 @@ def train_pod_gpr(train: SnapshotTensor, energy_threshold: float = 0.9999,
     norm = InputNormalization(train.dwell_times)
     # on the node-major modes: the fit is sensitive to its targets' last bits
     coeffs = np.column_stack(
-        [project(basis, m.final_field) for m in train.matrices]
+        [project(basis, m.values[:, -1]) for m in train.matrices]
     )  # (rank, n_mu)
     gp = fit_gpr(norm.training_inputs, coeffs, jitter=jitter,
                  restarts=restarts, seed=seed)

@@ -881,6 +881,22 @@ def test_dataset_with_a_dwell_time_deleted_is_io_failure(rom_dir,
     assert not (tmp_path / "plots").exists()
 
 
+@pytest.mark.parametrize("value", [True, "20"])
+def test_a_dataset_dwell_time_that_is_not_a_number_is_io_failure(
+        value, dataset_dir, tmp_path, capsys):
+    # JSON true is no dwell time of 1 s, nor is the string "20" one of 20 s
+    broken = copy_archive(dataset_dir, tmp_path / "d")
+    meta = json.loads((broken / "meta.json").read_text())
+    meta["dwell_times"][0] = value
+    (broken / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "train", "--model", "pod-gpr",
+                               "--data", broken, "--out", tmp_path / "rom")
+    assert (code, stdout) == (3, "")
+    assert len(stderr.splitlines()) == 1 and str(broken) in stderr
+    assert not (tmp_path / "rom").exists()
+
+
 @pytest.mark.parametrize("archive", ["rom_dir", "gca_dir", "dataset_dir"])
 def test_load_then_save_is_byte_identical(archive, request, tmp_path):
     source = request.getfixturevalue(archive)

@@ -18,10 +18,10 @@ from romforge.dataset import (
     LAYER_THICKNESS_MM,
     InputNormalization,
     MeshGeometry,
-    ParameterPoint,
     SnapshotMatrix,
     SnapshotTensor,
     _cylinder_mesh,
+    check_dwell_time,
     generate_synthetic_dataset,
     load_snapshot_tensor,
     read_snapshot_bin,
@@ -53,17 +53,22 @@ def tiny_mesh(n_nodes=2, n_steps=2):
 
 
 def zeros_tensor(n_nodes=2, n_steps=2):
-    mat = SnapshotMatrix(np.zeros((n_nodes, n_steps)), ParameterPoint(20.0))
+    mat = SnapshotMatrix(np.zeros((n_nodes, n_steps)), 20.0)
     return SnapshotTensor((mat,), tiny_mesh(n_nodes, n_steps))
 
 
-# ParameterPoint, normalization and mesh validation ---------------------------
+# Dwell times, normalization and mesh validation -----------------------------
 
-def test_parameter_point_requires_positive_dwell():
-    assert ParameterPoint(20.0).dwell_time == 20.0
-    for bad in (0.0, -5.0, math.nan, math.inf):
+def test_dwell_time_rule_requires_a_finite_positive_number():
+    assert check_dwell_time(20.0) == 20.0
+    assert type(check_dwell_time(np.int64(20))) is float
+    matrix = SnapshotMatrix(np.zeros((2, 2)), 20)
+    assert matrix.dwell_time == 20.0 and type(matrix.dwell_time) is float
+    for bad in (0.0, -5.0, math.nan, math.inf, True, np.True_, "20", None):
         with pytest.raises(ConfigurationError):
-            ParameterPoint(bad)
+            check_dwell_time(bad)
+        with pytest.raises(ConfigurationError):
+            SnapshotMatrix(np.zeros((2, 2)), bad)
 
 
 def test_input_normalization_range_and_extrapolation():
@@ -138,12 +143,12 @@ def test_snapshot_matrix_rejects_non_finite():
     bad = np.zeros((2, 2))
     bad[0, 0] = np.nan
     with pytest.raises(DataError):
-        SnapshotMatrix(bad, ParameterPoint(20.0))
+        SnapshotMatrix(bad, 20.0)
 
 
 def test_final_field_is_a_cached_contiguous_copy():
     values = np.arange(12.0).reshape(4, 3)
-    matrix = SnapshotMatrix(values, ParameterPoint(20.0))
+    matrix = SnapshotMatrix(values, 20.0)
     field = matrix.final_field
     assert np.array_equal(field, matrix.values[:, -1])
     assert field.flags.c_contiguous and not field.flags.writeable
@@ -154,11 +159,11 @@ def test_final_field_is_a_cached_contiguous_copy():
 
 def test_snapshot_tensor_rejects_duplicate_parameters_and_shape_drift():
     mesh = tiny_mesh()
-    a = SnapshotMatrix(np.zeros((2, 2)), ParameterPoint(20.0))
-    b = SnapshotMatrix(np.zeros((2, 2)), ParameterPoint(20.0))
+    a = SnapshotMatrix(np.zeros((2, 2)), 20.0)
+    b = SnapshotMatrix(np.zeros((2, 2)), 20.0)
     with pytest.raises(ConfigurationError, match="not distinct"):
         SnapshotTensor((a, b), mesh)
-    c = SnapshotMatrix(np.zeros((2, 3)), ParameterPoint(25.0))
+    c = SnapshotMatrix(np.zeros((2, 3)), 25.0)
     with pytest.raises(ConfigurationError, match="disagree in shape"):
         SnapshotTensor((a, c), mesh)
 
@@ -187,7 +192,7 @@ def test_full_tensor_matches_independent_reimplementation():
     height = 3 * LAYER_THICKNESS_MM
     x, y, z = tensor.mesh.node_coords.T
     for mat in tensor.matrices:
-        dt = mat.parameter.dwell_time
+        dt = mat.dwell_time
         for p in range(tensor.n_nodes):
             for n in range(tensor.n_steps):
                 want = oracle_field(

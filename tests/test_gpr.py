@@ -229,6 +229,25 @@ def test_jitter_escalates_until_factorization_succeeds():
     assert math.isfinite(posterior(model, 0.5)[0])
 
 
+def test_a_model_is_built_from_its_five_stored_facts(wiggly):
+    x, y = wiggly
+    assert [f.name for f in dataclasses.fields(GprModel) if f.init] == [
+        "train_inputs", "train_targets", "signal_variance", "length_scale",
+        "noise_jitter"]
+    model = make_gpr(x, y, 1.0, 0.5, 1e-8)
+    with pytest.raises(TypeError):
+        GprModel(x, y, 1.0, 0.5, 1e-8, chol_factor=model.chol_factor,
+                 alpha=model.alpha)
+    # the jitter kept is the one the factorization used, so the stored facts
+    # of an escalated model make the same model again, bit for bit
+    escalated = make_gpr([0.5, 0.5, 0.5], [1.0, 2.0, 3.0], 1.0, 0.5, 1e-16)
+    for made in (model, escalated):
+        again = dataclasses.replace(made)
+        for f in dataclasses.fields(GprModel):
+            assert (getattr(again, f.name).tobytes()
+                    == getattr(made, f.name).tobytes())
+
+
 def test_zero_jitter_singular_matrix_is_reported():
     with pytest.raises(NumericalError, match="singular and jitter is 0"):
         make_gpr([0.5, 0.5], [1.0, 2.0], 1.0, 0.5, 0.0)

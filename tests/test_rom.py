@@ -205,7 +205,7 @@ def test_pipeline_is_homogeneous_in_the_field(dataset):
     scaled = SnapshotTensor(
         mesh=train.mesh,
         matrices=[
-            SnapshotMatrix(parameter=m.parameter, values=2.0 * m.values)
+            SnapshotMatrix(dwell_time=m.dwell_time, values=2.0 * m.values)
             for m in train.matrices
         ],
     )

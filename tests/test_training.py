@@ -28,6 +28,7 @@ from romforge.optim import (
     cosine_warm_restart_lr,
     init_adamw_state,
 )
+from romforge.rom import train_pod_gpr
 from romforge.training import (
     EpochRecord,
     GcaTrainConfig,
@@ -332,6 +333,16 @@ def test_best_validation_weights_are_returned():
     revalidated = batch_loss(model.params, graph, fields, fields, ts,
                              config.lam)
     assert revalidated == min(h.val_loss for h in history)
+
+
+def test_training_leaves_no_final_field_cached():
+    # both trainers copy every last column anyway; only evaluation's
+    # matrix_for(dt).final_field keeps a copy on its matrix
+    train = generate_synthetic_dataset(2, 4, 3, [20.0, 50.0, 80.0], seed=0)
+    train_pod_gpr(train, seed=0)
+    train_gca(train, None, build_graph(train.mesh),
+              GcaTrainConfig(noise_sigma=0.0, max_epochs=2, patience=2))
+    assert not any("final_field" in vars(m) for m in train.matrices)
 
 
 def test_best_training_weights_are_returned(tiny):
