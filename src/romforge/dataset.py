@@ -503,13 +503,15 @@ def load_archive(path, manifest_name: str, names):
     to a ``with`` body that builds the loaded objects from them.
 
     The manifest must bind exactly ``names``: a list, or a function of the
-    manifest that returns one. Each array passes :func:`read_snapshot_bin`'s
-    checks, then must match the shape and CRC-32 the manifest records. Any
-    failure, the body's included, is a :class:`DataError` naming ``path``:
-    an unreadable or missing array file (an OSError), a missing key, a wrong
-    JSON type or an unusable value (a KeyError, TypeError, AttributeError,
-    IndexError or ValueError, romforge's own validation errors included) and
-    an ArithmeticError: hyperparameters factorized when they were saved, and
+    manifest that returns one. Every manifest leaf but ``model`` must be a
+    number (``float`` takes JSON ``true`` as 1.0 and ``"20"`` as 20.0). Each
+    array passes :func:`read_snapshot_bin`'s checks, then must match the
+    shape and CRC-32 the manifest records. Any failure, the body's
+    included, is a :class:`DataError` naming ``path``: an unreadable or
+    missing array file (an OSError), a missing key, a wrong JSON type or an
+    unusable value (a KeyError, TypeError, AttributeError, IndexError or
+    ValueError, romforge's own validation errors included) and an
+    ArithmeticError: hyperparameters factorized when they were saved, and
     an edited value can overflow.
     """
     path = Path(path)
@@ -525,6 +527,14 @@ def load_archive(path, manifest_name: str, names):
             raise DataError(f"{manifest} is not valid JSON: {exc}") from None
         if (version := doc.get("version")) != ARCHIVE_VERSION:
             raise DataError(f"{manifest}: unsupported version {version}")
+        leaves = [value for key, value in doc.items() if key != "model"]
+        while leaves:
+            value = leaves.pop()
+            if isinstance(value, (dict, list)):
+                leaves.extend(value.values() if isinstance(value, dict)
+                              else value)
+            elif isinstance(value, (bool, str)):
+                raise DataError(f"{manifest}: {json.dumps(value)} is not a number")
         table = doc["arrays"]
         expected = sorted(names(doc) if callable(names) else names)
         if sorted(table) != expected:

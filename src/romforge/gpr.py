@@ -7,12 +7,13 @@ coefficient. Hyperparameters maximize each GP's log marginal likelihood
 :func:`fit_gpr` fits them together: one eigendecomposition of the unit
 correlation matrix per scanned length scale gives every GP's LML in closed
 form with the signal variance profiled out (Rasmussen & Williams, *GPML*
-2006, sec. 5.4). From each GP's best scan point, one projected Newton
-polish of all GPs on the same eigen-form LML lands on a stationary point.
-A :class:`GprModel` is made from the five facts an archive stores and
-derives each GP's Cholesky factor ``L``, ``L^-1`` and dual weights, so
-:func:`predict_gpr` evaluates every GP at many points in a fixed number of
-array operations (GPML Alg. 2.1; Pleiss et al., ICML 2018).
+2006, sec. 5.4), on arrays that put the scanned length scales last, so no
+GP's fit depends on the rows beside it. From each GP's best scan point, one
+projected Newton polish of all GPs on the same eigen-form LML lands on a
+stationary point. A :class:`GprModel` is made from the five facts an
+archive stores and derives each GP's Cholesky factor ``L``, ``L^-1`` and
+dual weights, so :func:`predict_gpr` evaluates every GP at many points in a
+fixed number of array operations (GPML Alg. 2.1; Pleiss et al., ICML 2018).
 """
 
 from __future__ import annotations
@@ -269,9 +270,9 @@ def _profile_lml(log_sv, lam, z2, jitter):
     """LML, less its constant, of kernels ``sv Q diag(lam) Q^T + jitter I``.
 
     ``z2`` holds the squared projected residuals ``(Q^T r)^2``; the first
-    axis runs over eigenvalues, in ascending order as ``eigh`` returns
-    them, and every other axis broadcasts. Where the spectrum is not safely
-    positive the LML reads ``-inf``.
+    axis runs over eigenvalues, ascending as ``eigh`` returns them, and the
+    others broadcast, ``(m, G)`` in the scan: m GPs, then G length scales.
+    Where the spectrum is not safely positive the LML reads ``-inf``.
     """
     d = np.exp(log_sv) * lam + jitter
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,7 +282,7 @@ def _profile_lml(log_sv, lam, z2, jitter):
 
 
 def _profile_slopes(log_sv, lam, z2, jitter):
-    """First and second log-sv derivatives of :func:`_profile_lml`."""
+    """d/d log sv and d2/d log sv2 of :func:`_profile_lml`, on its axes."""
     a = np.exp(log_sv) * lam
     d = a + jitter
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -298,7 +299,7 @@ def _profile(lam, z2, jitter, s_lo, s_hi):
     A grid of ``_PROFILE_STEP`` spacing picks the basin. Safeguarded Newton
     steps (bisection when a step leaves the bracket) then converge within
     one grid step of it. Returns ``(lml, log_sv)`` with the shape of the
-    axes after the eigenvalue axis.
+    other axes: ``(m, G)`` in the scan, with ``(m, 1)`` bounds and jitters.
     """
     shape = np.broadcast_shapes(lam.shape[1:], jitter.shape, s_lo.shape)
     best_f = np.full(shape, -np.inf)
@@ -477,11 +478,11 @@ def fit_gpr(inputs, targets, *, jitter: float | None = None,
     grid = _sorted_unique(
         np.concatenate([np.linspace(t_lo, t_hi, count), seeded]))
     lam, vecs = _spectrum(grid, sqd)
-    z2 = np.einsum("gji,mj->igm", vecs, resid) ** 2
-    lml, log_sv = _profile(lam.T[:, :, None], z2, jitters, lo[:, 0], hi[:, 0])
-    rows = np.arange(targets.shape[0])
-    best = np.argmax(lml, axis=0)
-    start = np.column_stack([log_sv[best, rows], grid[best]])
+    z2 = np.einsum("gji,mj->img", vecs, resid) ** 2
+    lml, log_sv = _profile(np.ascontiguousarray(lam.T)[:, None], z2,
+                           jitters[:, None], lo[:, :1], hi[:, :1])
+    best = np.argmax(lml, axis=1)
+    start = np.column_stack([log_sv[np.arange(best.size), best], grid[best]])
     fitted = np.exp(_polish(start, lo, hi, resid, sqd, jitters))
     return make_gpr(inputs, targets, fitted[:, 0], fitted[:, 1], jitters)
 

@@ -722,7 +722,7 @@ DELETE = object()
 # the values written over each JSON leaf, besides deleting it
 JSON_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
                "1e308": 1e308, "-1": -1, "str": "x", "list": [1.0],
-               "null": None}
+               "null": None, "true": True, "numstr": "20"}
 
 # edits, as fnmatch patterns over "<leaf path>:<edit>", that leave a valid
 # archive or dataset and so may exit 0: keys no reader uses and in-range

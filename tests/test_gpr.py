@@ -393,6 +393,30 @@ def test_fit_gpr_rows_equal_single_row_fits(wiggly):
         np.testing.assert_array_equal(together.alpha[:, j], alone.alpha[:, 0])
 
 
+@pytest.mark.parametrize("jitter", [None, 1e-12])
+def test_a_gp_fit_does_not_depend_on_its_batch_mates(jitter):
+    # random walks, noisy sines and decaying exponentials side by side on
+    # shared inputs; each row fitted alone must land on the same bits
+    rng = np.random.default_rng(30)
+    for _ in range(12):
+        n = int(rng.integers(4, 14))
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        rows = []
+        for kind in rng.permutation(3):
+            if kind == 0:
+                rows.append(np.cumsum(rng.normal(size=n)) * 0.1)
+            elif kind == 1:
+                rows.append(np.sin(rng.uniform(1.0, 12.0) * x)
+                            + rng.normal(scale=0.05, size=n))
+            else:
+                rows.append(0.08 + 0.12 * np.exp(-x * rng.uniform(0.5, 5.0)))
+        together = fit_gpr(x, np.vstack(rows), jitter=jitter, seed=n)
+        for j, row in enumerate(rows):
+            alone = fit_gpr(x, row, jitter=jitter, seed=n)
+            for name in ("signal_variance", "length_scale", "noise_jitter"):
+                assert getattr(alone, name)[0] == getattr(together, name)[j]
+
+
 def test_fit_matches_lbfgs_oracle_on_narrow_interior_peak():
     # the LML peaks near log ls = -1.1, between two points of a 0.25 scan
     # grid; a fit that misses the peak stops near ls = 0.05, 2e-3 nats low
