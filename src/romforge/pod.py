@@ -5,6 +5,12 @@ eigenvectors of the snapshot covariance. Instead of the (huge) node-space
 covariance we eigendecompose the small m x m Gram matrix of the centered
 snapshots, which yields identical modes at a fraction of the memory. It is
 built from blocks of node rows, so the snapshot matrix is never assembled.
+
+A layer not yet deposited is exactly 0: in a row block, the first s0 steps
+of every equal-width column block are 0, and each such column centers to
+exactly -r, the row means. Only the active columns Y are gathered: the Gram
+gains Y^T Y, -r^T Y and r.r, the modes Y W[active] - r sum(W[inactive]). A
+NaN or inf is not 0, so one check of the Gram stands for a finiteness pass.
 """
 
 from __future__ import annotations
@@ -145,7 +151,7 @@ def compute_pod(snapshots, energy_threshold: float) -> PodBasis:
     DataError
         A snapshot value is not finite.
     NumericalError
-        The centered snapshot matrix is identically zero.
+        The centered snapshot matrix is zero, or its Gram overflows.
     """
     if isinstance(snapshots, np.ndarray):
         snapshots = [snapshots]
@@ -162,26 +168,41 @@ def compute_pod(snapshots, energy_threshold: float) -> PodBasis:
             f"energy_threshold must be in (0, 1], got {energy_threshold}"
         )
 
-    def row_blocks():  # node rows ``at`` of every block, side by side
-        for lo in range(0, n_nodes, _ROW_BLOCK):
-            at = slice(lo, min(lo + _ROW_BLOCK, n_nodes))
-            rows = buffer[:at.stop - lo]
-            np.concatenate([b[at] for b in blocks], axis=1, out=rows)
-            yield at, rows
+    nb = len(blocks) if len({b.shape[1] for b in blocks}) == 1 else 1
+    steps, spans = m // nb, [(lo, min(lo + _ROW_BLOCK, n_nodes))
+                             for lo in range(0, n_nodes, _ROW_BLOCK)]
+    starts = [steps - 1 if nb == len(blocks) else 0] * len(spans)
+    for k, (lo, hi) in enumerate(spans):  # each block cuts s0; NaN is not 0
+        for b in blocks:
+            if starts[k] and b[lo:hi, :starts[k]].any():
+                starts[k] = b[lo:hi, :starts[k]].any(axis=0).argmax()
 
-    buffer = np.empty((min(_ROW_BLOCK, n_nodes), m))
+    def row_blocks():  # rows lo:hi from step s0 (the last at most), packed
+        for (lo, hi), s0 in zip(spans, starts):
+            rows = buffer[:(hi - lo) * nb * (steps - s0)].reshape(hi - lo, -1)
+            np.concatenate([b[lo:hi, s0:] for b in blocks], axis=1, out=rows)
+            yield slice(lo, hi), s0, rows
+
+    buffer = np.empty(min(_ROW_BLOCK, n_nodes) * m)
     reference = np.empty(n_nodes)
-    gram = np.zeros((m, m))
-    for at, rows in row_blocks():
-        if not np.all(np.isfinite(rows)):
-            raise DataError("snapshots must be finite")
-        reference[at] = rows.mean(axis=1)
-        rows -= reference[at, None]
-        gram += rows.T @ rows
+    gram = np.zeros((nb, steps, nb, steps))  # (block, step) by (block, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at, s0, rows in row_blocks():
+            w, r = steps - s0, rows.sum(axis=1) / m
+            rows -= r[:, None]
+            reference[at], cross = r, (r @ rows).reshape(nb, w)
+            gram[:, s0:, :, s0:] += (rows.T @ rows).reshape(nb, w, nb, w)
+            gram[:, :s0, :, s0:] -= cross  # inactive columns are -r
+            gram[:, s0:, :, :s0] -= cross[:, :, None, None]
+            gram[:, :s0, :, :s0] += r @ r
+        if not np.isfinite(np.abs(gram).sum()):  # bounds each eigenvalue
+            if not all(np.isfinite(b).all() for b in blocks):
+                raise DataError("snapshots must be finite")
+            raise NumericalError("snapshot Gram matrix overflows float64")
     # NumPy's LAPACK, like the Gram product: calling SciPy's as well would
     # wake a second OpenBLAS thread pool whose workers keep spinning after
     # the call, competing with the caller on a small host
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    eigvals, eigvecs = np.linalg.eigh(gram.reshape(m, m))
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
     sigma = np.sqrt(np.maximum(eigvals, 0.0))
@@ -200,9 +221,11 @@ def compute_pod(snapshots, energy_threshold: float) -> PodBasis:
         rank = n_effective
 
     modes = np.empty((n_nodes, rank))
-    for at, rows in row_blocks():
+    weights = (eigvecs[:, :rank] / sigma[:rank]).reshape(nb, steps, rank)
+    for at, s0, rows in row_blocks():  # inactive columns are -r
         rows -= reference[at, None]
-        np.matmul(rows, eigvecs[:, :rank] / sigma[:rank], out=modes[at])
+        np.matmul(rows, weights[:, s0:].reshape(-1, rank), out=modes[at])
+        modes[at] -= np.outer(reference[at], weights[:, :s0].sum((0, 1)))
     _fix_mode_signs(modes)
     return PodBasis(modes=modes, singular_values=sigma, reference=reference)
 

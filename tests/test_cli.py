@@ -362,6 +362,34 @@ def test_train_degenerate_dataset_is_numerical_failure(dataset_dir, tmp_path,
     assert "numerical failure" in stderr
 
 
+def dataset_with_last_value(dataset_dir, path, value):
+    """A copy of the dataset whose every snapshot matrix holds ``value`` at
+    its last node and step: the final field that ``eval`` reads as truth."""
+    tensor = load_snapshot_tensor(dataset_dir)
+    matrices = []
+    for m in tensor.matrices:
+        values = m.values.copy()
+        values[-1, -1] = value
+        matrices.append(dataclasses.replace(m, values=values))
+    save_snapshot_tensor(SnapshotTensor(tuple(matrices), tensor.mesh), path)
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_on_a_value_whose_square_overflows_is_one_line(
+        dataset_dir, tmp_path, capsys):
+    # 1e200 is finite, but the Gram of the centered snapshots is not; the
+    # failure is numerical, with no NumPy warning and no rank-0 basis
+    huge = dataset_with_last_value(dataset_dir, tmp_path / "huge", 1e200)
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "train", "--model", "pod-gpr",
+                               "--data", huge, "--out", tmp_path / "rom")
+    assert (code, stdout) == (4, "")
+    assert stderr.splitlines() == [
+        "romforge: numerical failure: snapshot Gram matrix overflows float64"]
+    assert not (tmp_path / "rom").exists()
+
+
 # ----------------------------------------------------------------- predict ---
 
 
@@ -1048,6 +1076,22 @@ def test_eval_with_timing_on_a_gca_archive(gca_dir, dataset_dir, tmp_path,
     summary = timed_eval(capsys, gca_dir, dataset_dir, tmp_path)
     assert summary["model"] == "gca"
     assert summary["predict_seconds_mean"] > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_against_a_truth_whose_norm_overflows_is_one_line(
+        rom_dir, dataset_dir, tmp_path, capsys):
+    # the norm of a truth field holding 1e200 overflows; the row check
+    # reports it, and NumPy's overflow warning stays quiet
+    huge = dataset_with_last_value(dataset_dir, tmp_path / "huge", 1e200)
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "eval", "--model-dir", rom_dir,
+                               "--data", huge, "--test", "30",
+                               "--plots", tmp_path / "plots")
+    assert (code, stdout) == (4, "")
+    assert stderr.splitlines() == [
+        "romforge: numerical failure: evaluation row contains non-finite "
+        "values"]
 
 
 def test_eval_requires_plots_directory(rom_dir, dataset_dir, capsys):

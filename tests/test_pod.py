@@ -231,6 +231,97 @@ def test_non_finite_value_in_the_last_row_block_is_a_data_error():
         compute_pod(blocks, 0.99)
 
 
+def deposited_blocks(seed, widths=(6, 6, 6)):
+    """Layer-by-layer column blocks over 2 row blocks plus 37 rows: a node is
+    exactly 0 before the step of its layer. Layers ascend from row block to
+    row block, so the later ones start with steps that are 0 in every row,
+    and each row block's node order is random."""
+    rng = np.random.default_rng(seed)
+    n_nodes, n_steps = 2 * _ROW_BLOCK + 37, max(widths)
+    layers = np.sort(rng.integers(0, n_steps, n_nodes))
+    for lo in range(0, n_nodes, _ROW_BLOCK):
+        rng.shuffle(layers[lo:lo + _ROW_BLOCK])
+    active = np.arange(n_steps) >= layers[:, None]
+    return [np.where(active, rng.normal(size=active.shape), 0.0)[:, :k]
+            for k in widths]
+
+
+def matches_the_dense_svd(blocks):
+    """The basis of ``blocks``, checked against the joined matrix's SVD."""
+    joined = np.hstack(blocks)
+    basis = compute_pod(blocks, 1.0 - 1e-9)
+    u, s, reference = svd_oracle(joined)
+    assert basis.rank == np.count_nonzero(s > 1e-6 * s[0])
+    np.testing.assert_allclose(basis.reference, reference, atol=1e-12)
+    np.testing.assert_allclose(basis.singular_values[:basis.rank],
+                               s[:basis.rank], rtol=1e-8)
+    np.testing.assert_allclose(basis.modes, u[:, :basis.rank], atol=1e-8)
+    return basis
+
+
+def test_layers_not_yet_deposited_match_the_dense_svd():
+    blocks = deposited_blocks(12)
+    assert not any(b[2 * _ROW_BLOCK:, :4].any() for b in blocks)
+    matches_the_dense_svd(blocks)
+
+
+def test_zero_columns_that_are_no_prefix_match_the_dense_svd():
+    # zero last steps in every row, and a zero step between active ones
+    blocks = deposited_blocks(13)
+    for b in blocks:
+        b[:, 4:] = 0.0
+    matches_the_dense_svd(blocks)
+    blocks = deposited_blocks(14)
+    for b in blocks:
+        b[:, 3] = 0.0
+    matches_the_dense_svd(blocks)
+
+
+def test_negative_zeros_in_a_prefix_change_no_bit():
+    blocks = deposited_blocks(15)
+    basis = matches_the_dense_svd(blocks)
+    for b in blocks:
+        b[b == 0.0] = -0.0
+    assert np.signbit(blocks[0][-1, 0])
+    again = compute_pod(blocks, 1.0 - 1e-9)
+    for name in ("modes", "singular_values", "reference"):
+        assert np.array_equal(getattr(again, name), getattr(basis, name))
+
+
+def test_an_all_zero_row_block_matches_the_dense_svd():
+    blocks = deposited_blocks(16)
+    for b in blocks:
+        b[_ROW_BLOCK:2 * _ROW_BLOCK] = 0.0
+    basis = matches_the_dense_svd(blocks)
+    assert not basis.modes[_ROW_BLOCK:2 * _ROW_BLOCK].any()
+
+
+def test_deposited_blocks_of_unequal_width_match_the_dense_svd():
+    blocks = deposited_blocks(17, widths=(6, 4, 6))
+    basis = matches_the_dense_svd(blocks)
+    assert np.array_equal(basis.reference, np.hstack(blocks).mean(axis=1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_a_zero_prefix_is_a_data_error(value):
+    blocks = deposited_blocks(18)
+    assert not blocks[1][-1, :4].any()
+    blocks[1][-1, 2] = value
+    with pytest.raises(DataError, match="finite"):
+        compute_pod(blocks, 0.99)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [(1e200, 0.0), (1e154, -1e154)])
+def test_finite_values_whose_gram_overflows_are_a_numerical_error(values):
+    # a square past float64, or a finite Gram whose largest eigenvalue,
+    # about twice 1e308 here, is not
+    blocks = deposited_blocks(19)
+    blocks[0][5, -2:] = values
+    with pytest.raises(NumericalError, match="Gram matrix overflows"):
+        compute_pod(blocks, 0.99)
+
+
 def test_column_blocks_are_never_joined_or_centered_whole():
     # ~30 MB of rank-3 snapshots in four column blocks; joining them and
     # centering the join would trace about twice their size
